@@ -108,14 +108,8 @@ def _cmd_verify(ns):
                  % (ds if ds else "[]"))
     complete = not skipped and ns.branch is None
     identity = degree_identity(sc.target, branches, complete)
-    if complete:
-        good = identity.verdict
-        lines.append("%s: identity %s" % ("ok" if good else "fail",
-                                          identity.line()))
-    else:
-        good = identity.lhs >= identity.total
-        lines.append("%s: identity %s" % ("ok" if good else "fail",
-                                          identity.line()))
+    good = identity.verdict if complete else identity.lhs >= identity.total
+    lines.append("%s: identity %s" % ("ok" if good else "fail", identity.line()))
     ok = ok and good
     return "\n".join(lines) + "\n", 0 if ok else 1
 

@@ -22,8 +22,10 @@ named atoms for the scenario expression parser.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
+from .polyring import DensePolys
 from .values import INF, Value, ValueGroup
 
 
@@ -142,200 +144,28 @@ class PrimeField:
 QQ = Rationals()
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over a scalar domain
-#
-# Coefficient lists are constant-first tuples with the trailing (highest) zero
-# coefficients stripped; the zero polynomial is the empty tuple.
-
-
-class ScalarPolys:
-    def __init__(self, domain):
-        self.domain = domain
-
-    def trim(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and self.domain.is_zero(coeffs[-1]):
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def zero(self):
-        return ()
-
-    def one(self):
-        return (self.domain.one,)
-
-    def const(self, c):
-        return self.trim([c])
-
-    def monomial(self, k, c=None):
-        c = self.domain.one if c is None else c
-        return self.trim([self.domain.zero] * k + [c])
-
-    def degree(self, f):
-        return len(f) - 1
-
-    def lead(self, f):
-        if not f:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return f[-1]
-
-    def ord(self, f):
-        """Index of the lowest nonzero coefficient."""
-        if not f:
-            raise ValueError("zero polynomial has no order")
-        return next(i for i, c in enumerate(f) if not self.domain.is_zero(c))
-
-    def add(self, f, g):
-        n = max(len(f), len(g))
-        d = self.domain
-        out = [d.zero] * n
-        for i, c in enumerate(f):
-            out[i] = c
-        for i, c in enumerate(g):
-            out[i] = d.add(out[i], c)
-        return self.trim(out)
-
-    def neg(self, f):
-        return tuple(self.domain.neg(c) for c in f)
-
-    def sub(self, f, g):
-        return self.add(f, self.neg(g))
-
-    def mul(self, f, g):
-        if not f or not g:
-            return ()
-        d = self.domain
-        out = [d.zero] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if d.is_zero(a):
-                continue
-            for j, b in enumerate(g):
-                out[i + j] = d.add(out[i + j], d.mul(a, b))
-        return self.trim(out)
-
-    def scale(self, f, c):
-        d = self.domain
-        if d.is_zero(c):
-            return ()
-        return self.trim([d.mul(a, c) for a in f])
-
-    def divmod(self, f, g):
-        if not g:
-            raise ZeroDivisionError("division by the zero polynomial")
-        d = self.domain
-        inv_lead = d.inv(self.lead(g))
-        rem = list(f)
-        dg = self.degree(g)
-        q = [d.zero] * max(len(f) - dg, 0)
-        while len(rem) - 1 >= dg and any(not d.is_zero(c) for c in rem):
-            while rem and d.is_zero(rem[-1]):
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            k = len(rem) - 1 - dg
-            c = d.mul(rem[-1], inv_lead)
-            q[k] = c
-            for i, b in enumerate(g):
-                rem[k + i] = d.sub(rem[k + i], d.mul(c, b))
-        return self.trim(q), self.trim(rem)
-
-    def mod(self, f, g):
-        return self.divmod(f, g)[1]
-
-    def gcd(self, f, g):
-        while g:
-            f, g = g, self.mod(f, g)
-        if f:
-            f = self.scale(f, self.domain.inv(self.lead(f)))
-        return f
-
-    def xgcd(self, f, g):
-        """(d, s, t) with s*f + t*g = d, d monic."""
-        r0, r1 = f, g
-        s0, s1 = self.one(), self.zero()
-        t0, t1 = self.zero(), self.one()
-        while r1:
-            q, r = self.divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
-            t0, t1 = t1, self.sub(t0, self.mul(q, t1))
-        if r0:
-            c = self.domain.inv(self.lead(r0))
-            r0, s0, t0 = self.scale(r0, c), self.scale(s0, c), self.scale(t0, c)
-        return r0, s0, t0
-
-    def monic(self, f):
-        if not f:
-            return f
-        return self.scale(f, self.domain.inv(self.lead(f)))
-
-    def pow(self, f, n):
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, f)
-        return out
-
-    def eval(self, f, x):
-        d = self.domain
-        acc = d.zero
-        for c in reversed(f):
-            acc = d.add(d.mul(acc, x), c)
-        return acc
-
-    def format(self, f, var):
-        if not f:
-            return "0"
-        d = self.domain
-        parts = []
-        for i in range(len(f) - 1, -1, -1):
-            c = f[i]
-            if d.is_zero(c):
-                continue
-            if i == 0:
-                mono = d.format(c)
-            else:
-                head = var if i == 1 else "%s^%d" % (var, i)
-                cs = d.format(c)
-                if cs == "1":
-                    mono = head
-                elif cs == "-1":
-                    mono = "-" + head
-                else:
-                    mono = "%s*%s" % (cs, head)
-            parts.append(mono)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
-
-
 def factor_scalar_poly(domain, coeffs):
     """Monic irreducible factors of a univariate polynomial over Q or F_p, as a
     deterministically sorted list of (coeffs, multiplicity) pairs.  The leading
     unit is dropped.  sympy does the factoring; everything else stays local."""
     import sympy
 
-    T = sympy.Symbol("T")
-    sp = ScalarPolys(domain)
+    sp = DensePolys(domain)
     coeffs = sp.trim(coeffs)
     if sp.degree(coeffs) < 1:
         return []
+    T = sympy.Symbol("T")
     desc = list(reversed(coeffs))
     if domain.char == 0:
         poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in desc], T, domain="QQ")
-        _, raw = poly.factor_list()
-        out = []
-        for fac, mult in raw:
-            fc = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
-            out.append((sp.monic(sp.trim(reversed(fc))), int(mult)))
+        back = lambda c: Fraction(int(c.numerator), int(c.denominator))
     else:
         poly = sympy.Poly([int(c) for c in desc], T, modulus=domain.char)
-        _, raw = poly.factor_list()
-        out = []
-        for fac, mult in raw:
-            fc = [int(c) % domain.char for c in fac.all_coeffs()]
-            out.append((sp.monic(sp.trim(reversed(fc))), int(mult)))
+        back = lambda c: int(c) % domain.char
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        fc = [back(c) for c in reversed(fac.all_coeffs())]
+        out.append((sp.monic(sp.trim(fc)), int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), [domain.sort_key(c) for c in fm[0]]))
     return out
 
@@ -351,6 +181,14 @@ class ValuedFieldBase:
     is_zero, valuate, unit_residue, canonical_element, lift_scalar, atom,
     base_group_gens, format_element.
     """
+
+    @cached_property
+    def polys(self):
+        """The dense polynomial core over this field."""
+        return DensePolys(self)
+
+    def format(self, x):
+        return self.format_element(x)
 
     def eq(self, x, y):
         return self.is_zero(self.sub(x, y))
@@ -390,7 +228,7 @@ class RationalFunctions(ValuedFieldBase):
     def __init__(self, scalars, var):
         self.scalars = scalars
         self.var = var
-        self.sp = ScalarPolys(scalars)
+        self.sp = DensePolys(scalars)
         self.zero = ((), (scalars.one,))
         self.one = ((scalars.one,), (scalars.one,))
 

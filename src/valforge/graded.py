@@ -12,11 +12,38 @@ Initial forms multiply like polynomials in X with no reduction: at its own
 level the class of the key polynomial is transcendental over the residue ring.
 """
 
-from .fields import ScalarPolys, UnsupportedStructure
+from functools import cached_property
+
+from .fields import UnsupportedStructure
+from .polyring import DensePolys
 from .values import INF
 
 
-class ScalarRing:
+class ResidueRing:
+    """What the two residue rings share: powers, division and equality built
+    from their own arithmetic, and the dense polynomial core over the ring
+    that initial forms use."""
+
+    @cached_property
+    def polys(self):
+        return DensePolys(self)
+
+    def pow(self, a, n):
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        out = self.one
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def eq(self, a, b):
+        return self.is_zero(self.sub(a, b))
+
+
+class ScalarRing(ResidueRing):
     """The residue ring before any extension: the scalar domain itself."""
 
     def __init__(self, domain):
@@ -44,22 +71,8 @@ class ScalarRing:
             raise UnsupportedStructure("inverse of zero in the residue ring")
         return self.domain.inv(a)
 
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return self.domain.is_zero(a)
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
 
     def is_scalar(self, a):
         return True
@@ -71,16 +84,17 @@ class ScalarRing:
         return self.domain.format(a)
 
 
-class EtaleRing:
+class EtaleRing(ResidueRing):
     """k[T]/(m) for a monic modulus m of degree >= 2.
 
-    Elements are the coefficient tuples of ScalarPolys, reduced mod m.  A
-    scalar embeds as a constant; the class of T is the adjoined root.
+    Elements are dense coefficient tuples over the scalar domain, reduced
+    mod m.  A scalar embeds as a constant; the class of T is the adjoined
+    root.
     """
 
     def __init__(self, domain, modulus):
         self.domain = domain
-        self.sp = ScalarPolys(domain)
+        self.sp = DensePolys(domain)
         self.modulus = self.sp.trim(modulus)
         if self.sp.degree(self.modulus) < 2:
             raise ValueError("extension modulus must have degree >= 2")
@@ -113,22 +127,8 @@ class EtaleRing:
                 % (self.sp.format(a, "T"), self.sp.format(self.modulus, "T")))
         return self.sp.mod(s, self.modulus)
 
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return not a
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
 
     def is_scalar(self, a):
         return self.sp.degree(a) <= 0
@@ -145,58 +145,54 @@ class EtaleRing:
 
 class InClass:
     """Initial form of a polynomial at a chain stage: the truncated value plus
-    the finitely many X-coefficients that attain it, as residue ring elements.
+    its X-coefficients, a dense tuple over the residue ring whose nonzero
+    entries are the coefficients that attain the value.
     """
 
-    __slots__ = ("ring", "value", "terms")
+    __slots__ = ("ring", "value", "coeffs")
 
-    def __init__(self, ring, value, terms):
+    def __init__(self, ring, value, coeffs):
         self.ring = ring
         self.value = value
-        self.terms = {j: c for j, c in terms.items() if not ring.is_zero(c)}
+        self.coeffs = ring.polys.trim(coeffs)
+
+    @property
+    def terms(self):
+        """The nonzero X-coefficients by degree."""
+        return {j: c for j, c in enumerate(self.coeffs)
+                if not self.ring.is_zero(c)}
 
     @property
     def degree(self):
-        return max(self.terms) if self.terms else None
+        return len(self.coeffs) - 1 if self.coeffs else None
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def __repr__(self):
-        body = " + ".join("(%s)*X^%d" % (self.ring.format(c), j)
-                          for j, c in sorted(self.terms.items()))
-        return "InClass(%s @ %s)" % (body or "0", self.value)
+        return "InClass(%s @ %s)" % (
+            self.ring.polys.format(self.coeffs, "X", wrap=True), self.value)
 
 
 def graded_mul(a, b):
-    ring = a.ring
-    terms = {}
-    for i, c in a.terms.items():
-        for j, d in b.terms.items():
-            k = i + j
-            prod = ring.mul(c, d)
-            terms[k] = ring.add(terms.get(k, ring.zero), prod)
-    return InClass(ring, a.value + b.value, terms)
+    return InClass(a.ring, a.value + b.value,
+                   a.ring.polys.mul(a.coeffs, b.coeffs))
 
 
 def graded_equal(a, b):
-    if a.is_zero and b.is_zero:
-        return True
-    if a.is_zero != b.is_zero:
-        return False
-    if a.value != b.value or set(a.terms) != set(b.terms):
-        return False
-    return all(a.ring.eq(c, b.terms[j]) for j, c in a.terms.items())
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    return a.value == b.value and not a.ring.polys.sub(a.coeffs, b.coeffs)
 
 
 def graded_is_unit(a):
     """Units of the graded ring are the classes concentrated in X-degree 0
     with an invertible residue."""
-    if set(a.terms) != {0}:
+    if len(a.coeffs) != 1:
         return False
     try:
-        a.ring.inv(a.terms[0])
+        a.ring.inv(a.coeffs[0])
     except UnsupportedStructure:
         return False
     return True
@@ -205,7 +201,7 @@ def graded_is_unit(a):
 def graded_inverse(a):
     if not graded_is_unit(a):
         raise ValueError("initial form is not a unit")
-    return InClass(a.ring, -a.value, {0: a.ring.inv(a.terms[0])})
+    return InClass(a.ring, -a.value, (a.ring.inv(a.coeffs[0]),))
 
 
 def graded_add(a, b):
@@ -215,14 +211,8 @@ def graded_add(a, b):
         return a
     if a.value != b.value:
         raise ValueError("graded pieces at different values do not add")
-    ring = a.ring
-    terms = dict(a.terms)
-    for j, c in b.terms.items():
-        terms[j] = ring.add(terms.get(j, ring.zero), c)
-    terms = {j: c for j, c in terms.items() if not ring.is_zero(c)}
-    if not terms:
-        return InClass(ring, INF, {})
-    return InClass(ring, a.value, terms)
+    coeffs = a.ring.polys.add(a.coeffs, b.coeffs)
+    return InClass(a.ring, a.value if coeffs else INF, coeffs)
 
 
 def graded_divmod(a, b):
@@ -230,53 +220,16 @@ def graded_divmod(a, b):
     of r strictly below the degree of b, or r = 0.  A unit divisor always
     leaves r = 0."""
     ring = a.ring
-    if b.is_zero:
-        raise ZeroDivisionError("graded division by zero")
-    zero = InClass(ring, INF, {})
-    if a.is_zero:
-        return zero, zero
-    da, db = a.degree, b.degree
-    if da < db:
-        return zero, a
-    lead_inv = ring.inv(b.terms[db])
-    rem = dict(a.terms)
-    q = {}
-    for k in range(da - db, -1, -1):
-        top = rem.get(k + db, ring.zero)
-        if ring.is_zero(top):
-            continue
-        c = ring.mul(top, lead_inv)
-        q[k] = c
-        for j, d in b.terms.items():
-            rem[k + j] = ring.sub(rem.get(k + j, ring.zero), ring.mul(c, d))
-    rem = {j: c for j, c in rem.items() if not ring.is_zero(c)}
-    assert all(j < db for j in rem), "division left terms at the lead"
-    quo = InClass(ring, a.value - b.value, q)
-    return quo, (InClass(ring, a.value, rem) if rem else zero)
+    q, r = ring.polys.divmod(a.coeffs, b.coeffs)
+    zero = InClass(ring, INF, ())
+    return (InClass(ring, a.value - b.value, q) if q else zero,
+            InClass(ring, a.value, r) if r else zero)
 
 
 def graded_div(a, b):
     """Exact division of initial forms; raises ValueError when b does not
     divide a in the graded ring."""
-    ring = a.ring
-    if b.is_zero:
-        raise ZeroDivisionError("graded division by zero")
-    if a.is_zero:
-        return InClass(ring, INF, {})
-    da, db = a.degree, b.degree
-    if da < db:
-        raise ValueError("initial form is not divisible: degree drop")
-    lead_inv = ring.inv(b.terms[db])
-    rem = dict(a.terms)
-    q = {}
-    for k in range(da - db, -1, -1):
-        top = rem.get(k + db, ring.zero)
-        if ring.is_zero(top):
-            continue
-        c = ring.mul(top, lead_inv)
-        q[k] = c
-        for j, d in b.terms.items():
-            rem[k + j] = ring.sub(rem.get(k + j, ring.zero), ring.mul(c, d))
-    if any(not ring.is_zero(c) for c in rem.values()):
+    q, r = graded_divmod(a, b)
+    if not r.is_zero:
         raise ValueError("initial form is not divisible: nonzero remainder")
-    return InClass(ring, a.value - b.value, q)
+    return q

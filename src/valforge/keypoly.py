@@ -25,9 +25,9 @@ extension is refused rather than approximated.
 
 from fractions import Fraction
 
-from .fields import ScalarPolys, UnsupportedStructure, factor_scalar_poly
+from .fields import UnsupportedStructure, factor_scalar_poly
 from .graded import EtaleRing, InClass, ScalarRing
-from .polyring import Poly, standard_expansion
+from .polyring import DensePolys, Poly, standard_expansion
 from .values import INF, OrdinalIndex, Value
 
 
@@ -109,10 +109,6 @@ class Side:
         self.v_right = v_right
         self.sigma = (v_left - v_right).scale(Fraction(1, j_right - j_left))
 
-    @property
-    def length(self):
-        return self.j_right - self.j_left
-
     def __repr__(self):
         return "Side(%d..%d, sigma=%s)" % (self.j_left, self.j_right, self.sigma)
 
@@ -155,6 +151,7 @@ class Chain:
         self.entries = []
         self.base_group = field.base_group()
         self.ext_level = None
+        self.ring = ScalarRing(field.scalars)
         self._weights = {}
 
     # -- structure ----------------------------------------------------------
@@ -179,13 +176,9 @@ class Chain:
         ch.entries = list(self.entries)
         ch.base_group = self.base_group
         ch.ext_level = self.ext_level
+        ch.ring = self.ring
         ch._weights = dict(self._weights)
         return ch
-
-    def ring(self):
-        if self.ext_level is None:
-            return ScalarRing(self.field.scalars)
-        return EtaleRing(self.field.scalars, self.entry(self.ext_level).rule[1])
 
     # -- truncated values ---------------------------------------------------
 
@@ -201,13 +194,8 @@ class Chain:
         ent = self.entry(k)
         if f.degree < ent.poly.degree:
             return self.cval(f, k - 1)
-        best = None
-        for m, _, v in self.term_values(f, k):
-            if v is INF:
-                continue
-            if best is None or v < best:
-                best = v
-        return INF if best is None else best
+        data = self.argmin_data(f, k)
+        return INF if data is None else data[0]
 
     def term_values(self, f, k):
         """(m, coefficient, m*beta_k + stage-(k-1) value) over the expansion
@@ -281,7 +269,7 @@ class Chain:
         return self._weights[k]
 
     def _rule_power(self, k, q):
-        ring = self.ring()
+        ring = self.ring
         if q == 0:
             return ring.one
         rule = self.entry(k).rule
@@ -295,7 +283,7 @@ class Chain:
         """Residue of the initial form of f against the monomial with base
         part dv0 and key exponents dexps, all at level k.  Returns zero when
         f sits strictly above the monomial, and refuses to look below it."""
-        ring = self.ring()
+        ring = self.ring
         if f.is_zero:
             return ring.zero
         if k == 0:
@@ -313,11 +301,10 @@ class Chain:
         target = dv0
         for j, m in dexps.items():
             target = target + self.entry(j).beta.scale(m)
-        finite = [(m, c, v) for m, c, v in self.term_values(f, k)
-                  if v is not INF]
-        if not finite:
+        data = self.argmin_data(f, k)
+        if data is None:
             return ring.zero
-        minv = min(v for _, _, v in finite)
+        minv, S = data
         if minv > target:
             return ring.zero
         if minv < target:
@@ -325,9 +312,7 @@ class Chain:
         dk = dexps.get(k, 0)
         wt = self.weight(k)
         acc = ring.zero
-        for m, c, v in finite:
-            if v != minv:
-                continue
+        for m, c in S:
             q, r = divmod(m - dk, ent.e_step)
             if r:
                 raise ChainError("graded term off the value lattice of level %d" % k)
@@ -347,18 +332,18 @@ class Chain:
         """Initial form of f at stage k as a graded object: the stage value
         plus residue coefficients in X-degrees that attain it."""
         k = self.depth() if k is None else k
-        ring = self.ring()
+        ring = self.ring
         data = self.argmin_data(f, k)
         if data is None:
-            return InClass(ring, INF, {})
+            return InClass(ring, INF, ())
         minv, S = data
         ent = self.entry(k)
-        terms = {}
+        coeffs = [ring.zero] * (max(m for m, _ in S) + 1)
         for m, c in S:
             cv = minv if m == 0 else minv - ent.beta.scale(m)
             mono = self.canonical_monomial(cv, k - 1)
-            terms[m] = self.nres(c, mono.v0, mono.exps, k - 1)
-        return InClass(ring, minv, terms)
+            coeffs[m] = self.nres(c, mono.v0, mono.exps, k - 1)
+        return InClass(ring, minv, coeffs)
 
     # -- growth: validation, residuals, lifting ------------------------------
 
@@ -411,12 +396,13 @@ class Chain:
                                  "polynomial within the working precision")
         if prev is not None:
             rule = self._derive_rule(poly, alpha)
-            if rule[0] == "ext":
-                if self.ext_level is not None:
-                    raise UnsupportedStructure(
-                        "a second residue field extension is not supported")
-                self.ext_level = self.depth()
+            if rule[0] == "ext" and self.ext_level is not None:
+                raise UnsupportedStructure(
+                    "a second residue field extension is not supported")
             self.entries[-1] = prev.with_rule(rule)
+            if rule[0] == "ext":
+                self.ext_level = self.depth()
+                self.ring = EtaleRing(field.scalars, rule[1])
         self.entries.append(ChainEntry(index, poly, beta, origin, alpha,
                                        e_order, f_step, group))
 
@@ -432,19 +418,17 @@ class Chain:
             raise ChainError("degree jump %d is not a multiple of the level "
                              "%d spacing %d" % (alpha, k, e))
         expected = ent.beta.scale(g * e)
-        tv = self.term_values(newpoly, k)
-        finite = [(m, c, v) for m, c, v in tv if v is not INF]
-        minv = min(v for _, _, v in finite)
+        minv, S = self.argmin_data(newpoly, k)
         if minv < expected:
             raise ChainError("incoming key is not balanced at level %d: value "
                              "%s below %s" % (k, minv, expected))
-        for m, _, v in finite:
-            if v == minv and m % e:
-                raise ChainError("initial form of the incoming key leaves the "
-                                 "value lattice of level %d" % k)
-        coeffs_by_m = {m: c for m, c, _ in tv}
+        if any(m % e for m, _ in S):
+            raise ChainError("initial form of the incoming key leaves the "
+                             "value lattice of level %d" % k)
+        # a coefficient above the minimum has a zero residue
+        coeffs_by_m = dict(S)
         wt = self.weight(k)
-        ring = self.ring()
+        ring = self.ring
         rel = []
         for s in range(g):
             c = coeffs_by_m.get(s * e)
@@ -458,7 +442,7 @@ class Chain:
         rel.append(ring.one)
         if all(ring.is_scalar(a) for a in rel):
             domain = self.field.scalars
-            sp = ScalarPolys(domain)
+            sp = DensePolys(domain)
             factors = factor_scalar_poly(domain, [ring.to_scalar(a) for a in rel])
             if len(factors) == 1:
                 fac = factors[0][0]
@@ -492,8 +476,10 @@ class Chain:
             if (m - j1) % e:
                 raise ChainError("side support leaves the value lattice")
         coeffs = {m: c for m, c in S}
-        all_coeffs = {m: c for m, c, _ in self.term_values(self.target, k)}
-        ring = self.ring()
+        all_coeffs = {m: c for m, c in
+                      enumerate(standard_expansion(self.target, ent.poly))
+                      if not c.is_zero}
+        ring = self.ring
         c1 = coeffs[j1]
         dmono = self.canonical_monomial(self.cval(c1, k - 1), k - 1)
         base_inv = ring.inv(self.nres(c1, dmono.v0, dmono.exps, k - 1))
@@ -518,12 +504,12 @@ class Chain:
         e, j1, j2, rho, _ = self.side_residual(k)
         if j2 == j1:
             return []
-        ring = self.ring()
+        ring = self.ring
         if not all(ring.is_scalar(r) for r in rho):
             raise UnsupportedStructure(
                 "residual coefficients leave the scalar residue field")
         domain = self.field.scalars
-        sp = ScalarPolys(domain)
+        sp = DensePolys(domain)
         resid = sp.trim([ring.to_scalar(r) for r in rho])
         factors = factor_scalar_poly(domain, resid)
         if len(factors) > 1 and self.lump_sides:
@@ -536,8 +522,7 @@ class Chain:
         ent = self.entry(k)
         e = ent.e_step
         domain = self.field.scalars
-        sp = ScalarPolys(domain)
-        g = sp.degree(gcoeffs)
+        g = len(gcoeffs) - 1
         wpoly = self.weight(k).materialize(self)
         out = ent.poly.pow(g * e)
         for s in range(g):

@@ -1,23 +1,183 @@
-"""Dense univariate polynomials over a valued base field.
+"""Dense univariate polynomials: the one polynomial core of valforge.
 
-Coefficients are opaque field elements manipulated through the field object;
-polynomials are constant-first tuples with trailing zeros stripped.  Division
-is euclidean against a divisor with invertible leading coefficient (in the
-chain machinery the divisor is always a monic key polynomial), and repeated
-division gives the finite expansion of any polynomial in powers of a key.
+`DensePolys(domain)` is the arithmetic.  Polynomials are constant-first
+tuples of domain elements with trailing zeros stripped; the zero polynomial is
+the empty tuple.  A domain provides `zero`, `one`, `add`, `sub`, `mul`, `neg`,
+`div`, `is_zero` and `format`.  Division only ever inverts the leading
+coefficient of the divisor, as `div(one, lead)`, so a domain needs no `inv`.
+
+The same core runs over every domain valforge has: the scalar fields Q and
+F_p (numerators and denominators of k(t), residual polynomials), the valued
+base fields (`Poly`, standard expansions in powers of a key), and the residue
+rings of `graded` (quotients k[T]/(m) and initial forms).  `Poly` is a thin
+wrapper that carries the field and the variable name.
 """
 
 
+class DensePolys:
+    """Dense polynomial arithmetic over one domain."""
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def trim(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and self.domain.is_zero(coeffs[-1]):
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def zero(self):
+        return ()
+
+    def one(self):
+        return (self.domain.one,)
+
+    def const(self, c):
+        return self.trim([c])
+
+    def monomial(self, k, c=None):
+        c = self.domain.one if c is None else c
+        return self.trim([self.domain.zero] * k + [c])
+
+    def degree(self, f):
+        return len(f) - 1
+
+    def ord(self, f):
+        """Index of the lowest nonzero coefficient."""
+        if not f:
+            raise ValueError("zero polynomial has no order")
+        return next(i for i, c in enumerate(f) if not self.domain.is_zero(c))
+
+    def add(self, f, g):
+        d = self.domain
+        out = list(f) + [d.zero] * (len(g) - len(f))
+        for i, c in enumerate(g):
+            out[i] = d.add(out[i], c)
+        return self.trim(out)
+
+    def neg(self, f):
+        return tuple(self.domain.neg(c) for c in f)
+
+    def sub(self, f, g):
+        return self.add(f, self.neg(g))
+
+    def mul(self, f, g):
+        if not f or not g:
+            return ()
+        d = self.domain
+        out = [d.zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if d.is_zero(a):
+                continue
+            for j, b in enumerate(g):
+                out[i + j] = d.add(out[i + j], d.mul(a, b))
+        return self.trim(out)
+
+    def scale(self, f, c):
+        d = self.domain
+        if d.is_zero(c):
+            return ()
+        return self.trim([d.mul(a, c) for a in f])
+
+    def pow(self, f, n):
+        out = self.one()
+        for _ in range(n):
+            out = self.mul(out, f)
+        return out
+
+    def divmod(self, f, g):
+        """(q, r) with f = q*g + r and deg r < deg g.  When deg f < deg g the
+        answer is ((), f) and the lead of g is never inverted: over a residue
+        ring it may be a zero divisor."""
+        if not g:
+            raise ZeroDivisionError("division by the zero polynomial")
+        dg = len(g) - 1
+        if len(f) - 1 < dg:
+            return (), f
+        d = self.domain
+        inv_lead = d.div(d.one, g[-1])
+        rem = list(f)
+        q = [d.zero] * (len(f) - dg)
+        while True:
+            while rem and d.is_zero(rem[-1]):
+                rem.pop()
+            if len(rem) - 1 < dg:
+                break
+            k = len(rem) - 1 - dg
+            c = d.mul(rem[-1], inv_lead)
+            q[k] = c
+            for i, b in enumerate(g):
+                rem[k + i] = d.sub(rem[k + i], d.mul(c, b))
+        return self.trim(q), tuple(rem)
+
+    def mod(self, f, g):
+        return self.divmod(f, g)[1]
+
+    def monic(self, f):
+        if not f:
+            return f
+        return self.scale(f, self.domain.div(self.domain.one, f[-1]))
+
+    def gcd(self, f, g):
+        """Monic gcd, by the euclidean algorithm."""
+        while g:
+            f, g = g, self.mod(f, g)
+        return self.monic(f)
+
+    def xgcd(self, f, g):
+        """(d, s, t) with s*f + t*g = d, d monic."""
+        r0, r1 = f, g
+        s0, s1 = self.one(), self.zero()
+        t0, t1 = self.zero(), self.one()
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+            t0, t1 = t1, self.sub(t0, self.mul(q, t1))
+        if r0:
+            c = self.domain.div(self.domain.one, r0[-1])
+            r0, s0, t0 = self.scale(r0, c), self.scale(s0, c), self.scale(t0, c)
+        return r0, s0, t0
+
+    def format(self, f, var, wrap=False):
+        """f written in var, highest power first.  With wrap, a coefficient
+        whose text is a sum or a fraction is parenthesized."""
+        if not f:
+            return "0"
+        d = self.domain
+        parts = []
+        for i in range(len(f) - 1, -1, -1):
+            if d.is_zero(f[i]):
+                continue
+            cs = d.format(f[i])
+            if wrap and (" + " in cs or " - " in cs or "/" in cs):
+                cs = "(%s)" % cs
+            if i == 0:
+                parts.append(cs)
+                continue
+            head = var if i == 1 else "%s^%d" % (var, i)
+            if cs == "1":
+                parts.append(head)
+            elif cs == "-1":
+                parts.append("-" + head)
+            else:
+                parts.append("%s*%s" % (cs, head))
+        out = parts[0]
+        for part in parts[1:]:
+            out += " - " + part[1:] if part.startswith("-") else " + " + part
+        return out
+
+
 class Poly:
+    """A polynomial in `var` over a valued field: a coefficient tuple worked
+    on by the field's dense core, `field.polys`."""
+
     __slots__ = ("field", "var", "coeffs")
 
     def __init__(self, field, var, coeffs):
         self.field = field
         self.var = var
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = field.polys.trim(coeffs)
 
     @classmethod
     def zero(cls, field, var):
@@ -59,115 +219,57 @@ class Poly:
         return self.coeffs[0] if self.coeffs else self.field.zero
 
     def _spawn(self, coeffs):
-        return Poly(self.field, self.var, coeffs)
+        """A polynomial over the same field and variable from an already
+        trimmed coefficient tuple."""
+        out = Poly.__new__(Poly)
+        out.field = self.field
+        out.var = self.var
+        out.coeffs = coeffs
+        return out
 
     def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            out.append(F.add(self.coeff(i), other.coeff(i)))
-        return self._spawn(out)
+        return self._spawn(self.field.polys.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._spawn(self.field.polys.sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return self._spawn([self.field.neg(c) for c in self.coeffs])
+        return self._spawn(self.field.polys.neg(self.coeffs))
 
     def __mul__(self, other):
-        F = self.field
-        if self.is_zero or other.is_zero:
-            return self._spawn(())
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return self._spawn(out)
+        return self._spawn(self.field.polys.mul(self.coeffs, other.coeffs))
 
     def scale(self, elem):
-        F = self.field
-        return self._spawn([F.mul(c, elem) for c in self.coeffs])
+        return self._spawn(self.field.polys.scale(self.coeffs, elem))
 
     def shift(self, k):
         """Multiply by var^k."""
         if self.is_zero:
             return self
-        return self._spawn([self.field.zero] * k + list(self.coeffs))
+        return self._spawn((self.field.zero,) * k + self.coeffs)
 
     def pow(self, n):
-        out = Poly.const(self.field, self.var, self.field.one)
-        for _ in range(n):
-            out = out * self
-        return out
+        return self._spawn(self.field.polys.pow(self.coeffs, n))
 
     def eq(self, other):
-        return (self - other).is_zero
+        return not self.field.polys.sub(self.coeffs, other.coeffs)
 
     def euclid_div(self, g):
         """(q, r) with self = q*g + r and deg r < deg g."""
-        F = self.field
-        if g.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        inv_lead = F.div(F.one, g.lead)
-        rem = list(self.coeffs)
-        dg = g.degree
-        q = [F.zero] * max(len(rem) - dg, 0)
-        while True:
-            while rem and F.is_zero(rem[-1]):
-                rem.pop()
-            if len(rem) - 1 < dg or not rem:
-                break
-            k = len(rem) - 1 - dg
-            c = F.mul(rem[-1], inv_lead)
-            q[k] = c
-            for i, b in enumerate(g.coeffs):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, b))
-        return self._spawn(q), self._spawn(rem)
+        q, r = self.field.polys.divmod(self.coeffs, g.coeffs)
+        return self._spawn(q), self._spawn(r)
 
     def gcd(self, other):
         """Monic gcd, by the euclidean algorithm over the coefficient field."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.euclid_div(b)[1]
-        if not a.is_zero:
-            a = a.scale(a.field.div(a.field.one, a.lead))
-        return a
+        return self._spawn(self.field.polys.gcd(self.coeffs, other.coeffs))
 
     def derivative(self):
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(self.coeffs[i], F.from_int(i)))
-        return self._spawn(out)
+        return Poly(F, self.var, [F.mul(c, F.from_int(i))
+                                  for i, c in enumerate(self.coeffs) if i])
 
     def format(self):
-        if self.is_zero:
-            return "0"
-        F = self.field
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if F.is_zero(c):
-                continue
-            cs = F.format_element(c)
-            wrapped = "(%s)" % cs if (" + " in cs or " - " in cs or "/" in cs) else cs
-            if i == 0:
-                parts.append(wrapped)
-                continue
-            head = self.var if i == 1 else "%s^%d" % (self.var, i)
-            if cs == "1":
-                parts.append(head)
-            elif cs == "-1":
-                parts.append("-" + head)
-            else:
-                parts.append("%s*%s" % (wrapped, head))
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return self.field.polys.format(self.coeffs, self.var, wrap=True)
 
     def __repr__(self):
         return "Poly(%s)" % self.format()
@@ -178,11 +280,12 @@ def standard_expansion(f, q):
     by repeated euclidean division."""
     if q.degree < 1:
         raise ValueError("expansion needs a divisor of positive degree")
+    polys = f.field.polys
     out = []
-    rest = f
-    while not rest.is_zero:
-        rest, r = rest.euclid_div(q)
-        out.append(r)
+    rest = f.coeffs
+    while rest:
+        rest, r = polys.divmod(rest, q.coeffs)
+        out.append(f._spawn(r))
     if not out:
-        out.append(Poly.zero(f.field, f.var))
+        out.append(f._spawn(()))
     return out

@@ -10,10 +10,10 @@ from valforge.fields import (
     LexMonomialSeries,
     PrimeField,
     RationalFunctions,
-    ScalarPolys,
     UnsupportedStructure,
     factor_scalar_poly,
 )
+from valforge.polyring import DensePolys as ScalarPolys
 from valforge.values import INF, Value
 
 
