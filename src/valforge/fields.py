@@ -22,10 +22,9 @@ named atoms for the scenario expression parser.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
-from .polyring import DensePolys
+from .polyring import Domain, format_terms
 from .values import INF, Value, ValueGroup
 
 
@@ -41,7 +40,7 @@ class UnsupportedStructure(Exception):
 # scalar domains (residue fields)
 
 
-class Rationals:
+class Rationals(Domain):
     """The field Q with Fraction elements."""
 
     char = 0
@@ -70,14 +69,8 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return a * self.inv(b)
-
     def is_zero(self, a):
         return a == 0
-
-    def pow(self, a, n):
-        return a**n
 
     def sort_key(self, a):
         return (a.numerator, a.denominator)
@@ -89,7 +82,7 @@ class Rationals:
         return "Q"
 
 
-class PrimeField:
+class PrimeField(Domain):
     """The field F_p with int elements in [0, p)."""
 
     def __init__(self, p):
@@ -120,9 +113,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def is_zero(self, a):
         return a % self.p == 0
 
@@ -150,7 +140,7 @@ def factor_scalar_poly(domain, coeffs):
     unit is dropped.  sympy does the factoring; everything else stays local."""
     import sympy
 
-    sp = DensePolys(domain)
+    sp = domain.polys
     coeffs = sp.trim(coeffs)
     if sp.degree(coeffs) < 1:
         return []
@@ -174,24 +164,20 @@ def factor_scalar_poly(domain, coeffs):
 # shared field scaffolding
 
 
-class ValuedFieldBase:
+class ValuedFieldBase(Domain):
     """Interface shared by the concrete base fields.
 
-    Subclasses provide: rank, scalars, arithmetic (add/sub/mul/neg/div),
+    Subclasses provide: rank, scalars, arithmetic (add/mul/neg/inv),
     is_zero, valuate, unit_residue, canonical_element, lift_scalar, atom,
     base_group_gens, format_element.
     """
 
-    @cached_property
-    def polys(self):
-        """The dense polynomial core over this field."""
-        return DensePolys(self)
+    @property
+    def char(self):
+        return self.scalars.char
 
     def format(self, x):
         return self.format_element(x)
-
-    def eq(self, x, y):
-        return self.is_zero(self.sub(x, y))
 
     def base_group(self):
         return ValueGroup(self.rank, self.base_group_gens())
@@ -203,12 +189,6 @@ class ValuedFieldBase:
     def residue(self, x):
         """Residue of a value-zero element."""
         return self.unit_residue(x, self.one)
-
-    def pow(self, x, n):
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
 
     def from_int(self, n):
         return self.lift_scalar(self.scalars.from_int(n))
@@ -228,13 +208,9 @@ class RationalFunctions(ValuedFieldBase):
     def __init__(self, scalars, var):
         self.scalars = scalars
         self.var = var
-        self.sp = DensePolys(scalars)
+        self.sp = scalars.polys
         self.zero = ((), (scalars.one,))
         self.one = ((scalars.one,), (scalars.one,))
-
-    @property
-    def char(self):
-        return self.scalars.char
 
     def _make(self, num, den):
         sp = self.sp
@@ -258,19 +234,16 @@ class RationalFunctions(ValuedFieldBase):
         sp = self.sp
         return self._make(sp.add(sp.mul(x[0], y[1]), sp.mul(y[0], x[1])), sp.mul(x[1], y[1]))
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def neg(self, x):
         return (self.sp.neg(x[0]), x[1])
 
     def mul(self, x, y):
         return self._make(self.sp.mul(x[0], y[0]), self.sp.mul(x[1], y[1]))
 
-    def div(self, x, y):
-        if self.is_zero(y):
+    def inv(self, x):
+        if self.is_zero(x):
             raise ZeroDivisionError("division by zero")
-        return self._make(self.sp.mul(x[0], y[1]), self.sp.mul(x[1], y[0]))
+        return self._make(x[1], x[0])
 
     def is_zero(self, x):
         return not x[0]
@@ -360,10 +333,6 @@ class LexMonomialSeries(ValuedFieldBase):
         self.zero = _BoxedTerms({}, True)
         self.one = _BoxedTerms({(0,) * self.rank: scalars.one}, True)
 
-    @property
-    def char(self):
-        return self.scalars.char
-
     def _bounds(self):
         return [(i, self.precision[v]) for i, v in enumerate(self.varnames) if v in self.precision]
 
@@ -394,9 +363,6 @@ class LexMonomialSeries(ValuedFieldBase):
             terms[e] = sc.add(terms.get(e, sc.zero), c)
         return self._make(terms, x.exact and y.exact)
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def neg(self, x):
         return _BoxedTerms({e: self.scalars.neg(c) for e, c in x.terms.items()}, x.exact)
 
@@ -409,18 +375,13 @@ class LexMonomialSeries(ValuedFieldBase):
                 terms[e] = sc.add(terms.get(e, sc.zero), sc.mul(c1, c2))
         return self._make(terms, x.exact and y.exact)
 
-    def div(self, x, y):
-        if not y.terms:
+    def inv(self, x):
+        if not x.terms:
             raise ZeroDivisionError("division by zero")
-        if len(y.terms) != 1:
+        if len(x.terms) != 1:
             raise UnsupportedStructure("series division is restricted to monomial divisors")
-        (e0, c0), = y.terms.items()
-        inv = self.scalars.inv(c0)
-        terms = {
-            tuple(a - b for a, b in zip(e, e0)): self.scalars.mul(c, inv)
-            for e, c in x.terms.items()
-        }
-        return self._make(terms, x.exact and y.exact)
+        (e0, c0), = x.terms.items()
+        return _BoxedTerms({tuple(-a for a in e0): self.scalars.inv(c0)}, x.exact)
 
     def is_zero(self, x):
         # for inexact elements this means: indistinguishable from zero
@@ -485,28 +446,11 @@ class LexMonomialSeries(ValuedFieldBase):
     def format_element(self, x):
         if not x.terms:
             return "0"
-        sc = self.scalars
-        parts = []
-        for e in sorted(x.terms):
-            c = x.terms[e]
-            factors = []
-            for var, k in zip(self.varnames, e):
-                if k == 0:
-                    continue
-                factors.append(var if k == 1 else "%s^%d" % (var, k))
-            cs = sc.format(c)
-            if not factors:
-                mono = cs
-            elif cs == "1":
-                mono = "*".join(factors)
-            elif cs == "-1":
-                mono = "-" + "*".join(factors)
-            else:
-                mono = "*".join([cs] + factors)
-            parts.append(mono)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
+        out = format_terms(
+            (self.scalars.format(x.terms[e]),
+             "*".join(var if k == 1 else "%s^%d" % (var, k)
+                      for var, k in zip(self.varnames, e) if k))
+            for e in sorted(x.terms))
         if not x.exact:
             out += " + O(box)"
         return out
@@ -561,10 +505,6 @@ class CoordinateTower(ValuedFieldBase):
         self._one_poly = {(): self.scalars.one}
         self.zero = ({}, dict(self._one_poly))
         self.one = (dict(self._one_poly), dict(self._one_poly))
-
-    @property
-    def char(self):
-        return self.p
 
     def gamma(self, level):
         return self._gammas[level]
@@ -736,19 +676,16 @@ class CoordinateTower(ValuedFieldBase):
         return self._make(self._padd(self._pmul(n1, d2), self._pmul(n2, d1)),
                           self._pmul(d1, d2))
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def neg(self, x):
         return (self._pneg(x[0]), x[1])
 
     def mul(self, x, y):
         return self._make(self._pmul(x[0], y[0]), self._pmul(x[1], y[1]))
 
-    def div(self, x, y):
-        if self.is_zero(y):
+    def inv(self, x):
+        if self.is_zero(x):
             raise ZeroDivisionError("division by zero")
-        return self._make(self._pmul(x[0], y[1]), self._pmul(x[1], y[0]))
+        return (x[1], x[0])
 
     def is_zero(self, x):
         return not x[0]
@@ -843,25 +780,12 @@ class CoordinateTower(ValuedFieldBase):
         return [Value([Fraction(1, self.p**self.max_depth)])]
 
     def _format_poly(self, f):
-        if not f:
-            return "0"
-        sc = self.scalars
-        parts = []
-        for e in sorted(f, key=lambda e: (self._mono_value(e), e)):
-            c = f[e]
-            factors = []
-            for lvl, n in e:
-                vn = "v" if lvl == 1 else "v%d" % lvl
-                factors.append(vn if n == 1 else "%s^%d" % (vn, n))
-            cs = sc.format(c)
-            if not factors:
-                mono = cs
-            elif cs == "1":
-                mono = "*".join(factors)
-            else:
-                mono = "*".join([cs] + factors)
-            parts.append(mono)
-        return " + ".join(parts)
+        def atom(lvl, n):
+            vn = "v" if lvl == 1 else "v%d" % lvl
+            return vn if n == 1 else "%s^%d" % (vn, n)
+        return format_terms(
+            (self.scalars.format(f[e]), "*".join(atom(*a) for a in e))
+            for e in sorted(f, key=lambda e: (self._mono_value(e), e)))
 
     def format_element(self, x):
         num, den = x

@@ -12,38 +12,12 @@ Initial forms multiply like polynomials in X with no reduction: at its own
 level the class of the key polynomial is transcendental over the residue ring.
 """
 
-from functools import cached_property
-
 from .fields import UnsupportedStructure
-from .polyring import DensePolys
+from .polyring import Domain
 from .values import INF
 
 
-class ResidueRing:
-    """What the two residue rings share: powers, division and equality built
-    from their own arithmetic, and the dense polynomial core over the ring
-    that initial forms use."""
-
-    @cached_property
-    def polys(self):
-        return DensePolys(self)
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
-
-
-class ScalarRing(ResidueRing):
+class ScalarRing(Domain):
     """The residue ring before any extension: the scalar domain itself."""
 
     def __init__(self, domain):
@@ -84,7 +58,7 @@ class ScalarRing(ResidueRing):
         return self.domain.format(a)
 
 
-class EtaleRing(ResidueRing):
+class EtaleRing(Domain):
     """k[T]/(m) for a monic modulus m of degree >= 2.
 
     Elements are dense coefficient tuples over the scalar domain, reduced
@@ -94,7 +68,7 @@ class EtaleRing(ResidueRing):
 
     def __init__(self, domain, modulus):
         self.domain = domain
-        self.sp = DensePolys(domain)
+        self.sp = domain.polys
         self.modulus = self.sp.trim(modulus)
         if self.sp.degree(self.modulus) < 2:
             raise ValueError("extension modulus must have degree >= 2")

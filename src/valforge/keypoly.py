@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .fields import UnsupportedStructure, factor_scalar_poly
 from .graded import EtaleRing, InClass, ScalarRing
-from .polyring import DensePolys, Poly, standard_expansion
+from .polyring import Poly, standard_expansion
 from .values import INF, OrdinalIndex, Value
 
 
@@ -47,12 +47,6 @@ class CanonMono:
     def __init__(self, v0, exps):
         self.v0 = v0
         self.exps = {j: m for j, m in exps.items() if m}
-
-    def value(self, chain):
-        v = self.v0
-        for j, m in self.exps.items():
-            v = v + chain.entry(j).beta.scale(m)
-        return v
 
     def materialize(self, chain):
         out = Poly.const(chain.field, chain.var,
@@ -425,24 +419,14 @@ class Chain:
         if any(m % e for m, _ in S):
             raise ChainError("initial form of the incoming key leaves the "
                              "value lattice of level %d" % k)
-        # a coefficient above the minimum has a zero residue
-        coeffs_by_m = dict(S)
         wt = self.weight(k)
         ring = self.ring
-        rel = []
-        for s in range(g):
-            c = coeffs_by_m.get(s * e)
-            if c is None:
-                rel.append(ring.zero)
-                continue
-            n = g - s
-            rel.append(self.nres(c, wt.v0.scale(n),
-                                 {j: mle * n for j, mle in wt.exps.items()},
-                                 k - 1))
+        rel = self._residual(dict(S), k, 0, g, wt.v0.scale(g),
+                             {j: m * g for j, m in wt.exps.items()})
         rel.append(ring.one)
         if all(ring.is_scalar(a) for a in rel):
             domain = self.field.scalars
-            sp = DensePolys(domain)
+            sp = domain.polys
             factors = factor_scalar_poly(domain, [ring.to_scalar(a) for a in rel])
             if len(factors) == 1:
                 fac = factors[0][0]
@@ -458,9 +442,29 @@ class Chain:
         raise UnsupportedStructure(
             "key relation of degree %d over an extended residue ring" % g)
 
+    def _residual(self, S, k, j1, n, dv0, dexps):
+        """Residues of the terms m = j1 + t*e_k of S ({m: coefficient}),
+        t < n, each against the monomial (dv0, dexps) less t weight
+        monomials of level k; zero where S has no term.  A coefficient
+        outside S lies above the minimum, so its residue is zero."""
+        e = self.entry(k).e_step
+        wt = self.weight(k)
+        out = []
+        for t in range(n):
+            c = S.get(j1 + t * e)
+            if c is None:
+                out.append(self.ring.zero)
+                continue
+            exps = dict(dexps)
+            for j, m in wt.exps.items():
+                exps[j] = exps.get(j, 0) - t * m
+            out.append(self.nres(c, dv0 - wt.v0.scale(t), exps, k - 1))
+        return out
+
     def side_residual(self, k=None):
         """The residual polynomial of the minimal side at stage k: spacing,
-        support range, and T-coefficients in the stage residue ring."""
+        support range, and T-coefficients in the stage residue ring,
+        normalized so that the first one is 1."""
         k = self.depth() if k is None else k
         ent = self.entry(k)
         if ent.beta is INF:
@@ -475,26 +479,12 @@ class Chain:
         for m in ms:
             if (m - j1) % e:
                 raise ChainError("side support leaves the value lattice")
-        coeffs = {m: c for m, c in S}
-        all_coeffs = {m: c for m, c in
-                      enumerate(standard_expansion(self.target, ent.poly))
-                      if not c.is_zero}
+        dmono = self.canonical_monomial(minv - ent.beta.scale(j1), k - 1)
+        raw = self._residual(dict(S), k, j1, (j2 - j1) // e + 1,
+                             dmono.v0, dmono.exps)
         ring = self.ring
-        c1 = coeffs[j1]
-        dmono = self.canonical_monomial(self.cval(c1, k - 1), k - 1)
-        base_inv = ring.inv(self.nres(c1, dmono.v0, dmono.exps, k - 1))
-        wpoly = self.weight(k).materialize(self)
-        rho = []
-        acc = Poly.const(self.field, self.var, self.field.one)
-        for t in range((j2 - j1) // e + 1):
-            c = all_coeffs.get(j1 + t * e)
-            if c is None:
-                rho.append(ring.zero)
-            else:
-                rho.append(ring.mul(
-                    self.nres(c * acc, dmono.v0, dmono.exps, k - 1), base_inv))
-            acc = acc * wpoly
-        return e, j1, j2, rho, minv
+        base_inv = ring.inv(raw[0])
+        return e, j1, j2, [ring.mul(r, base_inv) for r in raw], minv
 
     def derive_keys(self, k=None):
         """Monic keys lifted from the irreducible factors of the stage
@@ -509,7 +499,7 @@ class Chain:
             raise UnsupportedStructure(
                 "residual coefficients leave the scalar residue field")
         domain = self.field.scalars
-        sp = DensePolys(domain)
+        sp = domain.polys
         resid = sp.trim([ring.to_scalar(r) for r in rho])
         factors = factor_scalar_poly(domain, resid)
         if len(factors) > 1 and self.lump_sides:
@@ -573,10 +563,6 @@ class Chain:
 # growing chains
 
 
-def first_key(field, var):
-    return Poly.variable(field, var)
-
-
 def explore(field, var, target, depth, lump_sides=False, scripted=None,
             scripted_only=False):
     """All chains for the target up to the given depth.  scripted maps a first
@@ -585,7 +571,7 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     in which case they are reported as skipped."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
-    x = first_key(field, var)
+    x = Poly.variable(field, var)
     chains, skipped = [], []
     for beta1 in seed.candidate_betas(x, 0):
         script = None

@@ -2,9 +2,11 @@
 
 `DensePolys(domain)` is the arithmetic.  Polynomials are constant-first
 tuples of domain elements with trailing zeros stripped; the zero polynomial is
-the empty tuple.  A domain provides `zero`, `one`, `add`, `sub`, `mul`, `neg`,
-`div`, `is_zero` and `format`.  Division only ever inverts the leading
-coefficient of the divisor, as `div(one, lead)`, so a domain needs no `inv`.
+the empty tuple.  A domain is a `Domain`: it provides `zero`, `one`, `add`,
+`mul`, `neg`, `inv`, `is_zero` and `format`, and inherits the rest.  Division
+only ever inverts the leading coefficient of the divisor, and skips even that
+when the lead compares equal to `one`, as the lead of a monic key does over
+every domain but the lex series, whose elements compare by identity.
 
 The same core runs over every domain valforge has: the scalar fields Q and
 F_p (numerators and denominators of k(t), residual polynomials), the valued
@@ -12,6 +14,62 @@ base fields (`Poly`, standard expansions in powers of a key), and the residue
 rings of `graded` (quotients k[T]/(m) and initial forms).  `Poly` is a thin
 wrapper that carries the field and the variable name.
 """
+
+from functools import cached_property
+
+
+class Domain:
+    """Base of every domain: scalar fields, valued fields and residue rings.
+
+    A subclass provides `zero`, `one`, `add`, `mul`, `neg`, `inv`, `is_zero`
+    and `format`.  Subtraction, equality, division, powers and the dense
+    polynomial core over the domain are derived here once; a subclass
+    overrides one of them only as a fast path."""
+
+    @cached_property
+    def polys(self):
+        """The dense polynomial core over this domain."""
+        return DensePolys(self)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def eq(self, a, b):
+        return self.is_zero(self.sub(a, b))
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a, n):
+        if n < 0:
+            return self.pow(self.div(self.one, a), -n)
+        out = self.one
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+
+def format_terms(terms):
+    """A sum written from (coefficient text, monomial text) pairs, in the
+    order given.  An empty monomial leaves the coefficient alone, a
+    coefficient 1 or -1 before a monomial shows only its sign, any other is
+    written c*monomial, and a term with a leading minus is subtracted."""
+    parts = []
+    for cs, mono in terms:
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append(cs + "*" + mono)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
 
 
 class DensePolys:
@@ -80,6 +138,8 @@ class DensePolys:
         return self.trim([d.mul(a, c) for a in f])
 
     def pow(self, f, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         out = self.one()
         for _ in range(n):
             out = self.mul(out, f)
@@ -88,14 +148,15 @@ class DensePolys:
     def divmod(self, f, g):
         """(q, r) with f = q*g + r and deg r < deg g.  When deg f < deg g the
         answer is ((), f) and the lead of g is never inverted: over a residue
-        ring it may be a zero divisor."""
+        ring it may be a zero divisor.  A lead equal to `one` as a structure
+        is not inverted either."""
         if not g:
             raise ZeroDivisionError("division by the zero polynomial")
         dg = len(g) - 1
         if len(f) - 1 < dg:
             return (), f
         d = self.domain
-        inv_lead = d.div(d.one, g[-1])
+        inv_lead = None if g[-1] == d.one else d.inv(g[-1])
         rem = list(f)
         q = [d.zero] * (len(f) - dg)
         while True:
@@ -104,7 +165,7 @@ class DensePolys:
             if len(rem) - 1 < dg:
                 break
             k = len(rem) - 1 - dg
-            c = d.mul(rem[-1], inv_lead)
+            c = rem[-1] if inv_lead is None else d.mul(rem[-1], inv_lead)
             q[k] = c
             for i, b in enumerate(g):
                 rem[k + i] = d.sub(rem[k + i], d.mul(c, b))
@@ -116,7 +177,7 @@ class DensePolys:
     def monic(self, f):
         if not f:
             return f
-        return self.scale(f, self.domain.div(self.domain.one, f[-1]))
+        return self.scale(f, self.domain.inv(f[-1]))
 
     def gcd(self, f, g):
         """Monic gcd, by the euclidean algorithm."""
@@ -135,37 +196,24 @@ class DensePolys:
             s0, s1 = s1, self.sub(s0, self.mul(q, s1))
             t0, t1 = t1, self.sub(t0, self.mul(q, t1))
         if r0:
-            c = self.domain.div(self.domain.one, r0[-1])
+            c = self.domain.inv(r0[-1])
             r0, s0, t0 = self.scale(r0, c), self.scale(s0, c), self.scale(t0, c)
         return r0, s0, t0
 
     def format(self, f, var, wrap=False):
         """f written in var, highest power first.  With wrap, a coefficient
         whose text is a sum or a fraction is parenthesized."""
-        if not f:
-            return "0"
         d = self.domain
-        parts = []
+        terms = []
         for i in range(len(f) - 1, -1, -1):
             if d.is_zero(f[i]):
                 continue
             cs = d.format(f[i])
             if wrap and (" + " in cs or " - " in cs or "/" in cs):
                 cs = "(%s)" % cs
-            if i == 0:
-                parts.append(cs)
-                continue
-            head = var if i == 1 else "%s^%d" % (var, i)
-            if cs == "1":
-                parts.append(head)
-            elif cs == "-1":
-                parts.append("-" + head)
-            else:
-                parts.append("%s*%s" % (cs, head))
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+            terms.append((cs, "" if i == 0 else
+                          var if i == 1 else "%s^%d" % (var, i)))
+        return format_terms(terms)
 
 
 class Poly:
@@ -208,9 +256,6 @@ class Poly:
     @property
     def is_monic(self):
         return not self.is_zero and self.field.eq(self.lead, self.field.one)
-
-    def coeff(self, j):
-        return self.coeffs[j] if j < len(self.coeffs) else self.field.zero
 
     def constant_term(self):
         """The base element of a polynomial of degree <= 0."""
