@@ -6,9 +6,9 @@ Three concrete coefficient fields cover every scenario the engine handles:
   prime field.  Elements are reduced fractions of dense polynomials.
 * `LexMonomialSeries`: Laurent polynomials in several variables over a prime
   field, valued by the lexicographic exponent order (first variable dominant).
-  Supports a per-variable precision box so that objects known only modulo a
-  monomial ideal can be handled honestly: asking for a leading term that the
-  box cannot certify raises InsufficientPrecision instead of guessing.
+  Elements are plain {exponent tuple: scalar} dicts with exact arithmetic; an
+  optional per-variable precision box is the tolerance for accepting a
+  terminal key, whose remainder may keep only terms outside the box.
 * `CoordinateTower`: the fraction field of a 2-variable coordinate tower
   u_i = v_i^p (v_{i+1} + gamma_{i+1}), v_i = u_{i+1}, with v(u_1) = 1 and
   v(v_i) = 1/p^i.  Monomials in the tower atoms carry their values outright; a
@@ -297,25 +297,15 @@ class RationalFunctions(ValuedFieldBase):
 # lexicographically valued monomial series
 
 
-class _BoxedTerms:
-    """Laurent terms with an exactness flag.  `terms` maps exponent tuples to
-    nonzero scalars; `exact` is False when the element is known only modulo the
-    precision box of its field."""
-
-    __slots__ = ("terms", "exact")
-
-    def __init__(self, terms, exact):
-        self.terms = terms
-        self.exact = exact
-
-    def __repr__(self):
-        return "_BoxedTerms(%r, exact=%r)" % (self.terms, self.exact)
-
-
 class LexMonomialSeries(ValuedFieldBase):
     """Laurent polynomials in an ordered tuple of variables, valued by the
-    lexicographic order on exponent vectors (first variable strongest), with an
-    optional per-variable truncation box.
+    lexicographic order on exponent vectors (first variable strongest).
+
+    An element is the dict {exponent tuple: nonzero scalar}.  Elements are
+    never changed in place, so `zero` and `one` are shared, and two elements
+    compare equal exactly when their terms do.  Arithmetic is exact; the
+    optional per-variable precision box only says which terms a terminal key
+    may leave behind (`is_zero_mod_precision`).
 
     Division is supported only by single-term elements; everything the chain
     machinery needs from this field reduces to term arithmetic and leading
@@ -330,93 +320,60 @@ class LexMonomialSeries(ValuedFieldBase):
         for var in self.precision:
             if var not in self.varnames:
                 raise ValueError("precision bound for unknown variable %r" % var)
-        self.zero = _BoxedTerms({}, True)
-        self.one = _BoxedTerms({(0,) * self.rank: scalars.one}, True)
+        self.zero = {}
+        self.one = {(0,) * self.rank: scalars.one}
 
-    def _bounds(self):
-        return [(i, self.precision[v]) for i, v in enumerate(self.varnames) if v in self.precision]
-
-    def _dropped(self, exps):
-        return any(exps[i] >= b for i, b in self._bounds())
-
-    def _make(self, terms, exact):
+    def _make(self, terms):
         sc = self.scalars
-        out = {}
-        for e, c in terms.items():
-            if sc.is_zero(c):
-                continue
-            if not exact and self._dropped(e):
-                continue
-            out[e] = c
-        return _BoxedTerms(out, exact)
-
-    def approximate(self, x):
-        """Forget everything outside the precision box."""
-        if not self._bounds():
-            return x
-        return self._make(x.terms, False)
+        return {e: c for e, c in terms.items() if not sc.is_zero(c)}
 
     def add(self, x, y):
         sc = self.scalars
-        terms = dict(x.terms)
-        for e, c in y.terms.items():
+        terms = dict(x)
+        for e, c in y.items():
             terms[e] = sc.add(terms.get(e, sc.zero), c)
-        return self._make(terms, x.exact and y.exact)
+        return self._make(terms)
 
     def neg(self, x):
-        return _BoxedTerms({e: self.scalars.neg(c) for e, c in x.terms.items()}, x.exact)
+        return {e: self.scalars.neg(c) for e, c in x.items()}
 
     def mul(self, x, y):
         sc = self.scalars
         terms = {}
-        for e1, c1 in x.terms.items():
-            for e2, c2 in y.terms.items():
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = sc.add(terms.get(e, sc.zero), sc.mul(c1, c2))
-        return self._make(terms, x.exact and y.exact)
+        return self._make(terms)
 
     def inv(self, x):
-        if not x.terms:
+        if not x:
             raise ZeroDivisionError("division by zero")
-        if len(x.terms) != 1:
+        if len(x) != 1:
             raise UnsupportedStructure("series division is restricted to monomial divisors")
-        (e0, c0), = x.terms.items()
-        return _BoxedTerms({tuple(-a for a in e0): self.scalars.inv(c0)}, x.exact)
+        (e0, c0), = x.items()
+        return {tuple(-a for a in e0): self.scalars.inv(c0)}
 
     def is_zero(self, x):
-        # for inexact elements this means: indistinguishable from zero
-        return not x.terms
+        return not x
 
     def is_zero_mod_precision(self, x):
-        return all(self._dropped(e) for e in x.terms)
-
-    def _certified_min(self, x):
-        if not x.terms:
-            return None
-        lead = min(x.terms)
-        if not x.exact:
-            for i, b in self._bounds():
-                ghost = [0] * self.rank
-                ghost[i] = b
-                if not tuple(ghost) > lead:
-                    raise InsufficientPrecision(
-                        "leading term %s not certifiable inside the precision box" % (lead,)
-                    )
-        return lead
+        """True when every term of x lies outside the precision box, that is,
+        has some exponent at or above its variable's bound."""
+        box = [(i, self.precision[v]) for i, v in enumerate(self.varnames)
+               if v in self.precision]
+        return all(any(e[i] >= b for i, b in box) for e in x)
 
     def valuate(self, x):
-        lead = self._certified_min(x)
-        if lead is None:
-            return INF
-        return Value(lead)
+        return Value(min(x)) if x else INF
 
     def unit_residue(self, x, d):
-        lx, ld = self._certified_min(x), self._certified_min(d)
-        if lx is None or ld is None:
+        if not x or not d:
             raise ValueError("unit_residue of zero")
+        lx, ld = min(x), min(d)
         if lx != ld:
             raise ValueError("unit_residue needs equal values, got %s and %s" % (lx, ld))
-        return self.scalars.div(x.terms[lx], d.terms[ld])
+        return self.scalars.div(x[lx], d[ld])
 
     def canonical_element(self, v):
         exps = []
@@ -424,17 +381,17 @@ class LexMonomialSeries(ValuedFieldBase):
             if c.denominator != 1:
                 raise ValueError("%s is not in the base value group" % v)
             exps.append(int(c))
-        return _BoxedTerms({tuple(exps): self.scalars.one}, True)
+        return {tuple(exps): self.scalars.one}
 
     def lift_scalar(self, c):
         if self.scalars.is_zero(c):
             return self.zero
-        return _BoxedTerms({(0,) * self.rank: c}, True)
+        return {(0,) * self.rank: c}
 
     def atom(self, name):
         if name in self.varnames:
             exps = tuple(1 if v == name else 0 for v in self.varnames)
-            return _BoxedTerms({exps: self.scalars.one}, True)
+            return {exps: self.scalars.one}
         raise KeyError(name)
 
     def base_group_gens(self):
@@ -444,16 +401,11 @@ class LexMonomialSeries(ValuedFieldBase):
         return gens
 
     def format_element(self, x):
-        if not x.terms:
-            return "0"
-        out = format_terms(
-            (self.scalars.format(x.terms[e]),
+        return format_terms(
+            (self.scalars.format(x[e]),
              "*".join(var if k == 1 else "%s^%d" % (var, k)
                       for var, k in zip(self.varnames, e) if k))
-            for e in sorted(x.terms))
-        if not x.exact:
-            out += " + O(box)"
-        return out
+            for e in sorted(x))
 
     def __repr__(self):
         return "%r[[%s]] lex" % (self.scalars, ", ".join(self.varnames))

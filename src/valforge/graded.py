@@ -31,9 +31,6 @@ class ScalarRing(Domain):
     def add(self, a, b):
         return self.domain.add(a, b)
 
-    def sub(self, a, b):
-        return self.domain.sub(a, b)
-
     def mul(self, a, b):
         return self.domain.mul(a, b)
 
@@ -83,9 +80,6 @@ class EtaleRing(Domain):
 
     def add(self, a, b):
         return self.sp.add(a, b)
-
-    def sub(self, a, b):
-        return self.sp.sub(a, b)
 
     def mul(self, a, b):
         return self.sp.mod(self.sp.mul(a, b), self.modulus)

@@ -20,7 +20,7 @@ multiplies the base element of v0 with the matching key powers.  Residue
 identifications (what the class of Q_j^{e_j} divided by its weight monomial
 evaluates to) are recorded per level as each next entry arrives, either as a
 scalar or as a generator of one quotient ring k[T]/(m); a second simultaneous
-extension is refused rather than approximated.
+extension is refused rather than guessed at.
 """
 
 from fractions import Fraction
@@ -138,6 +138,10 @@ class Chain:
     def __init__(self, field, var, target, lump_sides=False):
         if not target.is_monic:
             raise ChainError("the tracked polynomial must be monic")
+        if target.degree < 1:
+            raise ChainError("the tracked polynomial %s has degree %d; it "
+                             "must have degree at least 1"
+                             % (target.format(), target.degree))
         self.field = field
         self.var = var
         self.target = target

@@ -5,8 +5,8 @@ tuples of domain elements with trailing zeros stripped; the zero polynomial is
 the empty tuple.  A domain is a `Domain`: it provides `zero`, `one`, `add`,
 `mul`, `neg`, `inv`, `is_zero` and `format`, and inherits the rest.  Division
 only ever inverts the leading coefficient of the divisor, and skips even that
-when the lead compares equal to `one`, as the lead of a monic key does over
-every domain but the lex series, whose elements compare by identity.
+when the lead compares equal to `one`, as the lead of a monic key does: every
+domain's elements compare by structure.
 
 The same core runs over every domain valforge has: the scalar fields Q and
 F_p (numerators and denominators of k(t), residual polynomials), the valued

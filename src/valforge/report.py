@@ -146,11 +146,14 @@ def classify(ch, window, branch_id=1):
 
 def defect(branches):
     """One defect per branch: the product of its block factors.  Open
-    branches refuse; in positive characteristic each defect must be a
-    power of the residue characteristic."""
+    branches and block factors below 1 refuse; in positive characteristic
+    each defect must be a power of the residue characteristic."""
     out = []
     for br in branches:
         d = br.d
+        if d < 1:
+            raise ReportError("branch %d has a block factor below 1: %s"
+                              % (br.branch_id, br.d_blocks))
         p = br.chain.field.char
         if p:
             m = d

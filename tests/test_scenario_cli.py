@@ -174,7 +174,7 @@ def test_search_path(tmp_path, monkeypatch):
 # the command line
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     # a fresh `python -m valforge` process on the source imported here, so
     # the tests need no installed console script and never pick up a stray
     # installed copy
@@ -186,7 +186,8 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run((sys.executable, "-m", "valforge") + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -277,6 +278,51 @@ def test_cli_precision_override_rejects_stale_terminal(capsys):
     rc = main(["defect", "cubic_char3", "--precision", "y:100"])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error:")
+
+
+SCRIPTED_X_TO_5 = """
+[field]
+kind = rational_functions
+char = %d
+generator = y
+
+[valuation]
+rank = 1
+
+[target]
+var = x
+poly = x^2 + y
+
+[chain]
+1 ; x ; 5
+
+[params]
+window = 1
+branches = scripted
+"""
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_cli_zero_block_factor_is_refused(tmp_path, char):
+    # v(x) = 5 overshoots v(y) = 1, so the target's effective degree is 0;
+    # in characteristic 3 the power-of-p check used to divide 0 forever
+    path = tmp_path / "zero_block.scn"
+    path.write_text(SCRIPTED_X_TO_5 % char, encoding="ascii")
+    rc, out, err = run_cli("defect", str(path), timeout=60)
+    assert rc == 2 and err.startswith("error:")
+    assert "branch 1" in err
+
+
+@pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
+def test_cli_constant_target_is_refused(tmp_path, capsys, cmd):
+    text = (SCRIPTED_X_TO_5.replace("x^2 + y", "1")
+            .replace("[chain]\n1 ; x ; 5\n", "").replace("scripted", "all"))
+    path = tmp_path / "constant.scn"
+    path.write_text(text % 0, encoding="ascii")
+    rc = main([cmd, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:")
+    assert "tracked polynomial 1 has degree 0" in err
 
 
 def test_cli_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
