@@ -230,15 +230,27 @@ class RationalFunctions(ValuedFieldBase):
             den = sp.scale(den, inv)
         return (num, den)
 
+    # Two polynomials (denominator 1) sum and multiply to a polynomial that
+    # is already canonical, so add and mul skip _make and its gcd for them.
+
     def add(self, x, y):
         sp = self.sp
+        one = self.one[1]
+        if x[1] == one and y[1] == one:
+            num = sp.add(x[0], y[0])
+            return (num, one) if num else self.zero
         return self._make(sp.add(sp.mul(x[0], y[1]), sp.mul(y[0], x[1])), sp.mul(x[1], y[1]))
 
     def neg(self, x):
         return (self.sp.neg(x[0]), x[1])
 
     def mul(self, x, y):
-        return self._make(self.sp.mul(x[0], y[0]), self.sp.mul(x[1], y[1]))
+        sp = self.sp
+        one = self.one[1]
+        if x[1] == one and y[1] == one:
+            num = sp.mul(x[0], y[0])
+            return (num, one) if num else self.zero
+        return self._make(sp.mul(x[0], y[0]), sp.mul(x[1], y[1]))
 
     def inv(self, x):
         if self.is_zero(x):

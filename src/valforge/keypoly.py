@@ -64,11 +64,17 @@ class CanonMono:
 
 
 class ChainEntry:
+    """One key of a chain.  `memo` maps coefficient tuples to their
+    `term_values` at this level, or is None where field elements do not
+    hash.  Those values depend only on the keys and values of levels up to
+    this one, which never change, so every chain that shares the entry (a
+    clone, or the same level after `with_rule`) shares the memo."""
+
     __slots__ = ("index", "poly", "beta", "origin", "alpha",
-                 "e_step", "f_step", "group", "rule")
+                 "e_step", "f_step", "group", "rule", "memo")
 
     def __init__(self, index, poly, beta, origin, alpha, e_step, f_step, group,
-                 rule=None):
+                 rule=None, memo=None):
         self.index = index
         self.poly = poly
         self.beta = beta
@@ -78,11 +84,12 @@ class ChainEntry:
         self.f_step = f_step
         self.group = group
         self.rule = rule
+        self.memo = memo
 
     def with_rule(self, rule):
         return ChainEntry(self.index, self.poly, self.beta, self.origin,
                           self.alpha, self.e_step, self.f_step, self.group,
-                          rule)
+                          rule, self.memo)
 
     def __repr__(self):
         return "ChainEntry(%s: %s @ %s)" % (self.index, self.poly.format(),
@@ -151,6 +158,11 @@ class Chain:
         self.ext_level = None
         self.ring = ScalarRing(field.scalars)
         self._weights = {}
+        try:
+            hash(field.one)
+            self._memoize = True
+        except TypeError:
+            self._memoize = False
 
     # -- structure ----------------------------------------------------------
 
@@ -176,6 +188,7 @@ class Chain:
         ch.ext_level = self.ext_level
         ch.ring = self.ring
         ch._weights = dict(self._weights)
+        ch._memoize = self._memoize
         return ch
 
     # -- truncated values ---------------------------------------------------
@@ -199,6 +212,11 @@ class Chain:
         """(m, coefficient, m*beta_k + stage-(k-1) value) over the expansion
         of f in powers of Q_k; zero coefficients are skipped."""
         ent = self.entry(k)
+        memo = ent.memo
+        if memo is not None:
+            out = memo.get(f.coeffs)
+            if out is not None:
+                return out
         out = []
         for m, c in enumerate(standard_expansion(f, ent.poly)):
             if c.is_zero:
@@ -209,6 +227,9 @@ class Chain:
             else:
                 v = cv if m == 0 else cv + ent.beta.scale(m)
             out.append((m, c, v))
+        out = tuple(out)
+        if memo is not None:
+            memo[f.coeffs] = out
         return out
 
     def argmin_data(self, f, k):
@@ -396,13 +417,22 @@ class Chain:
             rule = self._derive_rule(poly, alpha)
             if rule[0] == "ext" and self.ext_level is not None:
                 raise UnsupportedStructure(
-                    "a second residue field extension is not supported")
+                    "%s: the incoming key %s relates the residue class by "
+                    "%s, and a second residue field extension is not "
+                    "supported" % (self._where(self.depth()), poly.format(),
+                                   field.scalars.polys.format(rule[1], "T")))
             self.entries[-1] = prev.with_rule(rule)
             if rule[0] == "ext":
                 self.ext_level = self.depth()
                 self.ring = EtaleRing(field.scalars, rule[1])
         self.entries.append(ChainEntry(index, poly, beta, origin, alpha,
-                                       e_order, f_step, group))
+                                       e_order, f_step, group,
+                                       memo={} if self._memoize else None))
+
+    def _where(self, k):
+        """The stage and key that a refusal at level k names."""
+        ent = self.entry(k)
+        return "stage %s, key Q = %s" % (ent.index, ent.poly.format())
 
     def _derive_rule(self, newpoly, alpha):
         """Identification of the level-k residue class forced by the incoming
@@ -444,7 +474,8 @@ class Chain:
         if g == 1:
             return ("const", ring.neg(rel[0]))
         raise UnsupportedStructure(
-            "key relation of degree %d over an extended residue ring" % g)
+            "%s: key relation of degree %d over an extended residue ring"
+            % (self._where(k), g))
 
     def _residual(self, S, k, j1, n, dv0, dexps):
         """Residues of the terms m = j1 + t*e_k of S ({m: coefficient}),
@@ -501,7 +532,11 @@ class Chain:
         ring = self.ring
         if not all(ring.is_scalar(r) for r in rho):
             raise UnsupportedStructure(
-                "residual coefficients leave the scalar residue field")
+                "%s: residual coefficients leave the scalar residue field: "
+                "(%s), constant term first, over k[T]/(%s)"
+                % (self._where(k),
+                   ", ".join(ring.sp.format(r, "T") for r in rho),
+                   ring.sp.format(ring.modulus, "T")))
         domain = self.field.scalars
         sp = domain.polys
         resid = sp.trim([ring.to_scalar(r) for r in rho])

@@ -287,12 +287,6 @@ class Poly:
     def scale(self, elem):
         return self._spawn(self.field.polys.scale(self.coeffs, elem))
 
-    def shift(self, k):
-        """Multiply by var^k."""
-        if self.is_zero:
-            return self
-        return self._spawn((self.field.zero,) * k + self.coeffs)
-
     def pow(self, n):
         return self._spawn(self.field.polys.pow(self.coeffs, n))
 

@@ -257,14 +257,6 @@ def group_index(sub, sup):
     return int(idx)
 
 
-def in_isolated_subgroup(v, depth=1):
-    """Whether v lies in the isolated (convex) subgroup where the first `depth`
-    lexicographic coordinates vanish."""
-    if v.is_infinite:
-        return False
-    return all(c == 0 for c in v.coords[:depth])
-
-
 class OrdinalIndex:
     """Chain position of shape w*m + n, printed in ASCII ('3', 'w+1', 'w2+5')."""
 
@@ -282,9 +274,6 @@ class OrdinalIndex:
 
     def successor(self):
         return OrdinalIndex(self.limit, self.offset + 1)
-
-    def next_limit(self):
-        return OrdinalIndex(self.limit + 1, 0)
 
     def key(self):
         return (self.limit, self.offset)

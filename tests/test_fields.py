@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valforge.fields import (
     QQ,
@@ -164,6 +166,36 @@ class TestRationalFunctions:
         F, y = self.F, self.y
         e = F.sub(F.pow(y, 3), F.from_int(2))
         assert F.format_element(e) == "y^3 - 2"
+
+
+POLY_FIELDS = {"Q(y)": QQ, "F_2(y)": PrimeField(2), "F_5(y)": PrimeField(5)}
+NUMERATORS = st.lists(st.integers(-4, 4), max_size=5)
+
+
+@pytest.mark.parametrize("name", sorted(POLY_FIELDS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a=NUMERATORS, b=NUMERATORS)
+def test_polynomial_fast_path_is_canonical(name, a, b):
+    """add and mul of two polynomials (denominator 1) skip _make; their
+    results equal what _make builds from the same numerator and
+    denominator, as structures."""
+    F = RationalFunctions(POLY_FIELDS[name], "y")
+    sp, sc = F.sp, F.scalars
+    one = (sc.one,)
+    x = F._make([sc.from_int(c) for c in a], one)
+    y = F._make([sc.from_int(c) for c in b], one)
+    assert F.add(x, y) == F._make(
+        sp.add(sp.mul(x[0], y[1]), sp.mul(y[0], x[1])), sp.mul(x[1], y[1]))
+    assert F.mul(x, y) == F._make(sp.mul(x[0], y[0]), sp.mul(x[1], y[1]))
+
+
+@pytest.mark.parametrize("name", sorted(POLY_FIELDS))
+def test_general_denominators_still_reduce(name):
+    F = RationalFunctions(POLY_FIELDS[name], "y")
+    y = F.atom("y")
+    one_plus_y = F.add(F.one, y)
+    assert F.add(F.div(y, one_plus_y), F.div(F.one, one_plus_y)) == F.one
+    assert F.mul(F.div(y, one_plus_y), F.div(one_plus_y, y)) == F.one
 
 
 class TestLexMonomialSeries:

@@ -295,6 +295,24 @@ def test_validation_rejects_bad_entries():
         ch.append(IDX[2], Q, V(4), "scripted")  # index must increase
 
 
+def test_second_residue_extension_refusal_names_stage_and_key():
+    # x^2 + y^2 adjoins a root of T^2 + 1 at level 1; the incoming key asks
+    # for T^2 + 1 again at level 2
+    F = RationalFunctions(QQ, "y")
+    x = Poly.variable(F, "x")
+    y = Poly.const(F, "x", F.atom("y"))
+    q2 = x * x + y * y
+    q3 = q2.pow(4) + y.pow(10)
+    ch = Chain(F, "x", q3)
+    ch.append(IDX[1], x, V(1), "scripted")
+    ch.append(IDX[2], q2, V("5/2"), "scripted")
+    with pytest.raises(UnsupportedStructure) as info:
+        ch.append(IDX[3], q3, V("21/2"), "scripted")
+    msg = str(info.value)
+    assert msg.startswith("stage 2, key Q = x^2 + y^2: the incoming key x^8 ")
+    assert "by T^2 + 1, and a second residue field extension" in msg
+
+
 def test_terminal_entry_requires_divisibility():
     F, x, Q, P = quartic_setup()
     y = lambda n: Poly.const(F, "x", F.canonical_element(V(n)))

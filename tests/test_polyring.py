@@ -35,7 +35,6 @@ def test_arithmetic_identities():
     assert p.eq(q)
     assert (p - q).is_zero
     assert (x.pow(3)).degree == 3
-    assert p.shift(2).degree == 4
 
 
 def test_euclid_div_identity_randomized():

@@ -325,6 +325,21 @@ def test_cli_constant_target_is_refused(tmp_path, capsys, cmd):
     assert "tracked polynomial 1 has degree 0" in err
 
 
+def test_cli_refusal_names_stage_key_and_residual(tmp_path, capsys):
+    # the stage-2 residual has a coefficient in Q[T]/(T^2 + 2), off the
+    # scalar residue field
+    text = (SCRIPTED_X_TO_5.replace("x^2 + y", "x^4 + 2*y^2*x^2 + 2*y^2")
+            .replace("[chain]\n1 ; x ; 5\n", "").replace("scripted", "all"))
+    path = tmp_path / "second_extension.scn"
+    path.write_text(text % 0, encoding="ascii")
+    rc = main(["defect", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: stage 2, key Q = x^4 + 2*y^2: ")
+    assert "leave the scalar residue field" in captured.err
+    assert "(1, -1/4*T), constant term first, over k[T]/(T^2 + 2)" in captured.err
+
+
 def test_cli_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     bad = format_scenario(load_scenario("quartic")).replace(
         "x ; 3/2", "x ; 5/2")

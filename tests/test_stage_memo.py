@@ -1,0 +1,102 @@
+"""The per-entry memo of stage values never changes an answer.
+
+Every `ChainEntry` over Q(y) or F_p(y) memoizes `term_values` at its level,
+and chains that share an entry share its memo.  An explored chain is queried
+first, with memos warmed by growth and shared with its sibling branches; its
+entries are then replayed into a fresh chain, whose memos start empty and are
+filled in the opposite stage order.  At every stage the target, each key and
+seeded random polynomials must get the same truncated value, effective
+degree, initial form and side residual from both.  A memo whose entries
+leaked across levels or chains would make the answers depend on the order in
+which it was filled.
+"""
+
+import random
+
+import pytest
+
+from valforge.fields import PrimeField, QQ, RationalFunctions, UnsupportedStructure
+from valforge.graded import InClass
+from valforge.keypoly import ChainError, explore, replay
+from valforge.polyring import Poly
+from valforge.scenario import load_scenario
+
+FIELDS = {"Q(y)": QQ, "F_2(y)": PrimeField(2), "F_3(y)": PrimeField(3),
+          "F_5(y)": PrimeField(5)}
+SEEDED_TARGETS = 4
+DEPTH = 5
+RANDOM_POLYS = 3
+
+
+def _rand_poly(F, rng, degree, monic):
+    y = F.atom("y")
+    coeffs = []
+    for _ in range(degree):
+        c = F.zero
+        for _ in range(rng.randrange(0, 3)):
+            term = F.mul(F.from_int(rng.randrange(-2, 3)),
+                         F.pow(y, rng.randrange(0, 4)))
+            c = F.add(c, term)
+        coeffs.append(c)
+    coeffs.append(F.one if monic else F.from_int(rng.randrange(1, 4)))
+    return Poly(F, "x", coeffs)
+
+
+def _outcome(fn, *args):
+    """A comparable record of a query: its answer, or its refusal."""
+    try:
+        out = fn(*args)
+    except (ChainError, UnsupportedStructure) as exc:
+        return ("refused", type(exc).__name__, str(exc))
+    if isinstance(out, InClass):
+        return (out.value, out.coeffs)
+    return out
+
+
+def _answers(ch, probes, stages):
+    out = {}
+    for k in stages:
+        out[k, "residual"] = _outcome(ch.side_residual, k)
+        for i, f in enumerate(probes):
+            out[k, i, "cval"] = _outcome(ch.cval, f, k)
+            out[k, i, "delta"] = _outcome(ch.effective_degree, f, k)
+            out[k, i, "in_class"] = _outcome(ch.in_class, f, k)
+    return out
+
+
+def _check_chains(F, target, chains, rng):
+    for ch in chains:
+        assert all(ent.memo for ent in ch.entries[:-1]), "growth warms the memos"
+        stages = range(1, ch.depth() + 1)
+        probes = ([target] + [ent.poly for ent in ch.entries]
+                  + [_rand_poly(F, rng, rng.randint(1, 2 * target.degree), False)
+                     for _ in range(RANDOM_POLYS)])
+        warm = _answers(ch, probes, stages)
+        fresh = replay(F, "x", target,
+                       [(ent.index, ent.poly, ent.beta) for ent in ch.entries])
+        for ent in fresh.entries:       # replay itself fills some
+            ent.memo.clear()
+        assert _answers(fresh, probes, reversed(stages)) == warm
+
+
+def test_memo_never_changes_an_answer_quartic():
+    sc = load_scenario("quartic")
+    chains, _ = explore(sc.field, sc.var, sc.target, 8)
+    _check_chains(sc.field, sc.target, chains, random.Random(6))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_memo_never_changes_an_answer_seeded(name):
+    """Seeded monic targets; those refused for a second residue extension
+    are drawn past, so that each field checks the same number of targets."""
+    F = RationalFunctions(FIELDS[name], "y")
+    rng = random.Random("memo-" + name)
+    checked = 0
+    while checked < SEEDED_TARGETS:
+        target = _rand_poly(F, rng, rng.randint(2, 6), True)
+        try:
+            chains, _ = explore(F, "x", target, DEPTH)
+        except UnsupportedStructure:
+            continue
+        _check_chains(F, target, chains, rng)
+        checked += 1

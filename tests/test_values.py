@@ -16,7 +16,6 @@ from valforge.values import (
     ValueGroup,
     format_value,
     group_index,
-    in_isolated_subgroup,
     parse_value,
 )
 
@@ -173,17 +172,6 @@ class TestValueGroup:
             assert grp.multiple_order(v) == brute_multiple_order(gens, v, den, 12)
 
 
-class TestIsolatedSubgroup:
-    def test_rank2(self):
-        assert in_isolated_subgroup(qv(0, 7))
-        assert not in_isolated_subgroup(qv(Fraction(1, 2), 0))
-        assert not in_isolated_subgroup(INF)
-
-    def test_depth(self):
-        assert in_isolated_subgroup(qv(0, 0, 3), depth=2)
-        assert not in_isolated_subgroup(qv(0, 1, 3), depth=2)
-
-
 class TestOrdinalIndex:
     def test_display(self):
         assert str(OrdinalIndex(0, 3)) == "3"
@@ -197,4 +185,3 @@ class TestOrdinalIndex:
         assert a < b < b.successor() < OrdinalIndex(2, 0)
         assert a.successor() == OrdinalIndex(0, 10)
         assert b.is_limit and not b.successor().is_limit
-        assert OrdinalIndex(0, 5).next_limit() == OrdinalIndex(1, 0)
