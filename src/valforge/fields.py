@@ -21,6 +21,7 @@ units against canonical elements, canonical elements for base-group values, and
 named atoms for the scenario expression parser.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -137,27 +138,133 @@ QQ = Rationals()
 def factor_scalar_poly(domain, coeffs):
     """Monic irreducible factors of a univariate polynomial over Q or F_p, as a
     deterministically sorted list of (coeffs, multiplicity) pairs.  The leading
-    unit is dropped.  sympy does the factoring; everything else stays local."""
-    import sympy
-
+    unit is dropped.  A linear input is its own factor.  Over F_p the factoring
+    is done here (`_factor_finite`); over Q sympy does it, imported only then."""
     sp = domain.polys
-    coeffs = sp.trim(coeffs)
-    if sp.degree(coeffs) < 1:
+    f = sp.trim(coeffs)
+    if sp.degree(f) < 1:
         return []
-    T = sympy.Symbol("T")
-    desc = list(reversed(coeffs))
-    if domain.char == 0:
-        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in desc], T, domain="QQ")
-        back = lambda c: Fraction(int(c.numerator), int(c.denominator))
+    f = sp.monic(f)
+    if sp.degree(f) == 1:
+        return [(f, 1)]
+    if domain.char:
+        out = _factor_finite(sp, f, domain.char, domain.char)
     else:
-        poly = sympy.Poly([int(c) for c in desc], T, modulus=domain.char)
-        back = lambda c: int(c) % domain.char
-    out = []
-    for fac, mult in poly.factor_list()[1]:
-        fc = [back(c) for c in reversed(fac.all_coeffs())]
-        out.append((sp.monic(sp.trim(fc)), int(mult)))
+        out = _factor_rational(sp, f)
     out.sort(key=lambda fm: (len(fm[0]), [domain.sort_key(c) for c in fm[0]]))
     return out
+
+
+def _factor_rational(sp, f):
+    """Irreducible factors of the monic f over Q, by sympy."""
+    import sympy
+
+    T = sympy.Symbol("T")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(f)], T, domain="QQ")
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        fc = [Fraction(int(c.numerator), int(c.denominator))
+              for c in reversed(fac.all_coeffs())]
+        out.append((sp.monic(sp.trim(fc)), int(mult)))
+    return out
+
+
+# Factoring over a finite field F_q of characteristic p, written once over the
+# dense core: squarefree parts, then distinct-degree factorization, then the
+# equal-degree split of Cantor and Zassenhaus (Math. Comp. 1981), with the
+# trace map in characteristic 2 (von zur Gathen and Gerhard, Modern Computer
+# Algebra, ch. 14).  Polynomials are monic throughout.
+
+
+def _factor_finite(sp, f, p, q):
+    """Monic irreducible factors of the monic f over F_q, with
+    multiplicities, in no particular order."""
+    rng = random.Random(q)
+    out = []
+    for g, m in _squarefree_parts(sp, f, p, q):
+        for d, h in _distinct_degree(sp, g, q):
+            out.extend((fac, m) for fac in _equal_degree(sp, h, d, q, rng))
+    return out
+
+
+def _squarefree_parts(sp, f, p, q):
+    """Pairs (g, m) with f = prod g^m, the g squarefree, coprime and of
+    positive degree.  What survives the division by the parts of
+    multiplicity prime to p is a polynomial in x^p, and F_q is perfect, so
+    it is the p-th power of the polynomial its p-th root gives."""
+    dom = sp.domain
+    df = sp.trim([dom.mul(a, dom.from_int(i)) for i, a in enumerate(f) if i])
+    c = sp.gcd(f, df)
+    w = sp.divmod(f, c)[0]
+    out = []
+    i = 1
+    while len(w) > 1:
+        y = sp.gcd(w, c)
+        z = sp.divmod(w, y)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w, c, i = y, sp.divmod(c, y)[0], i + 1
+    if len(c) > 1:
+        root = sp.trim([dom.pow(a, q // p) for a in c[::p]])
+        out.extend((g, m * p) for g, m in _squarefree_parts(sp, root, p, q))
+    return out
+
+
+def _powmod(sp, a, n, f):
+    """a^n mod f by square-and-multiply."""
+    out = sp.one()
+    while n:
+        if n & 1:
+            out = sp.mod(sp.mul(out, a), f)
+        n >>= 1
+        if n:
+            a = sp.mod(sp.mul(a, a), f)
+    return out
+
+
+def _distinct_degree(sp, f, q):
+    """Pairs (d, h): h the product of the degree-d factors of the squarefree
+    f, from gcd(f, x^(q^d) - x)."""
+    x = sp.monomial(1)
+    h = x
+    out = []
+    d = 0
+    while sp.degree(f) >= 2 * (d + 1):
+        d += 1
+        h = _powmod(sp, h, q, f)
+        g = sp.gcd(f, sp.sub(h, x))
+        if len(g) > 1:
+            out.append((d, g))
+            f = sp.divmod(f, g)[0]
+            h = sp.mod(h, f)
+    if len(f) > 1:
+        out.append((sp.degree(f), f))
+    return out
+
+
+def _equal_degree(sp, f, d, q, rng):
+    """The irreducible factors of f, a product of distinct degree-d ones: a
+    random a splits f at gcd(f, a^((q^d - 1)/2) - 1) for odd q, and at
+    gcd(f, a + a^2 + ... + a^(q^d / 2)) for even q.  The coefficients of a
+    are drawn through `from_int`, which spans the field only when q = p."""
+    n = sp.degree(f)
+    if n == d:
+        return [f]
+    dom = sp.domain
+    while True:
+        a = sp.trim([dom.from_int(rng.randrange(q)) for _ in range(n)])
+        if q % 2:
+            b = sp.sub(_powmod(sp, a, (q**d - 1) // 2, f), sp.one())
+        else:
+            b = t = a
+            for _ in range(d * (q.bit_length() - 1) - 1):
+                t = sp.mod(sp.mul(t, t), f)
+                b = sp.add(b, t)
+        g = sp.gcd(f, b)
+        if 0 < sp.degree(g) < n:
+            return (_equal_degree(sp, g, d, q, rng)
+                    + _equal_degree(sp, sp.divmod(f, g)[0], d, q, rng))
 
 
 # ---------------------------------------------------------------------------

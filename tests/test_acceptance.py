@@ -339,11 +339,18 @@ def test_criterion_6_char_zero_has_no_defect():
         coeffs.append(F.one)
         return Poly(F, "x", coeffs)
 
+    import sympy
+
+    X, Y = sympy.symbols("x y")
+
     def squarefree(P):
-        a, b = P, P.derivative()
-        while not b.is_zero:
-            a, b = b, a.euclid_div(b)[1]
-        return a.degree == 0
+        # the draws are monic in x with coefficients in Q[y], so by Gauss's
+        # lemma P is squarefree over Q(y) exactly when its gcd with dP/dx
+        # over Q[x, y] has degree 0 in x
+        B = sympy.Poly.from_dict(
+            {(i, j): c for i, (num, _) in enumerate(P.coeffs)
+             for j, c in enumerate(num)}, X, Y, domain="QQ")
+        return sympy.gcd(B, B.diff(X)).degree(X) == 0
 
     with _criterion(6, "no defect in characteristic zero"):
         valid = skipped = 0

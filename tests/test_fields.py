@@ -109,6 +109,79 @@ class TestFactorization:
         assert got == [((0, 1), 1), ((1, 1), 1), ((2, 1), 1)]
 
 
+def sympy_factors(domain, coeffs):
+    """sympy's factorization over F_p, made monic and sorted the way
+    `factor_scalar_poly` sorts."""
+    import sympy
+
+    p, sp = domain.char, domain.polys
+    poly = sympy.Poly([int(c) for c in reversed(coeffs)], sympy.Symbol("T"),
+                      modulus=p)
+    out = [(sp.monic(sp.trim([int(c) % p for c in reversed(fac.all_coeffs())])),
+            int(m)) for fac, m in poly.factor_list()[1]]
+    out.sort(key=lambda fm: (len(fm[0]), [domain.sort_key(c) for c in fm[0]]))
+    return out
+
+
+@st.composite
+def mod_p_polys(draw):
+    """A prime field and a non-monic polynomial of degree 1-12 over it: a
+    random one, one with a repeated factor, or an inseparable g(T^p) or
+    g(T^p)^2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    domain = PrimeField(p)
+    sp = domain.polys
+
+    def poly(lo, hi):
+        body = draw(st.lists(st.integers(0, p - 1), min_size=lo, max_size=hi))
+        return sp.trim(body + [draw(st.integers(1, p - 1))])
+
+    kind = draw(st.sampled_from(("random", "repeated", "inseparable",
+                                 "inseparable squared")))
+    if kind == "random":
+        f = poly(1, 12)
+    elif kind == "repeated":
+        g = poly(1, 3)
+        f = sp.mul(sp.pow(g, draw(st.integers(2, 12 // len(g)))), poly(0, 2))
+        f = f if sp.degree(f) <= 12 else sp.pow(g, 2)
+    else:
+        g = poly(1, 12 // p // (2 if kind == "inseparable squared" else 1))
+        f = sp.trim([g[i // p] if i % p == 0 else 0
+                     for i in range(p * (len(g) - 1) + 1)])
+        if kind == "inseparable squared":
+            f = sp.mul(f, f)
+    return domain, sp.scale(f, draw(st.integers(1, p - 1)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mod_p_polys())
+def test_factor_mod_p_matches_sympy(case):
+    domain, f = case
+    assert 1 <= domain.polys.degree(f) <= 12
+    assert factor_scalar_poly(domain, f) == sympy_factors(domain, f)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mod_p_polys())
+def test_factor_mod_p_rebuilds_monic_input(case):
+    domain, f = case
+    sp = domain.polys
+    out = sp.one()
+    for g, m in factor_scalar_poly(domain, f):
+        assert g[-1] == domain.one
+        out = sp.mul(out, sp.pow(g, m))
+    assert out == sp.monic(f)
+
+
+@pytest.mark.parametrize("domain, f", [
+    (QQ, (Fraction(3), Fraction(-2))),
+    (PrimeField(2), (1, 1)),
+    (PrimeField(5), (3, 2)),
+])
+def test_linear_input_is_its_own_factor(domain, f):
+    assert factor_scalar_poly(domain, f) == [(domain.polys.monic(f), 1)]
+
+
 class TestRationalFunctions:
     def setup_method(self):
         self.F = RationalFunctions(QQ, "y")

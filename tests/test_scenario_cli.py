@@ -178,6 +178,11 @@ def run_cli(*args, env_extra=None, timeout=None):
     # a fresh `python -m valforge` process on the source imported here, so
     # the tests need no installed console script and never pick up a stray
     # installed copy
+    return run_python("-m", "valforge", *args, env_extra=env_extra,
+                      timeout=timeout)
+
+
+def run_python(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("VALFORGE_SCENARIO_PATH", None)
     source = os.path.dirname(os.path.dirname(valforge.__file__))
@@ -185,7 +190,7 @@ def run_cli(*args, env_extra=None, timeout=None):
     env["PYTHONPATH"] = os.pathsep.join([source] + inherited)
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run((sys.executable, "-m", "valforge") + args,
+    proc = subprocess.run((sys.executable,) + args,
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
@@ -237,6 +242,20 @@ def test_cli_verify_all_packaged(capsys):
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "fail" not in out
+
+
+@pytest.mark.parametrize("name", ["cubic_char3", "quintic_tower"])
+def test_cold_char_p_verify_never_imports_sympy(name):
+    # sympy factors only over Q; a stray top-level import would put its
+    # import time back into every cold char-p verify
+    rc, out, err = run_python("-c", (
+        "import contextlib, io, sys\n"
+        "from valforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', %r])\n"
+        "print(rc, 'sympy' in sys.modules)\n") % name)
+    assert err == ""
+    assert out == "0 False\n"
 
 
 def test_cli_tsv_and_branch_filter(capsys):
