@@ -23,7 +23,9 @@ named atoms for the scenario expression parser.
 
 import random
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from itertools import combinations, count
+from math import comb, isqrt, lcm
 
 from .polyring import Domain, format_terms
 from .values import INF, Value, ValueGroup
@@ -83,39 +85,53 @@ class Rationals(Domain):
         return "Q"
 
 
-class PrimeField(Domain):
+class _IntegersMod(Domain):
+    """The ring Z/mZ with int elements in [0, m).  Only `PrimeField` can
+    invert; Hensel lifting over Q runs on Z/p^kZ and divides by monic
+    polynomials alone, which `DensePolys.divmod` never inverts."""
+
+    def __init__(self, m):
+        self.m = m
+        self.zero = 0
+        self.one = 1 % m
+
+    def from_int(self, n):
+        return n % self.m
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+    def mul(self, a, b):
+        return (a * b) % self.m
+
+    def neg(self, a):
+        return (-a) % self.m
+
+    def is_zero(self, a):
+        return a % self.m == 0
+
+
+def _is_prime(n):
+    """Trial division up to the exact integer square root."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class PrimeField(_IntegersMod):
     """The field F_p with int elements in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError("%d is not prime" % p)
-        self.p = p
-        self.char = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+        super().__init__(p)
+        self.p = self.char = p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def pow(self, a, n):
         if n < 0:
@@ -138,8 +154,8 @@ QQ = Rationals()
 def factor_scalar_poly(domain, coeffs):
     """Monic irreducible factors of a univariate polynomial over Q or F_p, as a
     deterministically sorted list of (coeffs, multiplicity) pairs.  The leading
-    unit is dropped.  A linear input is its own factor.  Over F_p the factoring
-    is done here (`_factor_finite`); over Q sympy does it, imported only then."""
+    unit is dropped.  A linear input is its own factor.  Both fields are
+    factored here: F_p by `_factor_finite`, Q by `_factor_rational`."""
     sp = domain.polys
     f = sp.trim(coeffs)
     if sp.degree(f) < 1:
@@ -155,18 +171,103 @@ def factor_scalar_poly(domain, coeffs):
     return out
 
 
-def _factor_rational(sp, f):
-    """Irreducible factors of the monic f over Q, by sympy."""
-    import sympy
+def _derivative(sp, f):
+    """The formal derivative of f."""
+    dom = sp.domain
+    return sp.trim([dom.mul(a, dom.from_int(i)) for i, a in enumerate(f) if i])
 
-    T = sympy.Symbol("T")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(f)], T, domain="QQ")
+
+# Factoring over Q by Zassenhaus's method (J. Number Theory 1969; Cohen, A
+# Course in Computational Algebraic Number Theory, 3.5): each squarefree part
+# is made a monic integer polynomial F, factored mod a small prime p, lifted
+# to a power of p above twice the Mignotte bound, and the true factors are
+# the subset products of the lifted ones that divide F over Z.
+
+
+def _factor_rational(sp, f):
+    """Monic irreducible factors of the monic f over Q, with
+    multiplicities, in no particular order."""
+    return [(h, m) for g, m in _squarefree_parts(sp, f, 0, 0)
+            for h in _zassenhaus(g)]
+
+
+def _zassenhaus(g):
+    """Monic irreducible factors over Q of the squarefree monic g: with D the
+    lcm of its denominators, F(x) = D^n g(x/D) is monic over Z, and each
+    factor H of F gives the factor D^-deg(H) H(Dx) of g."""
+    n = len(g) - 1
+    if n == 1:
+        return [g]
+    D = lcm(*(c.denominator for c in g))
+    F = tuple(int(c * D ** (n - i)) for i, c in enumerate(g))
+    for p in count(3, 2):
+        if _is_prime(p):
+            fp = PrimeField(p).polys
+            Fp = tuple(c % p for c in F)
+            if fp.degree(fp.gcd(Fp, _derivative(fp, Fp))) == 0:
+                break
+    factors = [u for u, _ in _factor_finite(fp, Fp, p, p)]
+    if len(factors) == 1:
+        return [g]
+    m = p
+    while m <= 2 ** (n + 1) * sum(map(abs, F)):
+        m *= m
+    # each lift splits one factor off the lifted product of the rest
+    lifted, rest = [], F
+    for u in factors[:-1]:
+        u, rest = _hensel_lift(fp, rest, u, m)
+        lifted.append(u)
+    lifted.append(rest)
+    return [tuple(Fraction(c, D ** (len(H) - 1 - i)) for i, c in enumerate(H))
+            for H in _recombine(F, lifted, m)]
+
+
+def _hensel_lift(fp, F, u, m):
+    """(U, V) with F = U V mod m = p^(2^i) and U = u mod p, for a monic F
+    known mod m and a monic factor u of F mod p coprime to its cofactor v.
+    Quadratic Hensel lifting (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Algorithm 15.10) lifts the Bezout coefficients s v + t u = 1
+    along; every division is by the monic lift of u."""
+    mod = fp.domain.p
+    v = fp.divmod(tuple(c % mod for c in F), u)[0]
+    _, s, t = fp.xgcd(v, u)
+    while mod < m:
+        mod *= mod
+        zm = _IntegersMod(mod).polys
+        e = zm.sub(F, zm.mul(u, v))
+        q, r = zm.divmod(zm.mul(s, e), u)
+        v = zm.add(v, zm.add(zm.mul(t, e), zm.mul(q, v)))
+        u = zm.add(u, r)
+        b = zm.sub(zm.add(zm.mul(s, v), zm.mul(t, u)), zm.one())
+        c, d = zm.divmod(zm.mul(s, b), u)
+        s = zm.sub(s, d)
+        t = zm.sub(t, zm.add(zm.mul(t, b), zm.mul(c, v)))
+    return u, v
+
+
+def _recombine(F, lifted, m):
+    """The monic irreducible factors over Z of the monic F, given the monic
+    lifts mod m of its distinct irreducible factors mod p, with m above twice
+    the Mignotte bound: a subset product read with symmetric residues is a
+    factor when it divides F exactly.  Subsets are tried smallest first, and
+    what no subset of at most half the lifts divides is irreducible."""
+    zm = _IntegersMod(m).polys
+    zz = QQ.polys  # dividing by a monic int polynomial keeps ints ints
     out = []
-    for fac, mult in poly.factor_list()[1]:
-        fc = [Fraction(int(c.numerator), int(c.denominator))
-              for c in reversed(fac.all_coeffs())]
-        out.append((sp.monic(sp.trim(fc)), int(mult)))
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            H = reduce(zm.mul, [lifted[i] for i in subset])
+            H = tuple(c - m if 2 * c > m else c for c in H)
+            quo, rem = zz.divmod(F, H)
+            if not rem:
+                out.append(H)
+                F = quo
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(F)
     return out
 
 
@@ -192,10 +293,9 @@ def _squarefree_parts(sp, f, p, q):
     """Pairs (g, m) with f = prod g^m, the g squarefree, coprime and of
     positive degree.  What survives the division by the parts of
     multiplicity prime to p is a polynomial in x^p, and F_q is perfect, so
-    it is the p-th power of the polynomial its p-th root gives."""
-    dom = sp.domain
-    df = sp.trim([dom.mul(a, dom.from_int(i)) for i, a in enumerate(f) if i])
-    c = sp.gcd(f, df)
+    it is the p-th power of the polynomial its p-th root gives.  Over Q
+    (p = q = 0) nothing survives."""
+    c = sp.gcd(f, _derivative(sp, f))
     w = sp.divmod(f, c)[0]
     out = []
     i = 1
@@ -206,7 +306,7 @@ def _squarefree_parts(sp, f, p, q):
             out.append((z, i))
         w, c, i = y, sp.divmod(c, y)[0], i + 1
     if len(c) > 1:
-        root = sp.trim([dom.pow(a, q // p) for a in c[::p]])
+        root = sp.trim([sp.domain.pow(a, q // p) for a in c[::p]])
         out.extend((g, m * p) for g, m in _squarefree_parts(sp, root, p, q))
     return out
 

@@ -9,10 +9,11 @@ when the lead compares equal to `one`, as the lead of a monic key does: every
 domain's elements compare by structure.
 
 The same core runs over every domain valforge has: the scalar fields Q and
-F_p (numerators and denominators of k(t), residual polynomials), the valued
-base fields (`Poly`, standard expansions in powers of a key), and the residue
-rings of `graded` (quotients k[T]/(m) and initial forms).  `Poly` is a thin
-wrapper that carries the field and the variable name.
+F_p (numerators and denominators of k(t), residual polynomials and their
+factoring, with Z/p^kZ for Hensel lifting over Q), the valued base fields
+(`Poly`, standard expansions in powers of a key), and the residue rings of
+`graded` (quotients k[T]/(m) and initial forms).  `Poly` is a thin wrapper
+that carries the field and the variable name.
 """
 
 from functools import cached_property
@@ -297,15 +298,6 @@ class Poly:
         """(q, r) with self = q*g + r and deg r < deg g."""
         q, r = self.field.polys.divmod(self.coeffs, g.coeffs)
         return self._spawn(q), self._spawn(r)
-
-    def gcd(self, other):
-        """Monic gcd, by the euclidean algorithm over the coefficient field."""
-        return self._spawn(self.field.polys.gcd(self.coeffs, other.coeffs))
-
-    def derivative(self):
-        F = self.field
-        return Poly(F, self.var, [F.mul(c, F.from_int(i))
-                                  for i, c in enumerate(self.coeffs) if i])
 
     def format(self):
         return self.field.polys.format(self.coeffs, self.var, wrap=True)

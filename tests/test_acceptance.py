@@ -3,8 +3,8 @@
 Each test prints a single "criterion N (...): PASS" or "... FAIL" line;
 run with -s to watch them scroll by.  All random draws are seeded, so a
 run exercises exactly the same cases every time.  Timed sections start
-after the factorization backend has been warmed up once (see the module
-fixture) and wrap only the engine work, not scenario parsing.
+after one warm-up explore (see the module fixture) and wrap only the
+engine work, not scenario parsing.
 """
 
 import random
@@ -47,8 +47,8 @@ class _criterion:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_backend():
-    # the first residual factorization pays an import cost; keep that out
-    # of the timed sections below
+    # the first explore builds the scenario's field and runs each engine
+    # path once; keep that first-call cost out of the timed sections below
     sc = load_scenario("quartic")
     explore(sc.field, sc.var, sc.target, depth=2)
 

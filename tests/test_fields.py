@@ -109,6 +109,13 @@ class TestFactorization:
         assert got == [((0, 1), 1), ((1, 1), 1), ((2, 1), 1)]
 
 
+def factor_order(domain, pairs):
+    """(factor, multiplicity) pairs sorted the way `factor_scalar_poly`
+    sorts."""
+    return sorted(pairs, key=lambda fm: (len(fm[0]),
+                                         [domain.sort_key(c) for c in fm[0]]))
+
+
 def sympy_factors(domain, coeffs):
     """sympy's factorization over F_p, made monic and sorted the way
     `factor_scalar_poly` sorts."""
@@ -117,10 +124,24 @@ def sympy_factors(domain, coeffs):
     p, sp = domain.char, domain.polys
     poly = sympy.Poly([int(c) for c in reversed(coeffs)], sympy.Symbol("T"),
                       modulus=p)
-    out = [(sp.monic(sp.trim([int(c) % p for c in reversed(fac.all_coeffs())])),
-            int(m)) for fac, m in poly.factor_list()[1]]
-    out.sort(key=lambda fm: (len(fm[0]), [domain.sort_key(c) for c in fm[0]]))
-    return out
+    return factor_order(domain, [
+        (sp.monic(sp.trim([int(c) % p for c in reversed(fac.all_coeffs())])),
+         int(m)) for fac, m in poly.factor_list()[1]])
+
+
+def sympy_factors_q(coeffs):
+    """sympy's factorization over Q, made monic and sorted the way
+    `factor_scalar_poly` sorts."""
+    import sympy
+
+    sp = QQ.polys
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], sympy.Symbol("T"),
+                      domain="QQ")
+    return factor_order(QQ, [
+        (sp.monic(sp.trim([Fraction(int(c.p), int(c.q))
+                           for c in reversed(fac.all_coeffs())])), int(m))
+        for fac, m in poly.factor_list()[1]])
 
 
 @st.composite
@@ -171,6 +192,64 @@ def test_factor_mod_p_rebuilds_monic_input(case):
         assert g[-1] == domain.one
         out = sp.mul(out, sp.pow(g, m))
     assert out == sp.monic(f)
+
+
+@st.composite
+def rational_polys(draw):
+    """A polynomial of degree 1-12 over Q with coefficients of denominator
+    up to 6, so mostly neither integral nor monic: a random one, or a
+    product of up to four random factors of degree 1-3, each raised to a
+    power of up to 3."""
+    sp = QQ.polys
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+    def poly(lo, hi):
+        body = draw(st.lists(coeff, min_size=lo, max_size=hi))
+        return sp.trim(body + [draw(coeff.filter(bool))])
+
+    if draw(st.booleans()):
+        return poly(1, 12)
+    f = sp.one()
+    for _ in range(draw(st.integers(1, 4))):
+        g = sp.pow(poly(1, 3), draw(st.integers(1, 3)))
+        if sp.degree(f) + sp.degree(g) <= 12:
+            f = sp.mul(f, g)
+    return f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_polys())
+def test_factor_over_q_matches_sympy(f):
+    assert 1 <= QQ.polys.degree(f) <= 12
+    assert factor_scalar_poly(QQ, f) == sympy_factors_q(f)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_polys())
+def test_factor_over_q_rebuilds_monic_input(f):
+    sp = QQ.polys
+    out = sp.one()
+    for g, m in factor_scalar_poly(QQ, f):
+        assert g[-1] == 1
+        out = sp.mul(out, sp.pow(g, m))
+    assert out == sp.monic(f)
+
+
+X4_MINUS_10X2_PLUS_1 = tuple(map(Fraction, (1, 0, -10, 0, 1)))
+X4_PLUS_1 = tuple(map(Fraction, (1, 0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("f, irreducible", [
+    (X4_MINUS_10X2_PLUS_1, True),
+    (X4_PLUS_1, True),
+    (QQ.polys.mul(X4_MINUS_10X2_PLUS_1, X4_PLUS_1), False),
+])
+def test_factor_over_q_recombines(f, irreducible):
+    # both quartics are irreducible over Q but split mod every prime, so
+    # only the recombination of the lifted factors mod p finds the answer
+    got = factor_scalar_poly(QQ, f)
+    assert got == sympy_factors_q(f)
+    assert (got == [(f, 1)]) == irreducible
 
 
 @pytest.mark.parametrize("domain, f", [

@@ -103,18 +103,6 @@ def test_expansion_reconstruction_randomized():
         assert back.eq(f)
 
 
-def test_gcd_and_derivative():
-    F = rat_y()
-    x = Poly.variable(F, "x")
-    y3 = Poly.const(F, "x", ypow(F, 3))
-    f = (x - y3) * (x - y3) * (x + y3)
-    g = f.gcd(f.derivative())
-    assert g.degree == 1
-    assert g.is_monic
-    sqfree = (x * x - y3 * y3)
-    assert sqfree.gcd(sqfree.derivative()).degree == 0
-
-
 def test_format():
     F = rat_y()
     x = Poly.variable(F, "x")

@@ -244,10 +244,11 @@ def test_cli_verify_all_packaged(capsys):
         assert "fail" not in out
 
 
-@pytest.mark.parametrize("name", ["cubic_char3", "quintic_tower"])
-def test_cold_char_p_verify_never_imports_sympy(name):
-    # sympy factors only over Q; a stray top-level import would put its
-    # import time back into every cold char-p verify
+@pytest.mark.parametrize("name", ["cubic_char3", "quintic_tower", "quartic"])
+def test_cold_verify_never_imports_sympy(name):
+    # valforge factors over Q and over F_p with its own code; sympy is only a
+    # test reference, and an import of it would put its import time back into
+    # every cold verify
     rc, out, err = run_python("-c", (
         "import contextlib, io, sys\n"
         "from valforge.cli import main\n"
