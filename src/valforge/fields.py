@@ -3,7 +3,9 @@
 Three concrete coefficient fields cover every scenario the engine handles:
 
 * `RationalFunctions`: K = k(t) with the t-adic valuation, k the rationals or a
-  prime field.  Elements are reduced fractions of dense polynomials.
+  prime field.  Elements are reduced fractions of dense polynomials over the
+  integers (k = Q, as `ZZ` polynomials with integer content 1 together) or
+  over F_p, so equal elements are equal tuples of ints.
 * `LexMonomialSeries`: Laurent polynomials in several variables over a prime
   field, valued by the lexicographic exponent order (first variable dominant).
   Elements are plain {exponent tuple: scalar} dicts with exact arithmetic; an
@@ -25,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .polyring import Domain, format_terms
 from .values import INF, Value, ValueGroup
@@ -70,7 +72,7 @@ class Rationals(Domain):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1) / a
 
     def is_zero(self, a):
         return a == 0
@@ -83,6 +85,35 @@ class Rationals(Domain):
 
     def __repr__(self):
         return "Q"
+
+
+class Integers(Domain):
+    """The ring Z with int elements.  It has no `inv`: the dense core over Z
+    divides only by monic polynomials, whose lead it never inverts."""
+
+    zero = 0
+    one = 1
+
+    def from_int(self, n):
+        return n
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a):
+        return a == 0
+
+    def __repr__(self):
+        return "ZZ"
 
 
 class _IntegersMod(Domain):
@@ -149,6 +180,7 @@ class PrimeField(_IntegersMod):
 
 
 QQ = Rationals()
+ZZ = Integers()
 
 
 def factor_scalar_poly(domain, coeffs):
@@ -252,7 +284,7 @@ def _recombine(F, lifted, m):
     factor when it divides F exactly.  Subsets are tried smallest first, and
     what no subset of at most half the lifts divides is irreducible."""
     zm = _IntegersMod(m).polys
-    zz = QQ.polys  # dividing by a monic int polynomial keeps ints ints
+    zz = ZZ.polys
     out = []
     size = 1
     while 2 * size <= len(lifted):
@@ -407,20 +439,50 @@ class ValuedFieldBase(Domain):
 
 class RationalFunctions(ValuedFieldBase):
     """Fractions of polynomials in one variable, valued by order of vanishing
-    at the origin.  Elements are canonical: numerator and denominator coprime,
-    at most one of them divisible by t, lowest denominator coefficient 1."""
+    at the origin.
+
+    An element is a pair (num, den) of coprime polynomials, both int tuples
+    on the dense core.  Over F_p they are polynomials over F_p, and den's
+    lowest nonzero coefficient is 1.  Over Q they are integer polynomials
+    (over `ZZ`) with integer content 1 together, and den's lowest nonzero
+    coefficient is positive; scalars still enter (`lift_scalar`) and leave
+    (`unit_residue`) as `Fraction`s.  Either way the form is canonical:
+    equal elements are equal tuples of ints, and `one` is ((1,), (1,)).
+
+    Most elements the engine meets are polynomials over k, with a constant
+    den: 1 over F_p, a positive integer over Q.  Two of them add and
+    multiply by one scaled sum or product of numerators and, over Q, one
+    integer gcd; only `_make` takes a polynomial gcd."""
 
     rank = 1
 
     def __init__(self, scalars, var):
         self.scalars = scalars
         self.var = var
-        self.sp = scalars.polys
-        self.zero = ((), (scalars.one,))
-        self.one = ((scalars.one,), (scalars.one,))
+        self.sp = (ZZ if scalars.char == 0 else scalars).polys
+        self.zero = ((), (1,))
+        self.one = ((1,), (1,))
+
+    def _over(self, num, d):
+        """num/d for a trimmed polynomial num and a positive integer d, which
+        is 1 over F_p."""
+        if not num:
+            return self.zero
+        if d != 1:
+            g = gcd(d, *num)
+            if g != 1:
+                num = tuple(c // g for c in num)
+                d //= g
+        return (num, (d,))
 
     def _make(self, num, den):
-        sp = self.sp
+        """num/den in canonical form, for any two polynomials over the
+        coefficient ring with den nonzero.  The common factor comes from the
+        gcd over k[t]; over Q that runs on the int coefficients as they are
+        (`QQ.inv` is exact on ints), and the rational quotients are then
+        cleared to integers of content 1."""
+        char = self.scalars.char
+        sp = self.sp if char else QQ.polys
         num, den = sp.trim(num), sp.trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
@@ -430,39 +492,53 @@ class RationalFunctions(ValuedFieldBase):
         if sp.degree(g) > 0:
             num = sp.divmod(num, g)[0]
             den = sp.divmod(den, g)[0]
-        c = den[sp.ord(den)]
-        if not self.scalars.is_zero(self.scalars.sub(c, self.scalars.one)):
-            inv = self.scalars.inv(c)
-            num = sp.scale(num, inv)
-            den = sp.scale(den, inv)
-        return (num, den)
+        if not char:
+            m = lcm(*(c.denominator for c in num + den))
+            num = tuple(c.numerator * (m // c.denominator) for c in num)
+            den = tuple(c.numerator * (m // c.denominator) for c in den)
+            g = gcd(*num, *den)
+            num = tuple(c // g for c in num)
+            den = tuple(c // g for c in den)
+        return self._unit(num, den)
 
-    # Two polynomials (denominator 1) sum and multiply to a polynomial that
-    # is already canonical, so add and mul skip _make and its gcd for them.
+    def _unit(self, num, den):
+        """num/den for coprime num and den (over Q also of integer content 1
+        together), times the unit that makes den's lowest coefficient 1 over
+        F_p and positive over Q."""
+        sp = self.sp
+        c = den[sp.ord(den)]
+        if self.scalars.char:
+            if c != 1:
+                inv = self.scalars.inv(c)
+                num, den = sp.scale(num, inv), sp.scale(den, inv)
+        elif c < 0:
+            num, den = sp.neg(num), sp.neg(den)
+        return (num, den)
 
     def add(self, x, y):
         sp = self.sp
-        one = self.one[1]
-        if x[1] == one and y[1] == one:
-            num = sp.add(x[0], y[0])
-            return (num, one) if num else self.zero
-        return self._make(sp.add(sp.mul(x[0], y[1]), sp.mul(y[0], x[1])), sp.mul(x[1], y[1]))
+        (a, b), (c, d) = x, y
+        if len(b) == 1 and len(d) == 1:
+            if b == d:
+                return self._over(sp.add(a, c), b[0])
+            return self._over(sp.add(sp.scale(a, d[0]), sp.scale(c, b[0])),
+                              b[0] * d[0])
+        return self._make(sp.add(sp.mul(a, d), sp.mul(c, b)), sp.mul(b, d))
 
     def neg(self, x):
         return (self.sp.neg(x[0]), x[1])
 
     def mul(self, x, y):
         sp = self.sp
-        one = self.one[1]
-        if x[1] == one and y[1] == one:
-            num = sp.mul(x[0], y[0])
-            return (num, one) if num else self.zero
-        return self._make(sp.mul(x[0], y[0]), sp.mul(x[1], y[1]))
+        (a, b), (c, d) = x, y
+        if len(b) == 1 and len(d) == 1:
+            return self._over(sp.mul(a, c), b[0] * d[0])
+        return self._make(sp.mul(a, c), sp.mul(b, d))
 
     def inv(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("division by zero")
-        return self._make(x[1], x[0])
+        return self._unit(x[1], x[0])
 
     def is_zero(self, x):
         return not x[0]
@@ -476,10 +552,13 @@ class RationalFunctions(ValuedFieldBase):
         vx, vd = self.valuate(x), self.valuate(d)
         if vx != vd:
             raise ValueError("unit_residue needs equal values, got %s and %s" % (vx, vd))
-        sp, sc = self.sp, self.scalars
-        num = sp.mul(x[0], d[1])
-        den = sp.mul(x[1], d[0])
-        return sc.div(num[sp.ord(num)], den[sp.ord(den)])
+        sp = self.sp
+        # the lowest coefficient of x[0] d[1] over that of x[1] d[0]
+        num = x[0][sp.ord(x[0])] * d[1][sp.ord(d[1])]
+        den = x[1][sp.ord(x[1])] * d[0][sp.ord(d[0])]
+        if self.scalars.char:
+            return self.scalars.div(num, den)
+        return Fraction(num, den)
 
     def canonical_element(self, v):
         m = v.coords[0]
@@ -487,26 +566,36 @@ class RationalFunctions(ValuedFieldBase):
             raise ValueError("%s is not in the base value group" % v)
         m = int(m)
         if m >= 0:
-            return (self.sp.monomial(m), (self.scalars.one,))
-        return ((self.scalars.one,), self.sp.monomial(-m))
+            return (self.sp.monomial(m), self.one[1])
+        return (self.one[0], self.sp.monomial(-m))
 
     def lift_scalar(self, c):
-        return (self.sp.const(c), (self.scalars.one,))
+        if self.scalars.char:
+            return (self.sp.const(c), self.one[1])
+        return ((c.numerator,), (c.denominator,)) if c else self.zero
 
     def atom(self, name):
         if name == self.var:
-            return (self.sp.monomial(1), (self.scalars.one,))
+            return (self.sp.monomial(1), self.one[1])
         raise KeyError(name)
 
     def base_group_gens(self):
         return [Value([1])]
 
     def format_element(self, x):
-        num = self.sp.format(x[0], self.var)
-        if self.sp.degree(x[1]) == 0 and self.scalars.is_zero(self.scalars.sub(x[1][0], self.scalars.one)):
-            return num
-        den = self.sp.format(x[1], self.var)
-        return "(%s)/(%s)" % (num, den)
+        """num/den written over k with den's lowest coefficient 1, and the
+        den left out when that makes it 1."""
+        num, den = x
+        sp = self.sp
+        if not self.scalars.char:
+            c = den[sp.ord(den)]
+            num = tuple(Fraction(a, c) for a in num)
+            den = tuple(Fraction(a, c) for a in den)
+            sp = QQ.polys
+        ns = sp.format(num, self.var)
+        if den == self.one[1]:
+            return ns
+        return "(%s)/(%s)" % (ns, sp.format(den, self.var))
 
     def __repr__(self):
         return "%r(%s) t-adic" % (self.scalars, self.var)

@@ -158,6 +158,7 @@ class Chain:
         self.ext_level = None
         self.ring = ScalarRing(field.scalars)
         self._weights = {}
+        self._expansions = {}
         try:
             hash(field.one)
             self._memoize = True
@@ -188,8 +189,22 @@ class Chain:
         ch.ext_level = self.ext_level
         ch.ring = self.ring
         ch._weights = dict(self._weights)
+        ch._expansions = self._expansions
         ch._memoize = self._memoize
         return ch
+
+    def _expand(self, f, key):
+        """f's expansion in powers of key.  The target's is made once per key
+        and shared with every clone: `candidate_betas` expands the target in
+        a key before it is appended, and `term_values` at the key's level
+        (or the terminal check in `append`) needs the same expansion after.
+        A `Poly` hashes by identity, so the dict also keeps each key alive."""
+        if f is not self.target:
+            return standard_expansion(f, key)
+        out = self._expansions.get(key)
+        if out is None:
+            out = self._expansions[key] = standard_expansion(f, key)
+        return out
 
     # -- truncated values ---------------------------------------------------
 
@@ -218,7 +233,7 @@ class Chain:
             if out is not None:
                 return out
         out = []
-        for m, c in enumerate(standard_expansion(f, ent.poly)):
+        for m, c in enumerate(self._expand(f, ent.poly)):
             if c.is_zero:
                 continue
             cv = self.cval(c, k - 1)
@@ -409,7 +424,7 @@ class Chain:
                                  "level %d spacing %d"
                                  % (alpha, self.depth(), prev.e_step))
         if beta is INF:
-            c0 = standard_expansion(self.target, poly)[0]
+            c0 = self._expand(self.target, poly)[0]
             if not all(field.is_zero_mod_precision(c) for c in c0.coeffs):
                 raise ChainError("terminal key does not divide the tracked "
                                  "polynomial within the working precision")
@@ -568,7 +583,7 @@ class Chain:
         Newton polygon of the tracked polynomial against qnew that exceed the
         current truncation of qnew, plus infinity on exact division."""
         k = self.depth() if k is None else k
-        cs = standard_expansion(self.target, qnew)
+        cs = self._expand(self.target, qnew)
         pts = []
         for j, c in enumerate(cs):
             if c.is_zero:
@@ -591,7 +606,7 @@ class Chain:
         k = self.depth() if k is None else k
         ent = self.entry(k)
         out = []
-        for j, c in enumerate(standard_expansion(f, ent.poly)):
+        for j, c in enumerate(self._expand(f, ent.poly)):
             if c.is_zero:
                 continue
             out.append((j, self.cval(c, k - 1)))
@@ -623,7 +638,7 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
         elif scripted_only:
             skipped.append(beta1)
         else:
-            ch = Chain(field, var, target, lump_sides)
+            ch = seed.clone()
             ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
             chains.extend(_grow(ch, depth))
     for script in scripted.values():

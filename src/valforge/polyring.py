@@ -8,12 +8,15 @@ only ever inverts the leading coefficient of the divisor, and skips even that
 when the lead compares equal to `one`, as the lead of a monic key does: every
 domain's elements compare by structure.
 
-The same core runs over every domain valforge has: the scalar fields Q and
-F_p (numerators and denominators of k(t), residual polynomials and their
-factoring, with Z/p^kZ for Hensel lifting over Q), the valued base fields
-(`Poly`, standard expansions in powers of a key), and the residue rings of
-`graded` (quotients k[T]/(m) and initial forms).  `Poly` is a thin wrapper
-that carries the field and the variable name.
+The same core runs over every domain valforge has: the integers Z
+(numerators and denominators of Q(t), recombination over Q), the scalar
+fields Q and F_p (numerators and denominators of F_p(t), residual
+polynomials and their factoring, with Z/p^kZ for Hensel lifting over Q),
+the valued base fields (`Poly`, standard expansions in powers of a key),
+and the residue rings of `graded` (quotients k[T]/(m) and initial forms).
+Z and Z/p^kZ have no `inv`; the core divides over them by monic
+polynomials only.  `Poly` is a thin wrapper that carries the field and the
+variable name.
 """
 
 from functools import cached_property

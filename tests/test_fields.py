@@ -44,6 +44,11 @@ class TestScalars:
         assert QQ.div(Fraction(3), Fraction(2)) == Fraction(3, 2)
         assert QQ.pow(Fraction(1, 2), 3) == Fraction(1, 8)
 
+    def test_rational_inverse_of_an_int_is_exact(self):
+        for got, want in ((QQ.inv(3), Fraction(1, 3)),
+                          (QQ.div(2, 3), Fraction(2, 3))):
+            assert type(got) is Fraction and got == want
+
 
 class TestScalarPolys:
     def setup_method(self):
@@ -326,19 +331,89 @@ NUMERATORS = st.lists(st.integers(-4, 4), max_size=5)
 
 @pytest.mark.parametrize("name", sorted(POLY_FIELDS))
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(a=NUMERATORS, b=NUMERATORS)
-def test_polynomial_fast_path_is_canonical(name, a, b):
-    """add and mul of two polynomials (denominator 1) skip _make; their
-    results equal what _make builds from the same numerator and
+@given(a=NUMERATORS, b=NUMERATORS, da=st.integers(1, 6), db=st.integers(1, 6))
+def test_polynomial_fast_path_is_canonical(name, a, b, da, db):
+    """add and mul of two elements with constant denominators (a positive
+    integer over Q, always 1 over F_p) skip the polynomial gcd of _make;
+    their results equal what _make builds from the same numerator and
     denominator, as structures."""
     F = RationalFunctions(POLY_FIELDS[name], "y")
-    sp, sc = F.sp, F.scalars
-    one = (sc.one,)
-    x = F._make([sc.from_int(c) for c in a], one)
-    y = F._make([sc.from_int(c) for c in b], one)
+    sp = F.sp
+    if F.char:
+        da = db = 1
+    x = F._make([sp.domain.from_int(c) for c in a], (da,))
+    y = F._make([sp.domain.from_int(c) for c in b], (db,))
     assert F.add(x, y) == F._make(
         sp.add(sp.mul(x[0], y[1]), sp.mul(y[0], x[1])), sp.mul(x[1], y[1]))
     assert F.mul(x, y) == F._make(sp.mul(x[0], y[0]), sp.mul(x[1], y[1]))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+Q_POLYS = st.lists(RATIONALS, max_size=4)
+
+
+def _sympy_parts(expr, y):
+    """(valuation, lowest-order coefficient ratio, numerator and denominator
+    coefficients constant first over Q) of sympy's cancelled form of expr,
+    scaled so that the denominator's lowest coefficient is 1."""
+    import sympy
+
+    num, den = (sympy.Poly(part, y, domain="QQ")
+                for part in sympy.fraction(sympy.cancel(expr)))
+    coeffs = [[Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+              for f in (num, den)]
+    low = [next(i for i, c in enumerate(cs) if c) for cs in coeffs]
+    unit = coeffs[1][low[1]]
+    coeffs = [QQ.polys.trim([c / unit for c in cs]) for cs in coeffs]
+    return (low[0] - low[1], coeffs[0][low[0]] / coeffs[1][low[1]],
+            coeffs[0], coeffs[1])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(a=Q_POLYS, b=Q_POLYS.filter(any), c=Q_POLYS.filter(any),
+       s=RATIONALS.filter(bool))
+def test_rational_functions_over_q_are_canonical_integer_pairs(a, b, c, s):
+    """Over Q an element is a pair of integer polynomials whose form does not
+    depend on how the fraction was reached: cancelling a common factor c or
+    a rational scale s gives the same structure and hash.  Values, residues
+    and printed forms agree with sympy's cancelled fraction."""
+    import sympy
+
+    F = RationalFunctions(QQ, "y")
+    t = F.atom("y")
+
+    def elem(cs):
+        out = F.zero
+        for i, k in enumerate(cs):
+            out = F.add(out, F.mul(F.lift_scalar(k), F.pow(t, i)))
+        return out
+
+    ea, eb, ec, es = elem(a), elem(b), elem(c), F.lift_scalar(s)
+    x = F.div(ea, eb)
+    for other in (F.div(F.mul(ea, ec), F.mul(eb, ec)),
+                  F.div(F.mul(es, ea), F.mul(eb, es))):
+        assert other == x and hash(other) == hash(x)
+    for e in (ea, eb, ec, es, x):
+        assert all(type(k) is int for part in e for k in part)
+    if F.is_zero(x):
+        assert x == F.zero and F.valuate(x) is INF
+        return
+    y = sympy.Symbol("y")
+
+    def expr(cs):
+        return sum(sympy.Rational(k.numerator, k.denominator) * y**i
+                   for i, k in enumerate(cs))
+
+    v, ratio, num, den = _sympy_parts(expr(a) / expr(b), y)
+    assert F.valuate(x) == Value([v])
+    got = F.unit_residue(x, F.canonical_element(Value([v])))
+    assert type(got) is Fraction and got == ratio
+    if v == 0:
+        assert F.residue(x) == ratio
+    want = QQ.polys.format(num, "y")
+    if den != (1,):
+        want = "(%s)/(%s)" % (want, QQ.polys.format(den, "y"))
+    assert F.format_element(x) == want
 
 
 @pytest.mark.parametrize("name", sorted(POLY_FIELDS))

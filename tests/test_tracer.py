@@ -2,8 +2,9 @@
 
 The tracer wraps valforge callables by name, so a refactor that drops or
 renames one of them breaks `perfbench/run.py --trace 1`.  This test installs
-it, grows the two wild scenarios twice each, and checks that the counts repeat
-exactly and that uninstalling restores the original functions."""
+it, grows the two wild scenarios and the Q(y) quartic twice each, and checks
+that every field operation the tracer names is its wrapper, that the counts
+repeat exactly and that uninstalling restores the original functions."""
 
 import importlib.util
 import os
@@ -28,16 +29,23 @@ def _tracer_module():
     return module
 
 
-@pytest.mark.parametrize("name", ["cubic_char3", "quintic_tower"])
+@pytest.mark.parametrize("name", ["cubic_char3", "quartic", "quintic_tower"])
 def test_tracer_counts_repeat_and_uninstall_restores(name):
     sc = load_scenario(name)
     kw = {"lump_sides": sc.lump_sides, "scripted": sc.scripted_map(),
           "scripted_only": sc.branches_mode == "scripted"}
     original = keypoly.explore
-    tr = _tracer_module().Tracer()
+    module = _tracer_module()
+    tr = module.Tracer()
     counts = []
     tr.install(REFUSALS)
     try:
+        # an operation the tracer cannot see (say, one an instance or a
+        # subclass shadows) would leave fields.arith undercounted
+        for op in module.FIELD_ARITH:
+            if hasattr(sc.field, op):
+                assert getattr(sc.field, op).__func__.__qualname__ == \
+                    "Tracer._span.<locals>.wrapper", op
         for _ in range(2):
             tr.reset()
             tr.begin_run()
