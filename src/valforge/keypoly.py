@@ -66,15 +66,16 @@ class CanonMono:
 class ChainEntry:
     """One key of a chain.  `memo` maps coefficient tuples to their
     `term_values` at this level, or is None where field elements do not
-    hash.  Those values depend only on the keys and values of levels up to
-    this one, which never change, so every chain that shares the entry (a
-    clone, or the same level after `with_rule`) shares the memo."""
+    hash; `weight` is the level's weight monomial once `Chain.weight` has
+    made it.  Both depend only on the keys and values of levels up to this
+    one, which never change, so every chain that shares the entry (a clone,
+    or the same level after `with_rule`) shares them."""
 
     __slots__ = ("index", "poly", "beta", "origin", "alpha",
-                 "e_step", "f_step", "group", "rule", "memo")
+                 "e_step", "f_step", "group", "rule", "memo", "weight")
 
     def __init__(self, index, poly, beta, origin, alpha, e_step, f_step, group,
-                 rule=None, memo=None):
+                 rule=None, memo=None, weight=None):
         self.index = index
         self.poly = poly
         self.beta = beta
@@ -85,11 +86,12 @@ class ChainEntry:
         self.group = group
         self.rule = rule
         self.memo = memo
+        self.weight = weight
 
     def with_rule(self, rule):
         return ChainEntry(self.index, self.poly, self.beta, self.origin,
                           self.alpha, self.e_step, self.f_step, self.group,
-                          rule, self.memo)
+                          rule, self.memo, self.weight)
 
     def __repr__(self):
         return "ChainEntry(%s: %s @ %s)" % (self.index, self.poly.format(),
@@ -157,7 +159,6 @@ class Chain:
         self.base_group = field.base_group()
         self.ext_level = None
         self.ring = ScalarRing(field.scalars)
-        self._weights = {}
         self._expansions = {}
         try:
             hash(field.one)
@@ -179,18 +180,10 @@ class Chain:
         return self.base_group if k == 0 else self.entry(k).group
 
     def clone(self):
+        """Shares every attribute but the entry list, which `append` grows."""
         ch = Chain.__new__(Chain)
-        ch.field = self.field
-        ch.var = self.var
-        ch.target = self.target
-        ch.lump_sides = self.lump_sides
+        ch.__dict__.update(self.__dict__)
         ch.entries = list(self.entries)
-        ch.base_group = self.base_group
-        ch.ext_level = self.ext_level
-        ch.ring = self.ring
-        ch._weights = dict(self._weights)
-        ch._expansions = self._expansions
-        ch._memoize = self._memoize
         return ch
 
     def _expand(self, f, key):
@@ -212,16 +205,18 @@ class Chain:
         """Value of f under the stage-k truncation (base valuation at k=0)."""
         if f.is_zero:
             return INF
-        if k == 0:
-            if f.degree > 0:
-                raise ChainError("stage 0 only values constants")
-            elem = f.constant_term()
-            return INF if self.field.is_zero(elem) else self.field.valuate(elem)
-        ent = self.entry(k)
-        if f.degree < ent.poly.degree:
-            return self.cval(f, k - 1)
-        data = self.argmin_data(f, k)
-        return INF if data is None else data[0]
+        if k:
+            self.entry(k)           # refuses a level the chain lacks
+        deg = f.degree
+        while k and deg < self.entries[k - 1].poly.degree:
+            k -= 1
+        if k:
+            data = self.argmin_data(f, k)
+            return INF if data is None else data[0]
+        if deg > 0:
+            raise ChainError("stage 0 only values constants")
+        elem = f.constant_term()
+        return INF if self.field.is_zero(elem) else self.field.valuate(elem)
 
     def term_values(self, f, k):
         """(m, coefficient, m*beta_k + stage-(k-1) value) over the expansion
@@ -237,11 +232,7 @@ class Chain:
             if c.is_zero:
                 continue
             cv = self.cval(c, k - 1)
-            if cv is INF or (m > 0 and ent.beta is INF):
-                v = INF
-            else:
-                v = cv if m == 0 else cv + ent.beta.scale(m)
-            out.append((m, c, v))
+            out.append((m, c, cv if m == 0 else cv + ent.beta.scale(m)))
         out = tuple(out)
         if memo is not None:
             memo[f.coeffs] = out
@@ -294,13 +285,13 @@ class Chain:
     def weight(self, k):
         """Canonical monomial of e_k*beta_k, written at level k-1: the unit
         against which the class of Q_k^{e_k} is measured."""
-        if k not in self._weights:
-            ent = self.entry(k)
+        ent = self.entry(k)
+        if ent.weight is None:
             if ent.beta is INF:
                 raise ChainError("terminated level has no weight monomial")
-            self._weights[k] = self.canonical_monomial(
-                ent.beta.scale(ent.e_step), k - 1)
-        return self._weights[k]
+            ent.weight = self.canonical_monomial(ent.beta.scale(ent.e_step),
+                                                 k - 1)
+        return ent.weight
 
     def _rule_power(self, k, q):
         ring = self.ring
@@ -628,11 +619,7 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     x = Poly.variable(field, var)
     chains, skipped = [], []
     for beta1 in seed.candidate_betas(x, 0):
-        script = None
-        for key in list(scripted):
-            if key == beta1:
-                script = scripted.pop(key)
-                break
+        script = scripted.pop(beta1, None)
         if script is not None:
             chains.append(replay(field, var, target, script, lump_sides))
         elif scripted_only:

@@ -237,9 +237,19 @@ def _keyvals(rows, section):
 
 
 def _want(kv, key, section):
+    """The (line, text) row of a required key, taken out of kv."""
     if key not in kv:
         raise ScenarioError("[%s] is missing %r" % (section, key))
-    return kv.pop(key)[1]
+    return kv.pop(key)
+
+
+def _int(row, key):
+    n, text = row
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioError("line %d: %s must be an integer, got %r"
+                            % (n, key, text)) from None
 
 def _reject_extra(kv, section):
     if kv:
@@ -249,10 +259,10 @@ def _reject_extra(kv, section):
 
 
 def _build_field(kv, precision_override):
-    kind = _want(kv, "kind", "field")
+    kind = _want(kv, "kind", "field")[1]
     if kind == "rational_functions":
-        char = int(_want(kv, "char", "field"))
-        gen = _want(kv, "generator", "field")
+        char = _int(_want(kv, "char", "field"), "char")
+        gen = _want(kv, "generator", "field")[1]
         _reject_extra(kv, "field")
         if precision_override:
             raise ScenarioError("rational function fields are exact; "
@@ -260,8 +270,8 @@ def _build_field(kv, precision_override):
         scalars = QQ if char == 0 else PrimeField(char)
         return RationalFunctions(scalars, gen)
     if kind == "lex_series":
-        p = int(_want(kv, "p", "field"))
-        gens = tuple(_want(kv, "generators", "field").split())
+        p = _int(_want(kv, "p", "field"), "p")
+        gens = tuple(_want(kv, "generators", "field")[1].split())
         precision = {}
         if "precision" in kv:
             for part in kv.pop("precision")[1].split():
@@ -284,10 +294,11 @@ def _build_field(kv, precision_override):
                 precision[var] = num
         return LexMonomialSeries(PrimeField(p), gens, precision or None)
     if kind == "coordinate_tower":
-        p = int(_want(kv, "p", "field"))
-        parts = _want(kv, "gamma", "field").split()
-        gamma = int(parts[0]) if len(parts) == 1 else [int(g) for g in parts]
-        depth = int(_want(kv, "depth", "field"))
+        p = _int(_want(kv, "p", "field"), "p")
+        n, text = _want(kv, "gamma", "field")
+        gamma = [_int((n, g), "gamma") for g in text.split()]
+        gamma = gamma[0] if len(gamma) == 1 else gamma
+        depth = _int(_want(kv, "depth", "field"), "depth")
         _reject_extra(kv, "field")
         for var, num in (precision_override or {}).items():
             if var is not None:
@@ -310,15 +321,22 @@ def parse_scenario(text, name="scenario", precision_override=None):
     rank = field.rank
     if "valuation" in sections:
         kv = _keyvals(sections["valuation"], "valuation")
-        rank = int(_want(kv, "rank", "valuation"))
+        rank = _int(_want(kv, "rank", "valuation"), "rank")
         _reject_extra(kv, "valuation")
         if rank != field.rank:
             raise ScenarioError("declared rank %d but the field has rank %d"
                                 % (rank, field.rank))
 
     kv = _keyvals(sections["target"], "target")
-    var = _want(kv, "var", "target")
-    poly_text = _want(kv, "poly", "target")
+    n, var = _want(kv, "var", "target")
+    try:
+        field.atom(var)
+    except KeyError:
+        pass
+    else:
+        raise ScenarioError("line %d: chain variable %r already names an "
+                            "element of the field" % (n, var))
+    poly_text = _want(kv, "poly", "target")[1]
     _reject_extra(kv, "target")
     try:
         target = parse_expression(field, var, poly_text)
@@ -368,9 +386,9 @@ def parse_scenario(text, name="scenario", precision_override=None):
     if "params" in sections:
         kv = _keyvals(sections["params"], "params")
         if "depth" in kv:
-            depth = int(kv.pop("depth")[1])
+            depth = _int(kv.pop("depth"), "depth")
         if "window" in kv:
-            window = int(kv.pop("window")[1])
+            window = _int(kv.pop("window"), "window")
         if "lump_sides" in kv:
             n, val = kv.pop("lump_sides")
             if val not in _BOOL:

@@ -11,12 +11,14 @@ from math import lcm
 
 
 class Value:
-    """A finite point of Q^r under lexicographic order."""
+    """A finite point of Q^r under lexicographic order; its coordinates are
+    ints or Fractions, stored as given."""
 
     __slots__ = ("coords",)
+    is_infinite = False
 
     def __init__(self, coords):
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(coords)
 
     @classmethod
     def zero(cls, rank):
@@ -25,10 +27,6 @@ class Value:
     @property
     def rank(self):
         return len(self.coords)
-
-    @property
-    def is_infinite(self):
-        return False
 
     def scale(self, n):
         return Value(c * n for c in self.coords)
@@ -53,9 +51,7 @@ class Value:
         return hash(self.coords)
 
     def __lt__(self, other):
-        if other.is_infinite:
-            return True
-        return self.coords < other.coords
+        return other.is_infinite or self.coords < other.coords
 
     def __le__(self, other):
         return self == other or self < other
@@ -77,6 +73,7 @@ class _InfiniteValue(Value):
     """The formal top element; absorbing under addition and positive scaling."""
 
     __slots__ = ()
+    is_infinite = True
 
     def __init__(self):
         self.coords = None
@@ -84,10 +81,6 @@ class _InfiniteValue(Value):
     @property
     def rank(self):
         raise ValueError("infinite value has no rank")
-
-    @property
-    def is_infinite(self):
-        return True
 
     def scale(self, n):
         if n <= 0:

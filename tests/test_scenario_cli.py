@@ -120,6 +120,24 @@ def test_semantic_errors():
         parse_scenario(MINIMAL + chain, "badindex")
 
 
+FIELD_KINDS = {
+    "rational_functions": "kind = rational_functions\nchar = 0\ngenerator = x\n",
+    "lex_series": "kind = lex_series\np = 3\ngenerators = z x\n",
+    "coordinate_tower": "kind = coordinate_tower\np = 2\ngamma = 1\ndepth = 4\n",
+}
+
+
+@pytest.mark.parametrize("kind, var", [("rational_functions", "x"),
+                                       ("lex_series", "x"),
+                                       ("coordinate_tower", "v")])
+def test_chain_variable_that_names_a_field_atom_is_refused(kind, var):
+    text = ("[field]\n%s\n[target]\nvar = %s\npoly = %s^2 + 1\n"
+            % (FIELD_KINDS[kind], var, var))
+    with pytest.raises(ScenarioError,
+                       match="chain variable '%s' already names" % var):
+        parse_scenario(text, "clash")
+
+
 def test_round_trip_packaged_scenarios():
     for name in PACKAGED:
         sc = load_scenario(name)
@@ -291,6 +309,28 @@ def test_cli_errors_exit_two(capsys):
     rc = main(["chain", "quartic", "--branch", "7"])
     err = capsys.readouterr().err
     assert rc == 2 and "no branch 7" in err
+
+
+TOWER = "[field]\n" + FIELD_KINDS["coordinate_tower"] + "\n[target]\nvar = y\npoly = y^2 + v\n"
+
+
+@pytest.mark.parametrize("text, line, key, got", [
+    (MINIMAL.replace("char = 0", "char = zero"), 3, "char", "zero"),
+    (TOWER.replace("p = 2", "p = two"), 3, "p", "two"),
+    (TOWER.replace("depth = 4", "depth = x"), 5, "depth", "x"),
+    (TOWER.replace("gamma = 1", "gamma = 1 x"), 4, "gamma", "x"),
+    (MINIMAL + "\n[valuation]\nrank = one\n", 11, "rank", "one"),
+    (MINIMAL + "\n[params]\ndepth = eight\n", 11, "depth", "eight"),
+    (MINIMAL + "\n[params]\ndepth = 8\nwindow = 1/2\n", 12, "window", "1/2"),
+], ids=["char", "p", "tower-depth", "gamma", "rank", "params-depth", "window"])
+def test_cli_non_integer_names_line_and_key(tmp_path, capsys, text, line,
+                                            key, got):
+    path = tmp_path / "not_an_integer.scn"
+    path.write_text(text, encoding="ascii")
+    rc = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: line %d: %s must be an integer, got %r\n" % (line, key, got)
 
 
 def test_cli_precision_override_rejects_stale_terminal(capsys):

@@ -1,14 +1,15 @@
-"""The per-entry memo of stage values never changes an answer.
+"""The per-entry memo of stage values and weights never changes an answer.
 
-Every `ChainEntry` over Q(y) or F_p(y) memoizes `term_values` at its level,
-and chains that share an entry share its memo.  An explored chain is queried
-first, with memos warmed by growth and shared with its sibling branches; its
-entries are then replayed into a fresh chain, whose memos start empty and are
-filled in the opposite stage order.  At every stage the target, each key and
-seeded random polynomials must get the same truncated value, effective
-degree, initial form and side residual from both.  A memo whose entries
-leaked across levels or chains would make the answers depend on the order in
-which it was filled.
+Every `ChainEntry` over Q(y) or F_p(y) memoizes `term_values` at its level
+and keeps the level's weight monomial once made, and chains that share an
+entry share both.  An explored chain is queried first, with memos and
+weights warmed by growth and shared with its sibling branches; its entries
+are then replayed into a fresh chain, whose memos and weights start empty
+and are filled in the opposite stage order.  At every stage the weight, the
+side residual, and for the target, each key and seeded random polynomials
+the truncated value, effective degree and initial form must be the same
+from both.  A memo whose entries leaked across levels or chains would make
+the answers depend on the order in which it was filled.
 """
 
 import random
@@ -53,9 +54,15 @@ def _outcome(fn, *args):
     return out
 
 
+def _weight(ch, k):
+    w = ch.weight(k)
+    return w.v0, w.exps
+
+
 def _answers(ch, probes, stages):
     out = {}
     for k in stages:
+        out[k, "weight"] = _outcome(_weight, ch, k)
         out[k, "residual"] = _outcome(ch.side_residual, k)
         for i, f in enumerate(probes):
             out[k, i, "cval"] = _outcome(ch.cval, f, k)
@@ -76,6 +83,7 @@ def _check_chains(F, target, chains, rng):
                        [(ent.index, ent.poly, ent.beta) for ent in ch.entries])
         for ent in fresh.entries:       # replay itself fills some
             ent.memo.clear()
+            ent.weight = None
         assert _answers(fresh, probes, reversed(stages)) == warm
 
 

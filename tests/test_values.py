@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import (
     brute_contains,
@@ -18,6 +20,12 @@ from valforge.values import (
     group_index,
     parse_value,
 )
+from test_stage_memo import FIELDS, _rand_poly
+from valforge.fields import (QQ, CoordinateTower, LexMonomialSeries,
+                             PrimeField, RationalFunctions,
+                             UnsupportedStructure)
+from valforge.keypoly import explore
+from valforge.scenario import load_scenario
 
 
 def qv(*coords):
@@ -185,3 +193,95 @@ class TestOrdinalIndex:
         assert a < b < b.successor() < OrdinalIndex(2, 0)
         assert a.successor() == OrdinalIndex(0, 10)
         assert b.is_limit and not b.successor().is_limit
+
+
+# ---------------------------------------------------------------------------
+# exact coordinates: a Value keeps the ints and Fractions it is given
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 4)))
+CANONICAL_FIELDS = {
+    1: (RationalFunctions(QQ, "y"), CoordinateTower(2, 1, max_depth=3)),
+    2: (LexMonomialSeries(PrimeField(3), ("z", "y")),),
+}
+
+
+def _as_given(q):
+    """q as a valuation hands it over: an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rank=st.sampled_from((1, 2)), data=st.data())
+def test_int_coordinates_agree_with_equal_fractions(rank, data):
+    coords = st.lists(RATIONALS, min_size=rank, max_size=rank)
+    a, b, g = data.draw(coords), data.draw(coords), data.draw(coords)
+    n = data.draw(st.sampled_from((-2, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3))))
+    ai, af = Value(map(_as_given, a)), Value(a)
+    bi, bf = Value(map(_as_given, b)), Value(b)
+
+    assert ai == af and af == ai and hash(ai) == hash(af)
+    for x, y in ((ai, bf), (af, bi), (ai, bi)):
+        assert ((x < y, x <= y, x > y, x >= y, x == y)
+                == (a < b, a <= b, a > b, a >= b, a == b))
+    for x in (ai, af):
+        assert x < INF and x <= INF and not x > INF and x != INF
+        assert INF > x and not INF < x and x + INF is INF
+
+    given_results = (ai + bi, ai - bi, -ai, ai.scale(n))
+    fraction_results = (af + bf, af - bf, -af, af.scale(n))
+    assert given_results == fraction_results
+    assert [hash(v) for v in given_results] == [hash(v) for v in fraction_results]
+    assert ([format_value(v) for v in (ai,) + given_results]
+            == [format_value(v) for v in (af,) + fraction_results])
+
+    gi = ValueGroup(rank, [Value(map(_as_given, g)), bi])
+    gf = ValueGroup(rank, [Value(g), bf])
+    assert gi.contains(ai) == gi.contains(af) == gf.contains(ai) == gf.contains(af)
+
+    for F in CANONICAL_FIELDS[rank]:
+        assert _outcome(F.canonical_element, ai) == _outcome(F.canonical_element, af)
+
+
+def _assert_exact_stage_values(ch):
+    """cval of the target and of every key, at every stage of the chain."""
+    for k in range(1, ch.depth() + 1):
+        for f in [ch.target] + [ent.poly for ent in ch.entries]:
+            v = ch.cval(f, k)
+            if v is not INF:
+                assert all(type(c) in (int, Fraction) for c in v.coords), \
+                    (k, f.format(), v.coords)
+
+
+@pytest.mark.parametrize("name", ["quartic", "cubic_char3", "quintic_tower"])
+def test_stage_values_are_exact_packaged(name):
+    sc = load_scenario(name)
+    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
+                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
+                        scripted_only=sc.branches_mode == "scripted")
+    assert chains
+    for ch in chains:
+        _assert_exact_stage_values(ch)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_stage_values_are_exact_seeded(name):
+    F = RationalFunctions(FIELDS[name], "y")
+    rng = random.Random("exact-" + name)
+    checked = 0
+    while checked < 4:
+        target = _rand_poly(F, rng, rng.randint(2, 6), True)
+        try:
+            chains, _ = explore(F, "x", target, 5)
+        except UnsupportedStructure:
+            continue
+        for ch in chains:
+            _assert_exact_stage_values(ch)
+        checked += 1
