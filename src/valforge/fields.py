@@ -17,6 +17,10 @@ Three concrete coefficient fields cover every scenario the engine handles:
   tied minimum is rewritten one atom deeper, and only where it ties, until a
   lone leading term certifies the value.
 
+No field changes an element in place: every operation builds a new element
+or hands back one of its operands or a shared constant, so each field keeps
+one `zero` and one `one` and never copies them.
+
 All fields share one duck-typed interface (see ValuedFieldBase) consumed by the
 polynomial ring and the chain engine: exact arithmetic, `valuate`, residues of
 units against canonical elements, canonical elements for base-group values, and
@@ -549,13 +553,16 @@ class RationalFunctions(ValuedFieldBase):
         return Value([self.sp.ord(x[0]) - self.sp.ord(x[1])])
 
     def unit_residue(self, x, d):
-        vx, vd = self.valuate(x), self.valuate(d)
-        if vx != vd:
-            raise ValueError("unit_residue needs equal values, got %s and %s" % (vx, vd))
+        (a, b), (c, e) = x, d
+        if not a or not c:
+            raise ValueError("unit_residue of zero")
         sp = self.sp
-        # the lowest coefficient of x[0] d[1] over that of x[1] d[0]
-        num = x[0][sp.ord(x[0])] * d[1][sp.ord(d[1])]
-        den = x[1][sp.ord(x[1])] * d[0][sp.ord(d[0])]
+        oa, ob, oc, oe = sp.ord(a), sp.ord(b), sp.ord(c), sp.ord(e)
+        if oa - ob != oc - oe:
+            raise ValueError("unit_residue needs equal values, got %s and %s"
+                             % (Value([oa - ob]), Value([oc - oe])))
+        # the lowest coefficient of a e over that of b c
+        num, den = a[oa] * e[oe], b[ob] * c[oc]
         if self.scalars.char:
             return self.scalars.div(num, den)
         return Fraction(num, den)
@@ -741,7 +748,9 @@ class CoordinateTower(ValuedFieldBase):
     match, the unit evaluations accumulating into the scalars in front.
 
     A polynomial is the dict {((level, exp), ...): coefficient} with exponent
-    vectors sorted by level; an element is a (num, den) pair of those.  Note
+    vectors sorted by level; an element is a (num, den) pair of those.
+    Elements are never changed in place, so `zero`, `one` and the polynomial
+    1 are shared objects.  Note
     that distinct polynomials can name the same field element when a scenario
     spells one atom through the relation of a deeper pair; values and residues
     still come out right, but `is_zero` and `eq` answer for the spelling, and a
@@ -763,8 +772,8 @@ class CoordinateTower(ValuedFieldBase):
         if any(g == 0 for g in self._gammas):
             raise ValueError("tower units must be nonzero")
         self._one_poly = {(): self.scalars.one}
-        self.zero = ({}, dict(self._one_poly))
-        self.one = (dict(self._one_poly), dict(self._one_poly))
+        self.zero = ({}, self._one_poly)
+        self.one = (self._one_poly, self._one_poly)
 
     def gamma(self, level):
         return self._gammas[level]
@@ -799,9 +808,9 @@ class CoordinateTower(ValuedFieldBase):
 
     def _pmul(self, f, g):
         if g == self._one_poly:
-            return dict(f)
+            return f
         if f == self._one_poly:
-            return dict(g)
+            return g
         sc = self.scalars
         out = {}
         for e1, c1 in f.items():
@@ -825,7 +834,9 @@ class CoordinateTower(ValuedFieldBase):
     def _unit_block(self, e, gamma):
         """(V + gamma)^e as {v_exponent: scalar} through base-p digits of e;
         gamma^(p^j) = gamma over the prime field, so each digit contributes a
-        small binomial block in V^(p^j)."""
+        small binomial block in V^(p^j).  A digit d < p and gamma != 0 make
+        every block coefficient C(d, k) gamma^(d-k) nonzero, and distinct
+        digit choices give distinct exponents, so nothing is collected."""
         sc = self.scalars
         out = {0: sc.one}
         block_exp = 1
@@ -833,20 +844,11 @@ class CoordinateTower(ValuedFieldBase):
             d = e % self.p
             e //= self.p
             if d:
-                block = {}
-                for k in range(d + 1):
-                    c = sc.mul(sc.from_int(comb(d, k)), sc.pow(gamma, d - k))
-                    if not sc.is_zero(c):
-                        block[k * block_exp] = c
-                new = {}
-                for e1, c1 in out.items():
-                    for e2, c2 in block.items():
-                        s = sc.add(new.get(e1 + e2, sc.zero), sc.mul(c1, c2))
-                        if sc.is_zero(s):
-                            new.pop(e1 + e2, None)
-                        else:
-                            new[e1 + e2] = s
-                out = new
+                block = [(k * block_exp,
+                          sc.mul(sc.from_int(comb(d, k)), sc.pow(gamma, d - k)))
+                         for k in range(d + 1)]
+                out = {e1 + e2: sc.mul(c1, c2)
+                       for e1, c1 in out.items() for e2, c2 in block}
             block_exp *= self.p
         return out
 
@@ -865,7 +867,11 @@ class CoordinateTower(ValuedFieldBase):
         return out
 
     def _reduce_group(self, f, group, i):
-        """Substitute atom i inside the given terms, leaving the rest alone."""
+        """Substitute atom i inside the given terms; other terms, and given
+        ones without atom i, stay as they are.  This is the one place that
+        refuses a rewrite past the tower's depth."""
+        if i + 2 > self.max_depth:
+            raise InsufficientPrecision("tower depth %d exhausted" % self.max_depth)
         sc = self.scalars
         out = {e: c for e, c in f.items() if e not in group}
         for e in group:
@@ -909,10 +915,7 @@ class CoordinateTower(ValuedFieldBase):
             if len(group) == 1:
                 e = group[0]
                 return minv, f[e], e, f
-            i = self._split_level(group)
-            if i + 2 > self.max_depth:
-                raise InsufficientPrecision("tower depth %d exhausted" % self.max_depth)
-            f = self._reduce_group(f, set(group), i)
+            f = self._reduce_group(f, set(group), self._split_level(group))
             steps += 1
             if steps > 64 * self.max_depth:
                 raise InsufficientPrecision(
@@ -921,26 +924,22 @@ class CoordinateTower(ValuedFieldBase):
 
     # the field interface
 
-    def _make(self, num, den):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return ({}, dict(self._one_poly))
-        return (num, den)
-
     def add(self, x, y):
         n1, d1 = x
         n2, d2 = y
         if d1 == d2:
-            return self._make(self._padd(n1, n2), dict(d1))
-        return self._make(self._padd(self._pmul(n1, d2), self._pmul(n2, d1)),
-                          self._pmul(d1, d2))
+            num, den = self._padd(n1, n2), d1
+        else:
+            num = self._padd(self._pmul(n1, d2), self._pmul(n2, d1))
+            den = self._pmul(d1, d2)
+        return (num, den) if num else self.zero
 
     def neg(self, x):
         return (self._pneg(x[0]), x[1])
 
     def mul(self, x, y):
-        return self._make(self._pmul(x[0], y[0]), self._pmul(x[1], y[1]))
+        num = self._pmul(x[0], y[0])
+        return (num, self._pmul(x[1], y[1])) if num else self.zero
 
     def inv(self, x):
         if self.is_zero(x):
@@ -954,8 +953,8 @@ class CoordinateTower(ValuedFieldBase):
         if self.is_zero(x):
             return INF
         num, den = x
-        vn = self._certify(dict(num))[0]
-        vd = self._certify(dict(den))[0]
+        vn = self._certify(num)[0]
+        vd = self._certify(den)[0]
         return Value([Fraction(vn - vd, self.p ** self.max_depth)])
 
     def unit_residue(self, x, d):
@@ -976,12 +975,8 @@ class CoordinateTower(ValuedFieldBase):
             if en == ed:
                 return sc.div(cn, cd)
             i = self._split_level([en, ed])
-            if i + 2 > self.max_depth:
-                raise InsufficientPrecision("tower depth %d exhausted" % self.max_depth)
-            if any(lvl == i for lvl, _ in en):
-                num = self._reduce_group(num, {en}, i)
-            if any(lvl == i for lvl, _ in ed):
-                den = self._reduce_group(den, {ed}, i)
+            num = self._reduce_group(num, {en}, i)
+            den = self._reduce_group(den, {ed}, i)
             steps += 1
             if steps > 64 * self.max_depth:
                 raise InsufficientPrecision(
@@ -994,11 +989,11 @@ class CoordinateTower(ValuedFieldBase):
             raise ValueError("%s is not in the base value group" % v)
         n = int(n)
         if n == 0:
-            return (dict(self._one_poly), dict(self._one_poly))
+            return self.one
         poly = {self._digit_monomial(abs(n)): self.scalars.one}
         if n > 0:
-            return (poly, dict(self._one_poly))
-        return (dict(self._one_poly), poly)
+            return (poly, self._one_poly)
+        return (self._one_poly, poly)
 
     def _digit_monomial(self, n):
         """Exponent vector of the shallowest monomial of value n / p^depth:
@@ -1014,9 +1009,7 @@ class CoordinateTower(ValuedFieldBase):
 
     def lift_scalar(self, c):
         c = c % self.p
-        if c == 0:
-            return ({}, dict(self._one_poly))
-        return ({(): c}, dict(self._one_poly))
+        return ({(): c}, self._one_poly) if c else self.zero
 
     def atom(self, name):
         kind, level = None, None
@@ -1029,12 +1022,12 @@ class CoordinateTower(ValuedFieldBase):
         if kind == "v":
             if level > self.max_depth:
                 raise KeyError(name)
-            return ({((level, 1),): self.scalars.one}, dict(self._one_poly))
+            return ({((level, 1),): self.scalars.one}, self._one_poly)
         if level + 1 > self.max_depth:
             raise KeyError(name)
         num = {((level, self.p), (level + 1, 1)): self.scalars.one,
                ((level, self.p),): self.gamma(level + 1)}
-        return (num, dict(self._one_poly))
+        return (num, self._one_poly)
 
     def base_group_gens(self):
         return [Value([Fraction(1, self.p**self.max_depth)])]

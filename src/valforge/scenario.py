@@ -18,6 +18,7 @@ Rationals are written a/b, rank 2 values as (a1, a2), infinity as inf.
 
 import os
 import re
+from contextlib import contextmanager
 
 from .fields import (CoordinateTower, LexMonomialSeries, PrimeField, QQ,
                      RationalFunctions)
@@ -251,6 +252,17 @@ def _int(row, key):
         raise ScenarioError("line %d: %s must be an integer, got %r"
                             % (n, key, text)) from None
 
+
+@contextmanager
+def _refusing(row, key):
+    """Refuse a field constructor's ValueError at the line of the key whose
+    value it rejected, keeping the constructor's reason."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError("line %d: %s: %s" % (row[0], key, exc)) from None
+
+
 def _reject_extra(kv, section):
     if kv:
         n, _ = next(iter(kv.values()))
@@ -261,24 +273,29 @@ def _reject_extra(kv, section):
 def _build_field(kv, precision_override):
     kind = _want(kv, "kind", "field")[1]
     if kind == "rational_functions":
-        char = _int(_want(kv, "char", "field"), "char")
+        row = _want(kv, "char", "field")
+        char = _int(row, "char")
         gen = _want(kv, "generator", "field")[1]
         _reject_extra(kv, "field")
         if precision_override:
             raise ScenarioError("rational function fields are exact; "
                                 "no precision to override")
-        scalars = QQ if char == 0 else PrimeField(char)
+        with _refusing(row, "char"):
+            scalars = QQ if char == 0 else PrimeField(char)
         return RationalFunctions(scalars, gen)
     if kind == "lex_series":
-        p = _int(_want(kv, "p", "field"), "p")
+        p_row = _want(kv, "p", "field")
+        p = _int(p_row, "p")
         gens = tuple(_want(kv, "generators", "field")[1].split())
         precision = {}
-        if "precision" in kv:
-            for part in kv.pop("precision")[1].split():
-                var, _, num = part.partition(":")
-                if not num.isdigit():
-                    raise ScenarioError("bad precision %r" % part)
-                precision[var] = int(num)
+        # overrides name known variables only, so an unknown one the
+        # constructor refuses always comes from this row
+        prec_row = kv.pop("precision", (0, ""))
+        for part in prec_row[1].split():
+            var, _, num = part.partition(":")
+            if not num.isdigit():
+                raise ScenarioError("bad precision %r" % part)
+            precision[var] = int(num)
         _reject_extra(kv, "field")
         for var, num in (precision_override or {}).items():
             if var is None:
@@ -292,10 +309,14 @@ def _build_field(kv, precision_override):
                                     "variable %r" % var)
             else:
                 precision[var] = num
-        return LexMonomialSeries(PrimeField(p), gens, precision or None)
+        with _refusing(p_row, "p"):
+            scalars = PrimeField(p)
+        with _refusing(prec_row, "precision"):
+            return LexMonomialSeries(scalars, gens, precision or None)
     if kind == "coordinate_tower":
-        p = _int(_want(kv, "p", "field"), "p")
-        n, text = _want(kv, "gamma", "field")
+        p_row = _want(kv, "p", "field")
+        p = _int(p_row, "p")
+        gamma_row = n, text = _want(kv, "gamma", "field")
         gamma = [_int((n, g), "gamma") for g in text.split()]
         gamma = gamma[0] if len(gamma) == 1 else gamma
         depth = _int(_want(kv, "depth", "field"), "depth")
@@ -305,7 +326,10 @@ def _build_field(kv, precision_override):
                 raise ScenarioError("tower precision is its depth; use a "
                                     "bare number")
             depth = num
-        return CoordinateTower(p, gamma, max_depth=depth)
+        with _refusing(p_row, "p"):
+            PrimeField(p)  # the tower builds its own; this names the line
+        with _refusing(gamma_row, "gamma"):
+            return CoordinateTower(p, gamma, max_depth=depth)
     raise ScenarioError("unknown field kind %r" % kind)
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from valforge.fields import (
     UnsupportedStructure,
     factor_scalar_poly,
 )
+from valforge.keypoly import explore
 from valforge.polyring import DensePolys as ScalarPolys
+from valforge.scenario import load_scenario
 from valforge.values import INF, Value
 
 
@@ -558,3 +561,125 @@ class TestCoordinateTower:
         for a in xs:
             for b in xs:
                 assert F.valuate(F.mul(a, b)) == F.valuate(a) + F.valuate(b)
+
+
+TOWER_UNITS = [(p, g) for p in (2, 3, 5, 7) for g in range(1, p)]
+
+
+@pytest.mark.parametrize("p, gamma", TOWER_UNITS,
+                         ids=["p%d-g%d" % pg for pg in TOWER_UNITS])
+def test_tower_unit_block_is_the_binomial_power(p, gamma):
+    # (gamma + V)^e through base-p digits equals the dense power over F_p
+    F = CoordinateTower(p, gamma, 4)
+    sp = F.scalars.polys
+    power = (1,)
+    for e in range(3 * p * p + 1):
+        assert F._unit_block(e, gamma) == {i: c for i, c in enumerate(power) if c}
+        power = sp.mul(power, (gamma, 1))
+
+
+@pytest.mark.parametrize("p, gamma", TOWER_UNITS,
+                         ids=["p%d-g%d" % pg for pg in TOWER_UNITS])
+def test_tower_cancellation_and_residue_for_every_unit(p, gamma):
+    F = CoordinateTower(p, gamma, 4)
+    u, v, v2 = F.atom("u"), F.atom("v"), F.atom("v2")
+    g = F.from_int(gamma)
+    vp = F.pow(v, p)
+    assert F.valuate(F.sub(u, F.mul(g, vp))) == qv(1 + Fraction(1, p**2))
+    assert F.valuate(F.sub(v, F.mul(g, F.pow(v2, p)))) == \
+        qv(Fraction(1, p) + Fraction(1, p**3))
+    assert F.unit_residue(u, vp) == gamma
+
+
+# ---------------------------------------------------------------------------
+# elements are values: no operation changes its operands or the shared constants
+
+
+def _random_lex(rng):
+    F = LexMonomialSeries(PrimeField(3), ("z", "y"))
+
+    def elem(monomial=False):
+        return {(rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.randrange(1, 3)
+                for _ in range(1 if monomial else rng.randint(1, 4))}
+
+    return F, elem
+
+
+def _random_tower(rng):
+    F = CoordinateTower(2, 1, 8)
+    atoms = [F.atom(n) for n in ("u", "v", "v2", "u2", "v3")]
+
+    def elem(monomial=False):
+        acc = F.zero
+        for _ in range(1 if monomial else rng.randint(1, 3)):
+            term = F.from_int(1)
+            for _ in range(rng.randint(0, 2)):
+                term = F.mul(term, rng.choice(atoms))
+            acc = F.add(acc, term)
+        if not monomial and rng.randrange(2):
+            acc = F.div(acc, F.add(rng.choice(atoms), F.one))
+        return acc
+
+    return F, elem
+
+
+def _random_rational(rng):
+    F = RationalFunctions(QQ, "y")
+    y = F.atom("y")
+
+    def elem(monomial=False):
+        acc = F.zero
+        for _ in range(1 if monomial else rng.randint(1, 3)):
+            c = F.lift_scalar(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            acc = F.add(acc, F.mul(c, F.pow(y, rng.randint(0, 3))))
+        if not monomial and rng.randrange(2):
+            acc = F.div(acc, F.add(y, F.from_int(rng.randint(1, 3))))
+        return acc
+
+    return F, elem
+
+
+@pytest.mark.parametrize("make", [_random_lex, _random_tower, _random_rational],
+                         ids=["lex", "tower", "Q(y)"])
+def test_operations_never_change_their_operands(make):
+    rng = random.Random(77)
+    F, elem = make(rng)
+    zero, one = copy.deepcopy(F.zero), copy.deepcopy(F.one)
+
+    def check(op, *args):
+        before = copy.deepcopy(args)
+        op(*args)
+        assert args == before, op.__name__
+        assert F.zero == zero and F.one == one, op.__name__
+
+    for _ in range(20):
+        a, b, m = elem(), elem(), elem(monomial=True)
+        if F.is_zero(a) or F.is_zero(m):
+            continue
+        for x in (a, b, F.zero, F.one):
+            for y in (a, b, m, F.zero, F.one):
+                check(F.add, x, y)
+                check(F.sub, x, y)
+                check(F.mul, x, y)
+            check(F.neg, x)
+            check(F.valuate, x)
+        check(F.inv, m)
+        check(F.inv, F.one)
+        va = F.valuate(a)
+        check(F.canonical_element, va)
+        check(F.unit_residue, a, F.canonical_element(va))
+        check(F.unit_residue, a, a)
+        check(F.lift_scalar, F.scalars.one)
+        check(F.lift_scalar, F.scalars.zero)
+
+
+@pytest.mark.parametrize("name", ["cubic_char3", "quintic_tower"])
+def test_explore_leaves_shared_constants_alone(name):
+    sc = load_scenario(name)
+    F = sc.field
+    zero, one = copy.deepcopy(F.zero), copy.deepcopy(F.one)
+    chains, _ = explore(F, sc.var, sc.target, sc.depth,
+                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
+                        scripted_only=sc.branches_mode == "scripted")
+    assert chains
+    assert F.zero == zero and F.one == one

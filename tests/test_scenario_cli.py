@@ -333,6 +333,31 @@ def test_cli_non_integer_names_line_and_key(tmp_path, capsys, text, line,
     assert err == "error: line %d: %s must be an integer, got %r\n" % (line, key, got)
 
 
+LEX = ("[field]\n" + FIELD_KINDS["lex_series"]
+       + "\n[target]\nvar = y\npoly = y^2 + z\n")
+
+
+@pytest.mark.parametrize("text, line, key, reason", [
+    (TOWER.replace("gamma = 1", "gamma = 2"), 4, "gamma",
+     "tower units must be nonzero"),
+    (TOWER.replace("gamma = 1", "gamma = 1 1").replace("depth = 4", "depth = 6"),
+     4, "gamma", "need a tower unit for every level up to 6"),
+    (MINIMAL.replace("char = 0", "char = 4"), 3, "char", "4 is not prime"),
+    (LEX.replace("p = 3", "p = 6"), 3, "p", "6 is not prime"),
+    (LEX.replace("generators = z x", "generators = z x\nprecision = q:40"), 5,
+     "precision", "precision bound for unknown variable 'q'"),
+], ids=["tower-gamma-zero", "tower-gamma-short", "char", "lex-p", "precision"])
+def test_cli_field_constructor_refusal_names_line_and_key(tmp_path, capsys,
+                                                          text, line, key,
+                                                          reason):
+    path = tmp_path / "bad_field.scn"
+    path.write_text(text, encoding="ascii")
+    rc = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: line %d: %s: %s\n" % (line, key, reason)
+
+
 def test_cli_precision_override_rejects_stale_terminal(capsys):
     # at 100 digits of y the scripted exact factor no longer divides
     rc = main(["defect", "cubic_char3", "--precision", "y:100"])
