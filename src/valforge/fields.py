@@ -13,9 +13,11 @@ Three concrete coefficient fields cover every scenario the engine handles:
   terminal key, whose remainder may keep only terms outside the box.
 * `CoordinateTower`: the fraction field of a 2-variable coordinate tower
   u_i = v_i^p (v_{i+1} + gamma_{i+1}), v_i = u_{i+1}, with v(u_1) = 1 and
-  v(v_i) = 1/p^i.  Monomials in the tower atoms carry their values outright; a
-  tied minimum is rewritten one atom deeper, and only where it ties, until a
-  lone leading term certifies the value.
+  v(v_i) = 1/p^i.  A monomial in the v-atoms is one int that packs its
+  exponents and, above them, its value, so a product of monomials is an
+  integer sum and a value one shift; a tied minimum is rewritten one atom
+  deeper, and only where it ties, until a lone leading term certifies the
+  value.
 
 No field changes an element in place: every operation builds a new element
 or hands back one of its operands or a shared constant, so each field keeps
@@ -28,6 +30,7 @@ named atoms for the scenario expression parser.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
@@ -412,7 +415,8 @@ class ValuedFieldBase(Domain):
 
     Subclasses provide: rank, scalars, arithmetic (add/mul/neg/inv),
     is_zero, valuate, unit_residue, canonical_element, lift_scalar, atom,
-    base_group_gens, format_element.
+    base_group_gens, format_element.  `atom` refuses a name with a KeyError
+    whose one argument is the sentence that says why.
     """
 
     @property
@@ -584,7 +588,7 @@ class RationalFunctions(ValuedFieldBase):
     def atom(self, name):
         if name == self.var:
             return (self.sp.monomial(1), self.one[1])
-        raise KeyError(name)
+        raise KeyError("unknown name %r" % name)
 
     def base_group_gens(self):
         return [Value([1])]
@@ -707,7 +711,7 @@ class LexMonomialSeries(ValuedFieldBase):
         if name in self.varnames:
             exps = tuple(1 if v == name else 0 for v in self.varnames)
             return {exps: self.scalars.one}
-        raise KeyError(name)
+        raise KeyError("unknown name %r" % name)
 
     def base_group_gens(self):
         gens = []
@@ -747,10 +751,18 @@ class CoordinateTower(ValuedFieldBase):
     and denominator leads are pushed deeper until their monomials literally
     match, the unit evaluations accumulating into the scalars in front.
 
-    A polynomial is the dict {((level, exp), ...): coefficient} with exponent
-    vectors sorted by level; an element is a (num, den) pair of those.
-    Elements are never changed in place, so `zero`, `one` and the polynomial
-    1 are shared objects.  Note
+    A monomial is one int.  With D the depth, the exponent of v_l sits in a
+    bit field of width 32 + (p^l).bit_length(), level 1 lowest, and the scaled
+    value sum n_l p^(D-l) sits above all the fields.  So v_l is the int A_l,
+    1 is 0, a product of monomials is their sum, a value is one shift, and
+    ints order by value first.  A stored monomial has value below 2^31, which
+    bounds each n_l below 2^31 p^l and keeps the top bit of its field clear;
+    a product, a rewrite and `canonical_element` check that bound on what
+    they make and refuse with `InsufficientPrecision` where it fails (an
+    atom's multiples are p at most).  A polynomial is
+    the dict {monomial: coefficient in [1, p)}; an element is a (num, den)
+    pair of those.  Elements are never changed in place, so `zero`, `one` and
+    the polynomial 1 are shared objects.  Note
     that distinct polynomials can name the same field element when a scenario
     spells one atom through the relation of a deeper pair; values and residues
     still come out right, but `is_zero` and `eq` answer for the spelling, and a
@@ -763,6 +775,8 @@ class CoordinateTower(ValuedFieldBase):
         self.scalars = PrimeField(p)
         self.p = p
         self.max_depth = max_depth
+        if max_depth < 1:
+            raise ValueError("tower depth must be at least 1, got %d" % max_depth)
         if isinstance(gamma, int):
             self._gammas = [gamma % p] * (max_depth + 1)
         else:
@@ -771,7 +785,21 @@ class CoordinateTower(ValuedFieldBase):
                 raise ValueError("need a tower unit for every level up to %d" % max_depth)
         if any(g == 0 for g in self._gammas):
             raise ValueError("tower units must be nonzero")
-        self._one_poly = {(): self.scalars.one}
+        self._pD = p ** max_depth
+        # _off[l] and _mask[l] place the exponent of v_l (index 0 unused);
+        # _off[D + 1] is where the value starts
+        self._off, self._mask = [0, 0], [0]
+        for lvl in range(1, max_depth + 1):
+            width = 32 + (p ** lvl).bit_length()
+            self._off.append(self._off[-1] + width)
+            self._mask.append((1 << width) - 1)
+        self._shift = self._off[-1]
+        self._atoms = [0] + [(1 << self._off[lvl])
+                             + (p ** (max_depth - lvl) << self._shift)
+                             for lvl in range(1, max_depth + 1)]
+        self._bound = 2 ** 31 * self._pD
+        self._limit = self._bound << self._shift
+        self._one_poly = {0: 1}
         self.zero = ({}, self._one_poly)
         self.one = (self._one_poly, self._one_poly)
 
@@ -781,53 +809,55 @@ class CoordinateTower(ValuedFieldBase):
     # sparse polynomials over the v-atoms
 
     def _padd(self, f, g):
-        sc = self.scalars
+        p = self.p
         out = dict(f)
         for e, c in g.items():
-            s = sc.add(out.get(e, sc.zero), c)
-            if sc.is_zero(s):
-                out.pop(e, None)
-            else:
+            s = (out.get(e, 0) + c) % p
+            if s:
                 out[e] = s
+            else:
+                del out[e]
         return out
 
     def _pneg(self, f):
-        sc = self.scalars
-        return {e: sc.neg(c) for e, c in f.items()}
-
-    @staticmethod
-    def _emul(e1, e2):
-        if not e1:
-            return e2
-        if not e2:
-            return e1
-        out = dict(e1)
-        for lvl, n in e2:
-            out[lvl] = out.get(lvl, 0) + n
-        return tuple(sorted(out.items()))
+        p = self.p
+        return {e: p - c for e, c in f.items()}
 
     def _pmul(self, f, g):
         if g == self._one_poly:
             return f
         if f == self._one_poly:
             return g
-        sc = self.scalars
+        if max(f, default=0) + max(g, default=0) >= self._limit:
+            raise self._overflow("the product of %s and %s"
+                                 % (self._spell(max(f)), self._spell(max(g))))
+        p = self.p
         out = {}
         for e1, c1 in f.items():
             for e2, c2 in g.items():
-                e = self._emul(e1, e2)
-                s = sc.add(out.get(e, sc.zero), sc.mul(c1, c2))
-                if sc.is_zero(s):
-                    out.pop(e, None)
-                else:
+                e = e1 + e2
+                s = (out.get(e, 0) + c1 * c2) % p
+                if s:
                     out[e] = s
+                else:
+                    del out[e]
         return out
 
-    def _mono_value(self, exps):
-        num = 0
-        for lvl, n in exps:
-            num += n * self.p ** (self.max_depth - lvl)
-        return num
+    def _pairs(self, m):
+        """The (level, exponent) pairs of the monomial m, by level."""
+        off, mask = self._off, self._mask
+        return tuple((lvl, n) for lvl in range(1, self.max_depth + 1)
+                     if (n := (m >> off[lvl]) & mask[lvl]))
+
+    def _spell(self, m):
+        return "*".join(("v" if lvl == 1 else "v%d" % lvl)
+                        + ("" if n == 1 else "^%d" % n)
+                        for lvl, n in self._pairs(m))
+
+    @staticmethod
+    def _overflow(what):
+        return InsufficientPrecision(
+            "%s has value 2^31 or more, beyond the tower's exponent fields" % what)
 
     # lazy rewriting
 
@@ -852,19 +882,18 @@ class CoordinateTower(ValuedFieldBase):
             block_exp *= self.p
         return out
 
-    def _subst_term(self, exps, coeff, i):
-        """One term with its v_i^e replaced by v_{i+1}^(p e) (v_{i+2} + g)^e."""
-        sc = self.scalars
-        by_level = dict(exps)
-        e = by_level.pop(i)
-        by_level[i + 1] = by_level.get(i + 1, 0) + self.p * e
-        out = {}
-        for ve, uc in self._unit_block(e, self.gamma(i + 2)).items():
-            term = dict(by_level)
-            if ve:
-                term[i + 2] = term.get(i + 2, 0) + ve
-            out[tuple(sorted(term.items()))] = sc.mul(coeff, uc)
-        return out
+    def _subst_term(self, m, coeff, i):
+        """One term with its v_i^e replaced by v_{i+1}^(p e) (v_{i+2} + g)^e;
+        a term without v_i comes back as it is."""
+        p, atoms = self.p, self._atoms
+        e = (m >> self._off[i]) & self._mask[i]
+        base = m - e * atoms[i] + p * e * atoms[i + 1]
+        step = atoms[i + 2]
+        if base + e * step >= self._limit:
+            raise self._overflow("%s rewritten one level deeper"
+                                 % self._spell(e * atoms[i]))
+        return {base + ve * step: coeff * uc % p
+                for ve, uc in self._unit_block(e, self.gamma(i + 2)).items()}
 
     def _reduce_group(self, f, group, i):
         """Substitute atom i inside the given terms; other terms, and given
@@ -872,49 +901,46 @@ class CoordinateTower(ValuedFieldBase):
         refuses a rewrite past the tower's depth."""
         if i + 2 > self.max_depth:
             raise InsufficientPrecision("tower depth %d exhausted" % self.max_depth)
-        sc = self.scalars
+        p = self.p
         out = {e: c for e, c in f.items() if e not in group}
         for e in group:
-            c = f[e]
-            if any(lvl == i for lvl, _ in e):
-                pieces = self._subst_term(e, c, i)
-            else:
-                pieces = {e: c}
-            for e2, c2 in pieces.items():
-                s = sc.add(out.get(e2, sc.zero), c2)
-                if sc.is_zero(s):
-                    out.pop(e2, None)
-                else:
+            for e2, c2 in self._subst_term(e, f[e], i).items():
+                s = (out.get(e2, 0) + c2) % p
+                if s:
                     out[e2] = s
+                else:
+                    del out[e2]
         return out
 
-    @staticmethod
-    def _split_level(monos):
-        """Smallest level at which the given exponent tuples disagree.
-        Substituting a shared atom deepens every term in lockstep and never
-        breaks a tie, so this is the only productive choice."""
-        dicts = [dict(e) for e in monos]
-        for lvl in sorted({l for d in dicts for l in d}):
-            if len({d.get(lvl, 0) for d in dicts}) > 1:
-                return lvl
-        raise ValueError("monomials do not disagree at any level")
+    def _split_level(self, monos):
+        """Smallest level at which the given monomials of one value disagree:
+        that of the lowest bit set in any m ^ m0.  Substituting a shared atom
+        deepens every term in lockstep and never breaks a tie, so this is the
+        only productive choice."""
+        m0, diff = monos[0], 0
+        for m in monos:
+            diff |= m ^ m0
+        if not diff:
+            raise ValueError("monomials do not disagree at any level")
+        return bisect_right(self._off, (diff & -diff).bit_length() - 1, 1) - 1
 
     def _certify(self, f):
         """Reduce until one monomial owns the minimal value; returns the
-        scaled value (numerator over p^depth), its coefficient, its exponent
-        vector, and the reduced polynomial."""
+        scaled value (numerator over p^depth), its coefficient, the monomial,
+        and the reduced polynomial."""
+        shift = self._shift
         steps = 0
         while True:
             if not f:
                 raise InsufficientPrecision(
                     "certification cancelled every term within depth %d"
                     % self.max_depth)
-            vals = {e: self._mono_value(e) for e in f}
-            minv = min(vals.values())
-            group = [e for e, w in vals.items() if w == minv]
+            low = min(f)
+            minv = low >> shift
+            above = (minv + 1) << shift
+            group = [e for e in f if e < above]
             if len(group) == 1:
-                e = group[0]
-                return minv, f[e], e, f
+                return minv, f[low], low, f
             f = self._reduce_group(f, set(group), self._split_level(group))
             steps += 1
             if steps > 64 * self.max_depth:
@@ -955,7 +981,7 @@ class CoordinateTower(ValuedFieldBase):
         num, den = x
         vn = self._certify(num)[0]
         vd = self._certify(den)[0]
-        return Value([Fraction(vn - vd, self.p ** self.max_depth)])
+        return Value([Fraction(vn - vd, self._pD)])
 
     def unit_residue(self, x, d):
         if self.is_zero(x) or self.is_zero(d):
@@ -970,8 +996,7 @@ class CoordinateTower(ValuedFieldBase):
             if vn != vd:
                 raise ValueError(
                     "unit_residue needs equal values, got %s and %s"
-                    % (Fraction(vn, self.p ** self.max_depth),
-                       Fraction(vd, self.p ** self.max_depth)))
+                    % (Fraction(vn, self._pD), Fraction(vd, self._pD)))
             if en == ed:
                 return sc.div(cn, cd)
             i = self._split_level([en, ed])
@@ -984,32 +1009,31 @@ class CoordinateTower(ValuedFieldBase):
                     % self.max_depth)
 
     def canonical_element(self, v):
-        n = v.coords[0] * self.p ** self.max_depth
+        n = v.coords[0] * self._pD
         if n.denominator != 1:
             raise ValueError("%s is not in the base value group" % v)
         n = int(n)
         if n == 0:
             return self.one
-        poly = {self._digit_monomial(abs(n)): self.scalars.one}
+        poly = {self._digit_monomial(abs(n)): 1}
         if n > 0:
             return (poly, self._one_poly)
         return (self._one_poly, poly)
 
     def _digit_monomial(self, n):
-        """Exponent vector of the shallowest monomial of value n / p^depth:
-        base-p digits on the atoms, whole units carried by powers of v_1."""
-        exps = {}
+        """The shallowest monomial of value n / p^depth: base-p digits on the
+        atoms, whole units carried by powers of v_1."""
+        if n >= self._bound:
+            raise self._overflow("v^%d" % (n // (self._pD // self.p)))
+        m = 0
         for lvl in range(self.max_depth, 1, -1):
             n, d = divmod(n, self.p)
-            if d:
-                exps[lvl] = d
-        if n:
-            exps[1] = exps.get(1, 0) + n
-        return tuple(sorted(exps.items()))
+            m += d * self._atoms[lvl]
+        return m + n * self._atoms[1]
 
     def lift_scalar(self, c):
         c = c % self.p
-        return ({(): c}, self._one_poly) if c else self.zero
+        return ({0: c}, self._one_poly) if c else self.zero
 
     def atom(self, name):
         kind, level = None, None
@@ -1017,28 +1041,28 @@ class CoordinateTower(ValuedFieldBase):
             kind, level = name, 1
         elif name[:1] in ("u", "v") and name[1:].isdigit():
             kind, level = name[0], int(name[1:])
-        if kind is None or level is None or level < 1:
-            raise KeyError(name)
+        if kind is None or level < 1:
+            raise KeyError("unknown name %r" % name)
+        depth = self.max_depth
         if kind == "v":
-            if level > self.max_depth:
-                raise KeyError(name)
-            return ({((level, 1),): self.scalars.one}, self._one_poly)
-        if level + 1 > self.max_depth:
-            raise KeyError(name)
-        num = {((level, self.p), (level + 1, 1)): self.scalars.one,
-               ((level, self.p),): self.gamma(level + 1)}
+            if level > depth:
+                raise KeyError("%s lies below tower depth %d" % (name, depth))
+            return ({self._atoms[level]: 1}, self._one_poly)
+        if level + 1 > depth:
+            raise KeyError("%s needs v%d, which lies below tower depth %d"
+                           % (name, level + 1, depth))
+        vp = self.p * self._atoms[level]
+        num = {vp + self._atoms[level + 1]: 1, vp: self.gamma(level + 1)}
         return (num, self._one_poly)
 
     def base_group_gens(self):
-        return [Value([Fraction(1, self.p**self.max_depth)])]
+        return [Value([Fraction(1, self._pD)])]
 
     def _format_poly(self, f):
-        def atom(lvl, n):
-            vn = "v" if lvl == 1 else "v%d" % lvl
-            return vn if n == 1 else "%s^%d" % (vn, n)
+        shift = self._shift
         return format_terms(
-            (self.scalars.format(f[e]), "*".join(atom(*a) for a in e))
-            for e in sorted(f, key=lambda e: (self._mono_value(e), e)))
+            (self.scalars.format(f[m]), self._spell(m))
+            for m in sorted(f, key=lambda m: (m >> shift, self._pairs(m))))
 
     def format_element(self, x):
         num, den = x

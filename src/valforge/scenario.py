@@ -130,8 +130,8 @@ class _ExprParser:
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
             try:
                 elem = self.field.atom(tok)
-            except (KeyError, ValueError) as exc:
-                raise ScenarioError("unknown name %r (%s)" % (tok, exc))
+            except KeyError as exc:
+                raise ScenarioError(exc.args[0])
             return Poly.const(self.field, self.var, elem)
         raise ScenarioError("unexpected %r" % tok)
 
@@ -319,13 +319,17 @@ def _build_field(kv, precision_override):
         gamma_row = n, text = _want(kv, "gamma", "field")
         gamma = [_int((n, g), "gamma") for g in text.split()]
         gamma = gamma[0] if len(gamma) == 1 else gamma
-        depth = _int(_want(kv, "depth", "field"), "depth")
+        depth_row = _want(kv, "depth", "field")
+        depth = _int(depth_row, "depth")
         _reject_extra(kv, "field")
         for var, num in (precision_override or {}).items():
             if var is not None:
                 raise ScenarioError("tower precision is its depth; use a "
                                     "bare number")
             depth = num
+        if depth < 1:
+            raise ScenarioError("line %d: depth: tower depth must be at "
+                                "least 1, got %d" % (depth_row[0], depth))
         with _refusing(p_row, "p"):
             PrimeField(p)  # the tower builds its own; this names the line
         with _refusing(gamma_row, "gamma"):

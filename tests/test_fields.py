@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from valforge.fields import (
@@ -18,7 +18,7 @@ from valforge.fields import (
 )
 from valforge.keypoly import explore
 from valforge.polyring import DensePolys as ScalarPolys
-from valforge.scenario import load_scenario
+from valforge.scenario import load_scenario, parse_expression
 from valforge.values import INF, Value
 
 
@@ -533,6 +533,8 @@ class TestCoordinateTower:
         v, v2 = F.atom("v"), F.atom("v2")
         with pytest.raises(InsufficientPrecision):
             F.valuate(F.sub(v, F.mul(v2, v2)))
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            CoordinateTower(2, 1, 0)
 
     def test_field_axioms_randomized(self):
         rng = random.Random(21)
@@ -561,6 +563,73 @@ class TestCoordinateTower:
         for a in xs:
             for b in xs:
                 assert F.valuate(F.mul(a, b)) == F.valuate(a) + F.valuate(b)
+
+
+# random polynomial tower elements: terms (coefficient, ((level, exp), ...))
+TOWER_TERMS = st.lists(
+    st.tuples(st.integers(1, 4),
+              st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                       max_size=3)),
+    min_size=1, max_size=4)
+DEPTH_8_TOWERS = {p: CoordinateTower(p, 1, 8) for p in (2, 3, 5)}
+
+
+def _tower_element(F, terms):
+    x = F.zero
+    for c, mono in terms:
+        t = F.from_int(c)
+        for lvl, n in mono:
+            t = F.mul(t, F.pow(F.atom("v%d" % lvl), n))
+        x = F.add(x, t)
+    return x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.sampled_from(sorted(DEPTH_8_TOWERS)), a=TOWER_TERMS, b=TOWER_TERMS)
+def test_tower_spelling_round_trip_and_multiplicativity(p, a, b):
+    # the printed spelling re-encodes every monomial through the atoms, and
+    # the value of a product is the sum of the values
+    F = DEPTH_8_TOWERS[p]
+    x, y = _tower_element(F, a), _tower_element(F, b)
+    xy = F.mul(x, y)
+    for z in (x, y, xy):
+        assert parse_expression(F, "y", F.format_element(z)).constant_term() == z
+    try:
+        vxy, vx, vy = F.valuate(xy), F.valuate(x), F.valuate(y)
+    except InsufficientPrecision:
+        reject()
+    assert vxy == vx + vy
+
+
+def _power(F, x, n):
+    out = F.one
+    while n:
+        if n & 1:
+            out = F.mul(out, x)
+        n >>= 1
+        if n:
+            x = F.mul(x, x)
+    return out
+
+
+def test_tower_refuses_monomials_beyond_their_exponent_fields():
+    # a stored monomial has value below 2^31; every way of making a larger
+    # one is refused instead of spilling into the next exponent field
+    F = CoordinateTower(2, 1, 8)
+    with pytest.raises(InsufficientPrecision, match=r"v\^2199023255552 has value 2\^31"):
+        F.canonical_element(Value([2**40]))
+    assert F.valuate(F.canonical_element(Value([2**31 - 1]))) == qv(2**31 - 1)
+    v = F.atom("v")
+    big = _power(F, v, 2**32 - 1)
+    assert F.valuate(big) == qv(Fraction(2**32 - 1, 2))
+    with pytest.raises(InsufficientPrecision, match="product of v"):
+        F.mul(big, v)
+    # v^e and v2^(2e) tie at value e/2; rewriting v^e adds up to v3^e, and
+    # e has three binary digits, so (v3 + 1)^e has only eight terms
+    e = 2**32 - 2**29
+    tie = F.sub(_power(F, v, e), _power(F, F.atom("v2"), 2 * e))
+    with pytest.raises(InsufficientPrecision, match=r"v\^3758096384 rewritten"):
+        F.valuate(tie)
 
 
 TOWER_UNITS = [(p, g) for p in (2, 3, 5, 7) for g in range(1, p)]

@@ -13,6 +13,7 @@ from valforge.graded import (graded_add, graded_div, graded_divmod,
 from valforge.keypoly import (Chain, ChainError, explore, lower_hull,
                               polygon_sides, replay)
 from valforge.polyring import Poly, standard_expansion
+from valforge.scenario import load_scenario
 from valforge.values import INF, OrdinalIndex, Value
 
 
@@ -544,3 +545,53 @@ def test_tower_deep_block_rederived_by_engine():
     diff = keys[0] + script[27][1]
     assert diff.is_zero
     assert pre.candidate_betas(keys[0]) == [V(Fraction(21, 16))]
+
+
+# ---------------------------------------------------------------------------
+# the stage-value oracle over the coordinate tower and the lex series
+
+
+def _oracle_cases():
+    """name -> (chain, number of leading stages to check, field atoms): the
+    first six entries of the tower chain and the finite-valued stages of
+    both `cubic_char3` branches."""
+    F, P, qw, qw2, script, ch = tower_chain()
+    cases = {"tower": (ch, 6, [F.atom(a) for a in ("u", "v", "v2", "v3")])}
+    sc = load_scenario("cubic_char3")
+    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
+                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
+                        scripted_only=sc.branches_mode == "scripted")
+    for n, c in enumerate(chains):
+        stages = sum(not e.beta.is_infinite for e in c.entries)
+        cases["cubic_char3-%d" % n] = (
+            c, stages, [sc.field.atom(a) for a in ("z", "y")])
+    return cases
+
+
+@pytest.mark.parametrize("name", ["tower", "cubic_char3-0", "cubic_char3-1"])
+def test_cval_matches_flat_expansion_oracle_over_tower_and_lex(name):
+    ch, stages, atoms = _oracle_cases()[name]
+    F = ch.field
+    polys = [e.poly for e in ch.entries[:stages]]
+    betas = [e.beta for e in ch.entries[:stages]]
+    rng = random.Random(53)
+
+    def rand_poly():
+        while True:
+            coeffs = []
+            for _ in range(rng.randrange(1, 6)):
+                c = F.from_int(rng.randrange(F.char))
+                for _ in range(rng.randrange(3)):
+                    c = F.mul(c, rng.choice(atoms))
+                coeffs.append(c)
+            f = Poly(F, ch.var, coeffs)
+            if not f.is_zero:
+                return f
+
+    compared = 0
+    for _ in range(60 // stages):
+        f = rand_poly()
+        for k in range(1, stages + 1):
+            assert ch.cval(f, k) == brute_flat_value(polys[:k], betas[:k], F, f)
+            compared += 1
+    assert compared == 60

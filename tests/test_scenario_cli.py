@@ -358,6 +358,42 @@ def test_cli_field_constructor_refusal_names_line_and_key(tmp_path, capsys,
     assert err == "error: line %d: %s: %s\n" % (line, key, reason)
 
 
+@pytest.mark.parametrize("text, reason", [
+    (MINIMAL.replace("x^2 - y^3", "x^2 - w"), "unknown name 'w'"),
+    (TOWER.replace("y^2 + v", "y^2 + v5"), "v5 lies below tower depth 4"),
+    (TOWER.replace("y^2 + v", "y^2 + u4"),
+     "u4 needs v5, which lies below tower depth 4"),
+    (TOWER.replace("y^2 + v", "y^2 + w3"), "unknown name 'w3'"),
+], ids=["Q(y)", "tower-v", "tower-u", "tower-unknown"])
+def test_cli_unknown_atom_names_it_once_with_its_cause(tmp_path, capsys,
+                                                       text, reason):
+    path = tmp_path / "unknown_atom.scn"
+    path.write_text(text, encoding="ascii")
+    rc = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: target polynomial: %s\n" % reason
+
+
+def test_cli_tower_depth_below_one_is_refused(tmp_path, capsys):
+    path = tmp_path / "depth_0.scn"
+    path.write_text(TOWER.replace("depth = 4", "depth = 0"), encoding="ascii")
+    for args, line in ((["verify", str(path)], 5),
+                       (["chain", "quintic_tower", "--precision", "0"], 9)):
+        rc = main(args)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == ("error: line %d: depth: tower depth must be at least "
+                       "1, got 0\n" % line)
+
+
+def test_cli_precision_below_a_scripted_atom_says_why(capsys):
+    rc = main(["chain", "quintic_tower", "--precision", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: line 21: v4 lies below tower depth 3\n"
+
+
 def test_cli_precision_override_rejects_stale_terminal(capsys):
     # at 100 digits of y the scripted exact factor no longer divides
     rc = main(["defect", "cubic_char3", "--precision", "y:100"])
