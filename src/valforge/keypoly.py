@@ -613,7 +613,10 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     """All chains for the target up to the given depth.  scripted maps a first
     value to a full entry list [(index, poly, beta)] replayed verbatim;
     unscripted starting values grow by peel-and-refine unless scripted_only,
-    in which case they are reported as skipped."""
+    in which case they are reported as skipped.  Each grown starting value's
+    branches grow stage by stage (`_grow`) and come back in depth-first
+    order; a refusal raised there is the first met stage by stage, at the
+    shallowest stage that refuses."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
     x = Poly.variable(field, var)
@@ -642,30 +645,36 @@ def replay(field, var, target, entries, lump_sides=False):
 
 
 def _grow(ch, depth):
-    out = []
-    stack = [ch]
-    while stack:
-        cur = stack.pop()
-        while True:
-            if cur.depth() >= depth:
-                out.append(cur)
-                break
+    """Every chain grown from ch up to the given depth, in depth-first order.
+
+    Growth goes stage by stage: each chain of one stage derives its keys and
+    their values, and each move (a key with one value) makes a child at the
+    next stage, tagged with its parent's path plus the move's index.  A chain
+    stops at the depth cap, at a terminal value, or when it has no move.
+    Sorting the finished chains by path gives the depth-first order.  A
+    refusal ends the whole growth, so the one reported is the first met in
+    the stage-by-stage order: it lies at the shallowest stage that refuses,
+    and no branch has grown past that stage."""
+    done = []
+    frontier = [((), ch)]
+    while frontier:
+        grown = []
+        for path, cur in frontier:
             top = cur.entries[-1]
-            if top.beta is INF:
-                out.append(cur)
-                break
-            keys = cur.derive_keys()
-            moves = []
-            for q in keys:
-                for sigma in cur.candidate_betas(q):
-                    moves.append((q, sigma))
+            if cur.depth() >= depth or top.beta is INF:
+                done.append((path, cur))
+                continue
+            moves = [(q, sigma) for q in cur.derive_keys()
+                     for sigma in cur.candidate_betas(q)]
             if not moves:
-                out.append(cur)
-                break
-            nxt = top.index.successor()
-            for q, sigma in reversed(moves[1:]):
-                alt = cur.clone()
-                alt.append(nxt, q, sigma, "derived")
-                stack.append(alt)
-            cur.append(nxt, moves[0][0], moves[0][1], "derived")
-    return out
+                done.append((path, cur))
+                continue
+            index = top.index.successor()
+            last = len(moves) - 1
+            for i, (q, sigma) in enumerate(moves):
+                child = cur if i == last else cur.clone()
+                child.append(index, q, sigma, "derived")
+                grown.append((path + (i,), child))
+        frontier = grown
+    done.sort(key=lambda item: item[0])
+    return [chain for _, chain in done]

@@ -6,7 +6,12 @@ the empty tuple.  A domain is a `Domain`: it provides `zero`, `one`, `add`,
 `mul`, `neg`, `inv`, `is_zero` and `format`, and inherits the rest.  Division
 only ever inverts the leading coefficient of the divisor, and skips even that
 when the lead compares equal to `one`, as the lead of a monic key does: every
-domain's elements compare by structure.
+domain's elements compare by structure.  It never computes the lead it
+cancels (it pops it from the remainder), negates the divisor's nonzero low
+coefficients once per call, and skips a zero quotient coefficient, so a
+quotient coefficient costs one product and one sum per nonzero low
+coefficient of the divisor.  Products skip the zero coefficients of both
+factors, and powers square and multiply from the top bit down.
 
 The same core runs over every domain valforge has: the integers Z
 (numerators and denominators of Q(t), recombination over Q), the scalar
@@ -20,6 +25,20 @@ variable name.
 """
 
 from functools import cached_property
+
+
+def _power(a, n, one, mul):
+    """a^n for n >= 0 by left-to-right square-and-multiply: every
+    intermediate is a^m for a leading bit string m of n, so none exceeds the
+    result and a refusal that the result would not meet never fires."""
+    if n == 0:
+        return one
+    out = a
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
 
 
 class Domain:
@@ -47,10 +66,7 @@ class Domain:
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.div(self.one, a), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
+        return _power(a, n, self.one, self.mul)
 
 
 def format_terms(terms):
@@ -127,12 +143,14 @@ class DensePolys:
         if not f or not g:
             return ()
         d = self.domain
+        add, mul, is_zero = d.add, d.mul, d.is_zero
+        gs = [(j, b) for j, b in enumerate(g) if not is_zero(b)]
         out = [d.zero] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
-            if d.is_zero(a):
+            if is_zero(a):
                 continue
-            for j, b in enumerate(g):
-                out[i + j] = d.add(out[i + j], d.mul(a, b))
+            for j, b in gs:
+                out[i + j] = add(out[i + j], mul(a, b))
         return self.trim(out)
 
     def scale(self, f, c):
@@ -144,10 +162,7 @@ class DensePolys:
     def pow(self, f, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, f)
-        return out
+        return _power(f, n, self.one(), self.mul)
 
     def divmod(self, f, g):
         """(q, r) with f = q*g + r and deg r < deg g.  When deg f < deg g the
@@ -160,20 +175,21 @@ class DensePolys:
         if len(f) - 1 < dg:
             return (), f
         d = self.domain
+        add, mul, is_zero = d.add, d.mul, d.is_zero
         inv_lead = None if g[-1] == d.one else d.inv(g[-1])
+        low = [(i, d.neg(b)) for i, b in enumerate(g[:-1]) if not is_zero(b)]
         rem = list(f)
         q = [d.zero] * (len(f) - dg)
-        while True:
-            while rem and d.is_zero(rem[-1]):
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            k = len(rem) - 1 - dg
-            c = rem[-1] if inv_lead is None else d.mul(rem[-1], inv_lead)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem.pop()
+            if is_zero(c):
+                continue
+            if inv_lead is not None:
+                c = mul(c, inv_lead)
             q[k] = c
-            for i, b in enumerate(g):
-                rem[k + i] = d.sub(rem[k + i], d.mul(c, b))
-        return self.trim(q), tuple(rem)
+            for i, nb in low:
+                rem[k + i] = add(rem[k + i], mul(c, nb))
+        return self.trim(q), self.trim(rem)
 
     def mod(self, f, g):
         return self.divmod(f, g)[1]

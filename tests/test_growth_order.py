@@ -1,0 +1,139 @@
+"""Stage-by-stage growth against a depth-first reference.
+
+`keypoly._grow` grows a root's branches one stage at a time and sorts the
+finished chains back into depth-first order.  Here it is checked against the
+depth-first loop it replaced, copied below, on the pinned benchmark corpus
+(`perfbench/corpus.py`, read only) and the three packaged scenarios: the
+chains must agree entry by entry, and a refusal must have the same type and
+name a stage no deeper than the reference's.
+"""
+
+import importlib.util
+import os
+import re
+
+import pytest
+
+import valforge.keypoly as keypoly
+from valforge.fields import PrimeField, RationalFunctions, UnsupportedStructure
+from valforge.keypoly import Chain
+from valforge.scenario import load_scenario, parse_expression, parse_index
+from valforge.values import INF
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join(ROOT, "perfbench", "corpus.py")
+CORPUS_SEED, CORPUS_SIZE = 5, 120     # as perfbench/workloads.py pins them
+
+
+def _corpus_module():
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _depth_first_grow(ch, depth):
+    # the depth-first stack loop that `_grow` replaced
+    out = []
+    stack = [ch]
+    while stack:
+        cur = stack.pop()
+        while True:
+            if cur.depth() >= depth:
+                out.append(cur)
+                break
+            top = cur.entries[-1]
+            if top.beta is INF:
+                out.append(cur)
+                break
+            keys = cur.derive_keys()
+            moves = []
+            for q in keys:
+                for sigma in cur.candidate_betas(q):
+                    moves.append((q, sigma))
+            if not moves:
+                out.append(cur)
+                break
+            nxt = top.index.successor()
+            for q, sigma in reversed(moves[1:]):
+                alt = cur.clone()
+                alt.append(nxt, q, sigma, "derived")
+                stack.append(alt)
+            cur.append(nxt, moves[0][0], moves[0][1], "derived")
+    return out
+
+
+def _inputs():
+    corpus = _corpus_module()
+    out = []
+    for t in corpus.draw_targets(CORPUS_SEED, CORPUS_SIZE):
+        out.append(("t%03d" % t.index, corpus.build_poly(t), "x",
+                    corpus.DEPTH, {}))
+    for name in ("quartic", "cubic_char3", "quintic_tower"):
+        sc = load_scenario(name)
+        out.append((name, sc.target, sc.var, sc.depth,
+                    {"lump_sides": sc.lump_sides,
+                     "scripted": sc.scripted_map(),
+                     "scripted_only": sc.branches_mode == "scripted"}))
+    return out
+
+
+def _outcome(target, var, depth, kw):
+    """(chains as (index, key, value) text per entry, skipped), or the
+    refusal."""
+    try:
+        chains, skipped = keypoly.explore(target.field, var, target, depth,
+                                          **kw)
+    except Exception as exc:
+        return exc
+    return ([[(str(e.index), e.poly.format(), str(e.beta))
+              for e in ch.entries] for ch in chains], skipped)
+
+
+def _stage(exc):
+    found = re.match(r"stage (\S+), key ", str(exc))
+    return parse_index(found.group(1)) if found else None
+
+
+def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
+    inputs = _inputs()
+    grown = [_outcome(t, var, depth, kw) for _, t, var, depth, kw in inputs]
+    monkeypatch.setattr(keypoly, "_grow", _depth_first_grow)
+    reference = [_outcome(t, var, depth, kw) for _, t, var, depth, kw in inputs]
+    refusals = 0
+    for (name, *_), got, want in zip(inputs, grown, reference):
+        if not isinstance(want, Exception):
+            assert got == want, name
+            continue
+        refusals += 1
+        assert type(got) is type(want), name
+        if _stage(want) is None:
+            assert str(got) == str(want), name
+        else:
+            assert _stage(got) is not None, name
+            assert _stage(got) <= _stage(want), name
+    # the corpus has refusals, so the comparison above reaches them
+    assert refusals > 0
+
+
+T035 = ("x^8 + (y^2 + 4*y)*x^7 + (y^2 + 3)*x^4 + 4*y^2*x^3 + (y^2 + 4)*x^2"
+        " + 2")
+
+
+def test_refusal_stops_growth_at_its_stage(monkeypatch):
+    # the depth-first loop grew every sibling of the refusing key to depth 8
+    # first: 16 appends before the stage-2 refusal
+    F = RationalFunctions(PrimeField(5), "y")
+    target = parse_expression(F, "x", T035)
+    appends = []
+    plain = Chain.append
+
+    def counted(self, *args):
+        appends.append(args)
+        return plain(self, *args)
+
+    monkeypatch.setattr(Chain, "append", counted)
+    with pytest.raises(UnsupportedStructure, match=r"^stage 2, key Q = "
+                       r"x\^6 \+ x\^4 \+ 4\*x\^2 \+ 3: residual coefficients"):
+        keypoly.explore(F, "x", target, 8)
+    assert len(appends) <= 6

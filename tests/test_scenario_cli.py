@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import valforge
 from test_keypoly import quartic_setup, tower_script, tower_setup
 from valforge.cli import main
+from valforge.fields import CoordinateTower
 from valforge.polyring import Poly
 from valforge.scenario import (ScenarioError, format_scenario, load_scenario,
                                parse_expression, parse_index, parse_scenario)
@@ -385,6 +387,28 @@ def test_cli_tower_depth_below_one_is_refused(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert err == ("error: line %d: depth: tower depth must be at least "
                        "1, got 0\n" % line)
+
+
+def test_cli_huge_tower_power_is_refused_at_once(tmp_path):
+    # a power squares and multiplies from the top bit down: v^(2^32) takes 32
+    # products and only the last one meets the 2^31 bound, where one product
+    # per unit of the exponent would run for hours
+    path = tmp_path / "huge_power.scn"
+    path.write_text(TOWER.replace("depth = 4", "depth = 8")
+                    .replace("y^2 + v", "y + v^4294967296"), encoding="ascii")
+    rc, out, err = run_cli("verify", str(path), timeout=60)
+    assert rc == 2 and out == ""
+    assert err == ("error: the product of v^2147483648 and v^2147483648 has "
+                   "value 2^31 or more, beyond the tower's exponent fields\n")
+
+
+def test_tower_power_parses_to_the_repeated_product():
+    F = CoordinateTower(2, 1, 8)
+    v = F.atom("v")
+    big = parse_expression(F, "y", "v^100000").constant_term()
+    assert F.valuate(big) == F.valuate(v).scale(100000)
+    assert F.eq(parse_expression(F, "y", "v^13").constant_term(),
+                functools.reduce(F.mul, [v] * 13))
 
 
 def test_cli_precision_below_a_scripted_atom_says_why(capsys):
