@@ -554,7 +554,7 @@ class RationalFunctions(ValuedFieldBase):
     def valuate(self, x):
         if self.is_zero(x):
             return INF
-        return Value([self.sp.ord(x[0]) - self.sp.ord(x[1])])
+        return Value.over((self.sp.ord(x[0]) - self.sp.ord(x[1]),))
 
     def unit_residue(self, x, d):
         (a, b), (c, e) = x, d
@@ -572,10 +572,9 @@ class RationalFunctions(ValuedFieldBase):
         return Fraction(num, den)
 
     def canonical_element(self, v):
-        m = v.coords[0]
-        if m.denominator != 1:
+        if v.den != 1:
             raise ValueError("%s is not in the base value group" % v)
-        m = int(m)
+        m = v.nums[0]
         if m >= 0:
             return (self.sp.monomial(m), self.one[1])
         return (self.one[0], self.sp.monomial(-m))
@@ -684,7 +683,7 @@ class LexMonomialSeries(ValuedFieldBase):
         return all(any(e[i] >= b for i, b in box) for e in x)
 
     def valuate(self, x):
-        return Value(min(x)) if x else INF
+        return Value.over(min(x)) if x else INF
 
     def unit_residue(self, x, d):
         if not x or not d:
@@ -695,12 +694,9 @@ class LexMonomialSeries(ValuedFieldBase):
         return self.scalars.div(x[lx], d[ld])
 
     def canonical_element(self, v):
-        exps = []
-        for c in v.coords:
-            if c.denominator != 1:
-                raise ValueError("%s is not in the base value group" % v)
-            exps.append(int(c))
-        return {tuple(exps): self.scalars.one}
+        if v.den != 1:
+            raise ValueError("%s is not in the base value group" % v)
+        return {v.nums: self.scalars.one}
 
     def lift_scalar(self, c):
         if self.scalars.is_zero(c):
@@ -981,7 +977,7 @@ class CoordinateTower(ValuedFieldBase):
         num, den = x
         vn = self._certify(num)[0]
         vd = self._certify(den)[0]
-        return Value([Fraction(vn - vd, self._pD)])
+        return Value.over((vn - vd,), self._pD)
 
     def unit_residue(self, x, d):
         if self.is_zero(x) or self.is_zero(d):
@@ -1009,10 +1005,10 @@ class CoordinateTower(ValuedFieldBase):
                     % self.max_depth)
 
     def canonical_element(self, v):
-        n = v.coords[0] * self._pD
-        if n.denominator != 1:
+        q, r = divmod(self._pD, v.den)
+        if r:
             raise ValueError("%s is not in the base value group" % v)
-        n = int(n)
+        n = v.nums[0] * q
         if n == 0:
             return self.one
         poly = {self._digit_monomial(abs(n)): 1}
@@ -1056,7 +1052,7 @@ class CoordinateTower(ValuedFieldBase):
         return (num, self._one_poly)
 
     def base_group_gens(self):
-        return [Value([Fraction(1, self._pD)])]
+        return [Value.over((1,), self._pD)]
 
     def _format_poly(self, f):
         shift = self._shift

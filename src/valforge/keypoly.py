@@ -23,12 +23,10 @@ scalar or as a generator of one quotient ring k[T]/(m); a second simultaneous
 extension is refused rather than guessed at.
 """
 
-from fractions import Fraction
-
 from .fields import UnsupportedStructure, factor_scalar_poly
 from .graded import EtaleRing, InClass, ScalarRing
 from .polyring import Poly, standard_expansion
-from .values import INF, OrdinalIndex, Value
+from .values import INF, OrdinalIndex
 
 
 class ChainError(Exception):
@@ -110,7 +108,7 @@ class Side:
         self.v_left = v_left
         self.j_right = j_right
         self.v_right = v_right
-        self.sigma = (v_left - v_right).scale(Fraction(1, j_right - j_left))
+        self.sigma = (v_left - v_right) / (j_right - j_left)
 
     def __repr__(self):
         return "Side(%d..%d, sigma=%s)" % (self.j_left, self.j_right, self.sigma)
@@ -268,7 +266,7 @@ class Chain:
         cur = v
         for j in range(k, 0, -1):
             ent = self.entry(j)
-            if ent.beta is INF:
+            if ent.e_step == 1:     # only m = 0; a terminated level too
                 continue
             for m in range(ent.e_step):
                 if self.group(j - 1).contains(cur - ent.beta.scale(m)):
@@ -307,10 +305,21 @@ class Chain:
     def nres(self, f, dv0, dexps, k):
         """Residue of the initial form of f against the monomial with base
         part dv0 and key exponents dexps, all at level k.  Returns zero when
-        f sits strictly above the monomial, and refuses to look below it."""
+        f sits strictly above the monomial, and refuses to look below it.
+
+        Like `cval`, it first steps down past every level whose key is longer
+        than f and to which dexps gives no exponent: there f is its own
+        expansion, its value and the check against the monomial are those of
+        the level below, and the rule power is one, so the level below gives
+        the same residue or the same refusal."""
         ring = self.ring
         if f.is_zero:
             return ring.zero
+        if k:
+            self.entry(k)           # refuses a level the chain lacks
+        deg = f.degree
+        while k and deg < self.entries[k - 1].poly.degree and not dexps.get(k):
+            k -= 1
         if k == 0:
             elem = f.constant_term()
             if self.field.is_zero(elem):

@@ -20,8 +20,9 @@ import os
 import re
 from contextlib import contextmanager
 
-from .fields import (CoordinateTower, LexMonomialSeries, PrimeField, QQ,
-                     RationalFunctions)
+from .fields import (CoordinateTower, InsufficientPrecision,
+                     LexMonomialSeries, PrimeField, QQ, RationalFunctions,
+                     UnsupportedStructure)
 from .polyring import Poly
 from .values import INF, OrdinalIndex, format_value, parse_value
 
@@ -254,13 +255,18 @@ def _int(row, key):
 
 
 @contextmanager
-def _refusing(row, key):
-    """Refuse a field constructor's ValueError at the line of the key whose
-    value it rejected, keeping the constructor's reason."""
+def _refusing(row, key=None):
+    """Refuse what building from a row raises at the row's line, and at its
+    key when given, keeping the reason.  A ValueError (a field constructor's
+    or `parse_value`'s) and a parse error become a ScenarioError; a typed
+    refusal of the field keeps its type."""
+    where = "line %d: " % row[0] + ("%s: " % key if key else "")
     try:
         yield
-    except ValueError as exc:
-        raise ScenarioError("line %d: %s: %s" % (row[0], key, exc)) from None
+    except (ValueError, ScenarioError) as exc:
+        raise ScenarioError(where + str(exc)) from None
+    except (InsufficientPrecision, UnsupportedStructure) as exc:
+        raise type(exc)(where + str(exc)) from None
 
 
 def _reject_extra(kv, section):
@@ -364,12 +370,10 @@ def parse_scenario(text, name="scenario", precision_override=None):
     else:
         raise ScenarioError("line %d: chain variable %r already names an "
                             "element of the field" % (n, var))
-    poly_text = _want(kv, "poly", "target")[1]
+    poly_row = _want(kv, "poly", "target")
     _reject_extra(kv, "target")
-    try:
-        target = parse_expression(field, var, poly_text)
-    except ScenarioError as exc:
-        raise ScenarioError("target polynomial: %s" % exc)
+    with _refusing(poly_row, "poly"):
+        target = parse_expression(field, var, poly_row[1])
     if not target.is_monic:
         raise ScenarioError("target polynomial is not monic")
 
@@ -379,12 +383,10 @@ def parse_scenario(text, name="scenario", precision_override=None):
         if len(parts) != 3:
             raise ScenarioError("line %d: chain entries are "
                                 "index ; expr ; value" % n)
-        try:
+        with _refusing((n, line)):
             index = parse_index(parts[0])
             poly = parse_expression(field, var, parts[1])
             beta = parse_value(parts[2], rank)
-        except (ScenarioError, ValueError) as exc:
-            raise ScenarioError("line %d: %s" % (n, exc))
         script.append((index, poly, beta))
     for (i1, _, b1), (i2, _, b2) in zip(script, script[1:]):
         if not i1 < i2:
@@ -402,11 +404,9 @@ def parse_scenario(text, name="scenario", precision_override=None):
         if len(parts) < 2:
             raise ScenarioError("line %d: oracle rows are "
                                 "expr ; value [; value ...]" % n)
-        try:
+        with _refusing((n, line)):
             poly = parse_expression(field, var, parts[0])
             values = [parse_value(p, rank) for p in parts[1:]]
-        except (ScenarioError, ValueError) as exc:
-            raise ScenarioError("line %d: %s" % (n, exc))
         oracle.append((poly, values))
 
     depth, window = 8, 4

@@ -1,57 +1,119 @@
 """Value-group arithmetic: ordered value vectors, finitely generated groups, ordinal indices.
 
 Values live in Q^r ordered lexicographically (rank r is fixed per valued field), with a
-single formal infinite element on top.  Groups are finitely generated subgroups of Q^r;
-membership and subgroup index go through integer Hermite normal forms of the scaled
-generator matrix, so everything is exact.
+single formal infinite element on top.  A finite value is a tuple of integer numerators
+over one positive common denominator in lowest terms: sums, differences, scalings and
+comparisons are integer operations, with no Fraction on the way, and `coords` gives the
+exact ints or Fractions back for printing.  Groups are finitely generated subgroups of
+Q^r; membership and subgroup index go through integer Hermite normal forms of the
+generator numerators over their common denominator, so everything is exact.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class Value:
-    """A finite point of Q^r under lexicographic order; its coordinates are
-    ints or Fractions, stored as given."""
+    """A finite point of Q^r under lexicographic order, held as integer
+    numerators `nums` over one positive denominator `den` in lowest terms, so
+    equal points have equal fields however they were written.  `Value(coords)`
+    takes ints or Fractions; `Value.over(nums, den)` takes the integers.
+    Arithmetic and comparison work on the integers and cross-multiply only
+    when two denominators differ."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("nums", "den")
     is_infinite = False
 
     def __init__(self, coords):
-        self.coords = tuple(coords)
+        coords = tuple(coords)
+        den = lcm(*(c.denominator for c in coords))
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @classmethod
+    def over(cls, nums, den=1):
+        """The point nums/den for ints nums and den > 0."""
+        nums = tuple(nums)
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple(n // g for n in nums)
+                den //= g
+        out = object.__new__(cls)
+        out.nums = nums
+        out.den = den
+        return out
 
     @classmethod
     def zero(cls, rank):
-        return cls((0,) * rank)
+        return cls.over((0,) * rank)
 
     @property
     def rank(self):
-        return len(self.coords)
+        return len(self.nums)
+
+    @property
+    def coords(self):
+        """The coordinates as ints, or as Fractions when den is not 1."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def scale(self, n):
-        return Value(c * n for c in self.coords)
+        """The point times a rational n (an int or a Fraction)."""
+        num = n.numerator
+        return Value.over(tuple(a * num for a in self.nums),
+                          self.den * n.denominator)
+
+    def __truediv__(self, n):
+        """The point divided by a positive int n."""
+        return Value.over(self.nums, self.den * n)
 
     def __add__(self, other):
         if other.is_infinite:
             return INF
-        return Value(a + b for a, b in zip(self.coords, other.coords, strict=True))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if other.is_infinite:
             raise ValueError("cannot subtract the infinite value")
-        return Value(a - b for a, b in zip(self.coords, other.coords, strict=True))
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign*other, over the lcm of the two denominators."""
+        pairs = zip(self.nums, other.nums, strict=True)
+        da, db = self.den, other.den
+        if da == db:
+            if sign > 0:
+                return Value.over(tuple(x + y for x, y in pairs), da)
+            return Value.over(tuple(x - y for x, y in pairs), da)
+        g = gcd(da, db)
+        fa, fb = db // g, (da // g) * sign
+        return Value.over(tuple(x * fa + y * fb for x, y in pairs), da * fa)
 
     def __neg__(self):
-        return Value(-c for c in self.coords)
+        return Value.over(tuple(-c for c in self.nums), self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Value) and not other.is_infinite and self.coords == other.coords
+        return (isinstance(other, Value) and not other.is_infinite
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __lt__(self, other):
-        return other.is_infinite or self.coords < other.coords
+        if other.is_infinite:
+            return True
+        da, db = self.den, other.den
+        if da == db:
+            return self.nums < other.nums
+        for x, y in zip(self.nums, other.nums):
+            x *= db
+            y *= da
+            if x != y:
+                return x < y
+        return False
 
     def __le__(self, other):
         return self == other or self < other
@@ -76,7 +138,7 @@ class _InfiniteValue(Value):
     is_infinite = True
 
     def __init__(self):
-        self.coords = None
+        self.nums = self.den = None
 
     @property
     def rank(self):
@@ -187,19 +249,18 @@ class ValueGroup:
                 raise ValueError("groups are generated by finite values only")
             if g.rank != rank:
                 raise ValueError("generator rank %d does not match group rank %d" % (g.rank, rank))
-        dens = [c.denominator for g in self.gens for c in g.coords]
-        self._den = lcm(*dens) if dens else 1
-        rows = [[int(c * self._den) for c in g.coords] for g in self.gens]
+        den = self._den = lcm(*(g.den for g in self.gens))
+        rows = [[n * (den // g.den) for n in g.nums] for g in self.gens]
         self._basis = _hermite_rows(rows)
         self._pivots = tuple(next(k for k, x in enumerate(r) if x) for r in self._basis)
 
     def contains(self, v):
         if v.is_infinite or v.rank != self.rank:
             return False
-        scaled = [c * self._den for c in v.coords]
-        if any(c.denominator != 1 for c in scaled):
+        f, r = divmod(self._den, v.den)
+        if r:
             return False
-        t = [int(c) for c in scaled]
+        t = [n * f for n in v.nums]
         for row, pc in zip(self._basis, self._pivots):
             if t[pc] % row[pc]:
                 return False
@@ -244,10 +305,11 @@ def group_index(sub, sup):
         num *= row[pc]
     for row, pc in zip(sup._basis, sup._pivots):
         den *= row[pc]
-    idx = Fraction(num, den)
-    if idx.denominator != 1:
-        raise AssertionError("index computation produced a non-integer: %s" % idx)
-    return int(idx)
+    idx, r = divmod(num, den)
+    if r:
+        raise AssertionError("index computation produced a non-integer: %s/%s"
+                             % (num, den))
+    return idx
 
 
 class OrdinalIndex:

@@ -59,7 +59,7 @@ def brute_solve_unique(gens, target):
         if p is None:
             raise ValueError("dependent generators")
         aug[row], aug[p] = aug[p], aug[row]
-        inv = 1 / aug[row][col]
+        inv = Fraction(1) / aug[row][col]
         aug[row] = [x * inv for x in aug[row]]
         for r in range(rank):
             if r != row and aug[r][col] != 0:

@@ -1,9 +1,11 @@
 """Source lint: the library never writes a float and never imports sympy.
 
 Values, residues and field elements are exact (ints, Fractions, and tuples
-or dicts of them), and `Value` stores its coordinates as given, so nothing at
-run time turns a stray float back into a Fraction.  Factoring and every other
-piece of algebra run on valforge's own code, so no run imports sympy.  This
+or dicts of them).  `Value` holds integer numerators over one positive
+integer denominator and is built from ints and Fractions only (a float has
+no `numerator`), so a float would have to come from a literal or a call of
+`float` elsewhere, and nothing at run time would turn it back into a
+Fraction.  Factoring and every other piece of algebra run on valforge's own code, so no run imports sympy.  This
 check walks the syntax tree of every module under src/valforge and fails on
 any float literal, any call of `float`, and any import of sympy or of one of
 its submodules.

@@ -1,5 +1,6 @@
 import functools
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 import valforge
 from test_keypoly import quartic_setup, tower_script, tower_setup
 from valforge.cli import main
-from valforge.fields import CoordinateTower
+from valforge.fields import (CoordinateTower, InsufficientPrecision,
+                             UnsupportedStructure)
 from valforge.polyring import Poly
 from valforge.scenario import (ScenarioError, format_scenario, load_scenario,
                                parse_expression, parse_index, parse_scenario)
@@ -360,21 +362,21 @@ def test_cli_field_constructor_refusal_names_line_and_key(tmp_path, capsys,
     assert err == "error: line %d: %s: %s\n" % (line, key, reason)
 
 
-@pytest.mark.parametrize("text, reason", [
-    (MINIMAL.replace("x^2 - y^3", "x^2 - w"), "unknown name 'w'"),
-    (TOWER.replace("y^2 + v", "y^2 + v5"), "v5 lies below tower depth 4"),
-    (TOWER.replace("y^2 + v", "y^2 + u4"),
+@pytest.mark.parametrize("text, line, reason", [
+    (MINIMAL.replace("x^2 - y^3", "x^2 - w"), 8, "unknown name 'w'"),
+    (TOWER.replace("y^2 + v", "y^2 + v5"), 9, "v5 lies below tower depth 4"),
+    (TOWER.replace("y^2 + v", "y^2 + u4"), 9,
      "u4 needs v5, which lies below tower depth 4"),
-    (TOWER.replace("y^2 + v", "y^2 + w3"), "unknown name 'w3'"),
+    (TOWER.replace("y^2 + v", "y^2 + w3"), 9, "unknown name 'w3'"),
 ], ids=["Q(y)", "tower-v", "tower-u", "tower-unknown"])
 def test_cli_unknown_atom_names_it_once_with_its_cause(tmp_path, capsys,
-                                                       text, reason):
+                                                       text, line, reason):
     path = tmp_path / "unknown_atom.scn"
     path.write_text(text, encoding="ascii")
     rc = main(["verify", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert err == "error: target polynomial: %s\n" % reason
+    assert err == "error: line %d: poly: %s\n" % (line, reason)
 
 
 def test_cli_tower_depth_below_one_is_refused(tmp_path, capsys):
@@ -398,8 +400,45 @@ def test_cli_huge_tower_power_is_refused_at_once(tmp_path):
                     .replace("y^2 + v", "y + v^4294967296"), encoding="ascii")
     rc, out, err = run_cli("verify", str(path), timeout=60)
     assert rc == 2 and out == ""
-    assert err == ("error: the product of v^2147483648 and v^2147483648 has "
-                   "value 2^31 or more, beyond the tower's exponent fields\n")
+    assert err == ("error: line 9: poly: the product of v^2147483648 and "
+                   "v^2147483648 has value 2^31 or more, beyond the tower's "
+                   "exponent fields\n")
+
+
+QUINTIC = (pathlib.Path(valforge.__file__).parent / "scenarios"
+           / "quintic_tower.scn").read_text(encoding="ascii")
+HUGE = "v^4294967296"
+TOO_BIG = ("the product of v^2147483648 and v^2147483648 has value 2^31 or "
+           "more, beyond the tower's exponent fields")
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    (TOWER.replace("y^2 + v", "y^2 + (u"), ScenarioError,
+     "line 9: poly: missing closing parenthesis"),
+    (QUINTIC.replace("y^5 + y^4 + v^2*y + v^2 + u", "y + " + HUGE),
+     InsufficientPrecision, "line 16: poly: " + TOO_BIG),
+    (QUINTIC.replace("2 ; y + v2 ;", "2 ; y + %s ;" % HUGE),
+     InsufficientPrecision, "line 20: " + TOO_BIG),
+    (QUINTIC.replace("\ny + v2 ; 5/16", "\ny + %s ; 5/16" % HUGE),
+     InsufficientPrecision, "line 60: " + TOO_BIG),
+    (LEX.replace("y^2 + z", "y^2 + 1/(1 + z)"), UnsupportedStructure,
+     "line 8: poly: series division is restricted to monomial divisors"),
+    (LEX + "\n[oracle]\ny + 1/(1 + z) ; 0\n", UnsupportedStructure,
+     "line 11: series division is restricted to monomial divisors"),
+], ids=["target-syntax", "target-precision", "chain-precision",
+        "oracle-precision", "target-division", "oracle-division"])
+def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
+                                        message):
+    # a refusal raised while a row is parsed names the row's line (and the
+    # key `poly` for the target) and keeps its type, so it still exits 2
+    with pytest.raises(kind) as exc:
+        parse_scenario(text, "parse_refusal")
+    assert type(exc.value) is kind and str(exc.value) == message
+    path = tmp_path / "parse_refusal.scn"
+    path.write_text(text, encoding="ascii")
+    rc = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err == "error: %s\n" % message
 
 
 def test_tower_power_parses_to_the_repeated_product():

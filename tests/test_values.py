@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -196,10 +197,12 @@ class TestOrdinalIndex:
 
 
 # ---------------------------------------------------------------------------
-# exact coordinates: a Value keeps the ints and Fractions it is given
+# exact coordinates: a Value holds integer numerators over one positive
+# denominator in lowest terms, whatever ints and Fractions it is given
 
 
-RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 4)))
+RATIONALS = st.builds(Fraction, st.integers(-12, 12),
+                      st.sampled_from((1, 2, 3, 4, 6)))
 CANONICAL_FIELDS = {
     1: (RationalFunctions(QQ, "y"), CoordinateTower(2, 1, max_depth=3)),
     2: (LexMonomialSeries(PrimeField(3), ("z", "y")),),
@@ -218,26 +221,42 @@ def _outcome(fn, *args):
         return ("refused", str(exc))
 
 
+def _assert_canonical(v, coords):
+    assert v.den > 0 and gcd(v.den, *v.nums) == 1
+    assert v.coords == tuple(coords)
+    assert all(type(c) is (int if v.den == 1 else Fraction) for c in v.coords)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(rank=st.sampled_from((1, 2)), data=st.data())
 def test_int_coordinates_agree_with_equal_fractions(rank, data):
     coords = st.lists(RATIONALS, min_size=rank, max_size=rank)
     a, b, g = data.draw(coords), data.draw(coords), data.draw(coords)
     n = data.draw(st.sampled_from((-2, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3))))
+    d = data.draw(st.sampled_from((1, 2, 3, 6)))
+    m = data.draw(st.sampled_from((1, 2, 5)))
     ai, af = Value(map(_as_given, a)), Value(a)
     bi, bf = Value(map(_as_given, b)), Value(b)
+    # the same point written over a denominator m times too large
+    am = Value.over(tuple(x * m for x in af.nums), af.den * m)
 
-    assert ai == af and af == ai and hash(ai) == hash(af)
-    for x, y in ((ai, bf), (af, bi), (ai, bi)):
+    for v in (ai, af, am):
+        _assert_canonical(v, a)
+    assert ai == af == am and af == ai and hash(ai) == hash(af) == hash(am)
+    for x, y in ((ai, bf), (af, bi), (ai, bi), (am, bi)):
         assert ((x < y, x <= y, x > y, x >= y, x == y)
                 == (a < b, a <= b, a > b, a >= b, a == b))
     for x in (ai, af):
         assert x < INF and x <= INF and not x > INF and x != INF
         assert INF > x and not INF < x and x + INF is INF
 
-    given_results = (ai + bi, ai - bi, -ai, ai.scale(n))
-    fraction_results = (af + bf, af - bf, -af, af.scale(n))
+    given_results = (ai + bi, ai - bi, -ai, ai.scale(n), ai / d)
+    fraction_results = (af + bf, af - bf, -af, af.scale(n), af / d)
+    exact = ([x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)],
+             [-x for x in a], [x * n for x in a], [x / d for x in a])
     assert given_results == fraction_results
+    for v, want in zip(given_results, exact):
+        _assert_canonical(v, want)
     assert [hash(v) for v in given_results] == [hash(v) for v in fraction_results]
     assert ([format_value(v) for v in (ai,) + given_results]
             == [format_value(v) for v in (af,) + fraction_results])
@@ -248,6 +267,18 @@ def test_int_coordinates_agree_with_equal_fractions(rank, data):
 
     for F in CANONICAL_FIELDS[rank]:
         assert _outcome(F.canonical_element, ai) == _outcome(F.canonical_element, af)
+
+
+def test_equal_values_written_differently_are_one_value():
+    half = [Value([Fraction(2, 4)]), Value([Fraction(1, 2)]),
+            Value.over((1,), 2), Value.over((3,), 6), Value.over((2,), 4)]
+    two = [Value([2]), Value([Fraction(2)]), Value([Fraction(4, 2)]),
+           Value.over((4,), 2), Value.over((2,))]
+    for group, (nums, den) in ((half, ((1,), 2)), (two, ((2,), 1))):
+        assert {(v.nums, v.den) for v in group} == {(nums, den)}
+        assert len(set(group)) == 1 and len({hash(v) for v in group}) == 1
+    assert Value([1, Fraction(1, 2)]) == Value.over((2, 1), 2)
+    assert Value([Fraction(3, 3), 0]).coords == (1, 0)
 
 
 def _assert_exact_stage_values(ch):
