@@ -87,9 +87,9 @@ def _cmd_verify(ns):
     sc, pairs, skipped = _build(ns)
     branches = _classified(sc, ns, _pick(pairs, ns.branch))
     lines, ok = [], True
-    for pos, br in enumerate(branches):
+    for br in branches:
         ch = br.chain
-        samples = sc.oracle_samples(pos) if sc.oracle else []
+        samples = sc.oracle_samples(br.branch_id - 1) if sc.oracle else []
         if samples:
             good = completeness_sample(ch, samples)
             lines.append("%s: branch %d attains its %d oracle value(s)"

@@ -16,11 +16,12 @@ polynomial of a side.
 Residues are normalized against canonical monomials.  Every value in the
 stage group has a unique expression v0 + sum m_j*beta_j with 0 <= m_j below
 the spacing e_j of level j and v0 in the base group; the canonical monomial
-multiplies the base element of v0 with the matching key powers.  Residue
-identifications (what the class of Q_j^{e_j} divided by its weight monomial
-evaluates to) are recorded per level as each next entry arrives, either as a
-scalar or as a generator of one quotient ring k[T]/(m); a second simultaneous
-extension is refused rather than guessed at.
+multiplies the base element of v0 with the matching key powers.  The residue
+identification of level j (what the class of Q_j^{e_j} divided by its weight
+monomial evaluates to) is forced by the next key, so it is stored on entry
+j+1 when that entry is built, either as a scalar or as a generator of one
+quotient ring k[T]/(m); a second simultaneous extension is refused rather
+than guessed at.  Entries are never changed or replaced once appended.
 """
 
 from .fields import UnsupportedStructure, factor_scalar_poly
@@ -62,18 +63,19 @@ class CanonMono:
 
 
 class ChainEntry:
-    """One key of a chain.  `memo` maps coefficient tuples to their
-    `term_values` at this level, or is None where field elements do not
-    hash; `weight` is the level's weight monomial once `Chain.weight` has
-    made it.  Both depend only on the keys and values of levels up to this
-    one, which never change, so every chain that shares the entry (a clone,
-    or the same level after `with_rule`) shares them."""
+    """One key of a chain.  `rule` is the residue identification of the level
+    below, which this key forces (None on the first entry).  `memo` maps each
+    polynomial (by identity: a `Poly` is never changed) to its `term_values`
+    at this level, and `weight` is the level's weight monomial once
+    `Chain.weight` has made it.  Both depend only on the keys and values of
+    levels up to this one, which never change, so every chain that shares the
+    entry (each clone shares all of them) shares them too."""
 
     __slots__ = ("index", "poly", "beta", "origin", "alpha",
                  "e_step", "f_step", "group", "rule", "memo", "weight")
 
     def __init__(self, index, poly, beta, origin, alpha, e_step, f_step, group,
-                 rule=None, memo=None, weight=None):
+                 rule):
         self.index = index
         self.poly = poly
         self.beta = beta
@@ -83,13 +85,8 @@ class ChainEntry:
         self.f_step = f_step
         self.group = group
         self.rule = rule
-        self.memo = memo
-        self.weight = weight
-
-    def with_rule(self, rule):
-        return ChainEntry(self.index, self.poly, self.beta, self.origin,
-                          self.alpha, self.e_step, self.f_step, self.group,
-                          rule, self.memo, self.weight)
+        self.memo = {}
+        self.weight = None
 
     def __repr__(self):
         return "ChainEntry(%s: %s @ %s)" % (self.index, self.poly.format(),
@@ -158,11 +155,6 @@ class Chain:
         self.ext_level = None
         self.ring = ScalarRing(field.scalars)
         self._expansions = {}
-        try:
-            hash(field.one)
-            self._memoize = True
-        except TypeError:
-            self._memoize = False
 
     # -- structure ----------------------------------------------------------
 
@@ -220,20 +212,16 @@ class Chain:
         """(m, coefficient, m*beta_k + stage-(k-1) value) over the expansion
         of f in powers of Q_k; zero coefficients are skipped."""
         ent = self.entry(k)
-        memo = ent.memo
-        if memo is not None:
-            out = memo.get(f.coeffs)
-            if out is not None:
-                return out
+        out = ent.memo.get(f)
+        if out is not None:
+            return out
         out = []
         for m, c in enumerate(self._expand(f, ent.poly)):
             if c.is_zero:
                 continue
             cv = self.cval(c, k - 1)
             out.append((m, c, cv if m == 0 else cv + ent.beta.scale(m)))
-        out = tuple(out)
-        if memo is not None:
-            memo[f.coeffs] = out
+        out = ent.memo[f] = tuple(out)
         return out
 
     def argmin_data(self, f, k):
@@ -295,9 +283,9 @@ class Chain:
         ring = self.ring
         if q == 0:
             return ring.one
-        rule = self.entry(k).rule
-        if rule is None:
+        if k >= self.depth():
             raise ChainError("level %d has no residue identification yet" % k)
+        rule = self.entries[k].rule     # forced by the key of level k + 1
         if rule[0] == "const":
             return ring.pow(ring.embed(rule[1]), q)
         return ring.pow(ring.gen, q)
@@ -428,6 +416,7 @@ class Chain:
             if not all(field.is_zero_mod_precision(c) for c in c0.coeffs):
                 raise ChainError("terminal key does not divide the tracked "
                                  "polynomial within the working precision")
+        rule = None
         if prev is not None:
             rule = self._derive_rule(poly, alpha)
             if rule[0] == "ext" and self.ext_level is not None:
@@ -436,13 +425,11 @@ class Chain:
                     "%s, and a second residue field extension is not "
                     "supported" % (self._where(self.depth()), poly.format(),
                                    field.scalars.polys.format(rule[1], "T")))
-            self.entries[-1] = prev.with_rule(rule)
             if rule[0] == "ext":
                 self.ext_level = self.depth()
                 self.ring = EtaleRing(field.scalars, rule[1])
         self.entries.append(ChainEntry(index, poly, beta, origin, alpha,
-                                       e_order, f_step, group,
-                                       memo={} if self._memoize else None))
+                                       e_order, f_step, group, rule))
 
     def _where(self, k):
         """The stage and key that a refusal at level k names."""

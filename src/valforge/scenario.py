@@ -245,13 +245,18 @@ def _want(kv, key, section):
     return kv.pop(key)
 
 
-def _int(row, key):
+def _int(row, key, least=None):
+    """The integer of a (line, text) row, refused below `least` if given."""
     n, text = row
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ScenarioError("line %d: %s must be an integer, got %r"
                             % (n, key, text)) from None
+    if least is not None and value < least:
+        raise ScenarioError("line %d: %s: %s must be at least %d, got %d"
+                            % (n, key, key, least, value))
+    return value
 
 
 @contextmanager
@@ -297,11 +302,12 @@ def _build_field(kv, precision_override):
         # overrides name known variables only, so an unknown one the
         # constructor refuses always comes from this row
         prec_row = kv.pop("precision", (0, ""))
-        for part in prec_row[1].split():
-            var, _, num = part.partition(":")
-            if not num.isdigit():
-                raise ScenarioError("bad precision %r" % part)
-            precision[var] = int(num)
+        with _refusing(prec_row, "precision"):
+            for part in prec_row[1].split():
+                var, _, num = part.partition(":")
+                if not num.isdigit():
+                    raise ScenarioError("bad precision %r" % part)
+                precision[var] = int(num)
         _reject_extra(kv, "field")
         for var, num in (precision_override or {}).items():
             if var is None:
@@ -355,11 +361,13 @@ def parse_scenario(text, name="scenario", precision_override=None):
     rank = field.rank
     if "valuation" in sections:
         kv = _keyvals(sections["valuation"], "valuation")
-        rank = _int(_want(kv, "rank", "valuation"), "rank")
+        rank_row = _want(kv, "rank", "valuation")
+        rank = _int(rank_row, "rank")
         _reject_extra(kv, "valuation")
         if rank != field.rank:
-            raise ScenarioError("declared rank %d but the field has rank %d"
-                                % (rank, field.rank))
+            raise ScenarioError("line %d: rank: declared rank %d but the "
+                                "field has rank %d"
+                                % (rank_row[0], rank, field.rank))
 
     kv = _keyvals(sections["target"], "target")
     n, var = _want(kv, "var", "target")
@@ -374,8 +382,8 @@ def parse_scenario(text, name="scenario", precision_override=None):
     _reject_extra(kv, "target")
     with _refusing(poly_row, "poly"):
         target = parse_expression(field, var, poly_row[1])
-    if not target.is_monic:
-        raise ScenarioError("target polynomial is not monic")
+        if not target.is_monic:
+            raise ScenarioError("target polynomial is not monic")
 
     script = []
     for n, line in sections.get("chain", []):
@@ -387,16 +395,18 @@ def parse_scenario(text, name="scenario", precision_override=None):
             index = parse_index(parts[0])
             poly = parse_expression(field, var, parts[1])
             beta = parse_value(parts[2], rank)
+            if script:
+                i1, _, b1 = script[-1]
+                if not i1 < index:
+                    raise ScenarioError("chain indices must increase "
+                                        "(%s before %s)" % (i1, index))
+                if b1 is INF:
+                    raise ScenarioError("only the last chain entry may be "
+                                        "terminal")
+                if beta is not INF and not b1 < beta:
+                    raise ScenarioError("chain values must increase "
+                                        "(%s before %s)" % (b1, beta))
         script.append((index, poly, beta))
-    for (i1, _, b1), (i2, _, b2) in zip(script, script[1:]):
-        if not i1 < i2:
-            raise ScenarioError("chain indices must increase (%s before %s)"
-                                % (i1, i2))
-        if b1 is INF:
-            raise ScenarioError("only the last chain entry may be terminal")
-        if b2 is not INF and not b1 < b2:
-            raise ScenarioError("chain values must increase (%s before %s)"
-                                % (b1, b2))
 
     oracle = []
     for n, line in sections.get("oracle", []):
@@ -414,9 +424,9 @@ def parse_scenario(text, name="scenario", precision_override=None):
     if "params" in sections:
         kv = _keyvals(sections["params"], "params")
         if "depth" in kv:
-            depth = _int(kv.pop("depth"), "depth")
+            depth = _int(kv.pop("depth"), "depth", 0)
         if "window" in kv:
-            window = _int(kv.pop("window"), "window")
+            window = _int(kv.pop("window"), "window", 1)
         if "lump_sides" in kv:
             n, val = kv.pop("lump_sides")
             if val not in _BOOL:

@@ -78,7 +78,7 @@ def test_rule_derivation_and_weights():
     ch = Chain(F, "x", P)
     ch.append(IDX[1], x, V("3/2"), "derived")
     ch.append(IDX[2], Q, V("7/2"), "derived")
-    assert ch.entries[0].rule == ("const", Fraction(1))
+    assert ch.entry(2).rule == ("const", Fraction(1))
     w2 = ch.weight(2)
     assert w2.v0 == V(2) and w2.exps == {1: 1}
     assert w2.materialize(ch).format() == "y^2*x"
@@ -104,6 +104,24 @@ def test_lift_on_both_branches():
     assert len(keys) == 1
     assert keys[0].format() == "x^2 + y^3*x - y^3"
     assert hi.candidate_betas(keys[0]) == [V("11/2")]
+
+
+def test_clone_shares_its_entries_after_appends():
+    """Appending on a chain or on its clone replaces no entry they share:
+    the relation a key forces on the level below is stored on the key's
+    own entry when it is built."""
+    F, x, Q, P = quartic_setup()
+    ch = Chain(F, "x", P)
+    ch.append(IDX[1], x, V("3/2"), "derived")
+    ch.append(IDX[2], Q, V("7/2"), "derived")
+    key = ch.derive_keys()[0]
+    child = ch.clone()
+    ch.append(IDX[3], key, V("9/2"), "derived")
+    child.append(IDX[3], key, V(5), "derived")
+    assert all(a is b for a, b in zip(ch.entries[:2], child.entries[:2]))
+    assert ch.entry(3) is not child.entry(3)
+    assert ch.entry(1).rule is None
+    assert ch.entry(3).rule == child.entry(3).rule == ("const", Fraction(-1))
 
 
 def test_explore_two_branches_frozen_values():
@@ -381,7 +399,7 @@ def test_cubic_lumped_branch_etale_layer():
     assert ch.candidate_betas(q2) == [V(6, 3)]
     ch.append(IDX[2], q2, V(6, 3), "derived")
     # the lumped quadratic installs the one allowed residue ring extension
-    assert ch.entries[0].rule == ("ext", (2, 0, 1))
+    assert ch.entry(2).rule == ("ext", (2, 0, 1))
     assert ch.ext_level == 1
     e, j1, j2, rho, _ = ch.side_residual()
     assert (e, j1, j2) == (1, 0, 1)
@@ -394,7 +412,7 @@ def test_cubic_lumped_branch_etale_layer():
     c = lambda e: Poly.const(F, "w", e)
     q3 = q2 + c(a) * Poly.variable(F, "w") + c(F.mul(a, a))
     ch.append(IDX[3], q3, INF, "scripted")
-    assert ch.entries[1].rule == ("const", (0, 2))  # minus the adjoined class
+    assert ch.entry(3).rule == ("const", (0, 2))  # minus the adjoined class
     assert [ent.f_step for ent in ch.entries] == [1, 2, 1]
     assert [ent.e_step for ent in ch.entries] == [1, 1, 1]
 
@@ -529,7 +547,7 @@ def test_tower_limit_appends_balance_on_even_support():
 
 def test_tower_rules_frozen():
     F, P, qw, qw2, script, ch = tower_chain()
-    rules = [ch.entry(k).rule for k in range(1, 38)]
+    rules = [ch.entry(k + 1).rule for k in range(1, 38)]
     bump = [("const", 0)]
     assert rules == [("const", 1)] * 12 + bump + [("const", 1)] * 12 + bump \
         + [("const", 1)] * 11

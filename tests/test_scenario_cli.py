@@ -258,6 +258,16 @@ def test_cli_newton(capsys):
     assert "side 1..2: slope 7/2\n" in out
 
 
+@pytest.mark.parametrize("name", ["quartic", "cubic_char3"])
+def test_cli_verify_checks_each_branch_against_its_own_oracle(capsys, name):
+    # the oracle value of branch 2 differs from that of branch 1
+    for branch in ("1", "2"):
+        rc = main(["verify", name, "--branch", branch])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "ok: branch %s attains its" % branch in out
+
+
 def test_cli_verify_all_packaged(capsys):
     for name in PACKAGED:
         rc = main(["verify", name])
@@ -425,8 +435,26 @@ TOO_BIG = ("the product of v^2147483648 and v^2147483648 has value 2^31 or "
      "line 8: poly: series division is restricted to monomial divisors"),
     (LEX + "\n[oracle]\ny + 1/(1 + z) ; 0\n", UnsupportedStructure,
      "line 11: series division is restricted to monomial divisors"),
+    (MINIMAL.replace("x^2 - y^3", "y*x^2 + 1"), ScenarioError,
+     "line 8: poly: target polynomial is not monic"),
+    (LEX.replace("generators = z x", "generators = z x\nprecision = z:abc"),
+     ScenarioError, "line 5: precision: bad precision 'z:abc'"),
+    (MINIMAL + "\n[valuation]\nrank = 2\n", ScenarioError,
+     "line 11: rank: declared rank 2 but the field has rank 1"),
+    (MINIMAL + "\n[chain]\n2 ; x ; 3/2\n1 ; x^2 - y^3 ; 7/2\n", ScenarioError,
+     "line 12: chain indices must increase (2 before 1)"),
+    (MINIMAL + "\n[chain]\n1 ; x ; inf\n2 ; x^2 - y^3 ; 7/2\n", ScenarioError,
+     "line 12: only the last chain entry may be terminal"),
+    (MINIMAL + "\n[chain]\n1 ; x ; 3/2\n2 ; x^2 - y^3 ; 1/2\n", ScenarioError,
+     "line 12: chain values must increase (3/2 before 1/2)"),
+    (MINIMAL + "\n[params]\ndepth = -1\n", ScenarioError,
+     "line 11: depth: depth must be at least 0, got -1"),
+    (MINIMAL + "\n[params]\nwindow = 0\n", ScenarioError,
+     "line 11: window: window must be at least 1, got 0"),
 ], ids=["target-syntax", "target-precision", "chain-precision",
-        "oracle-precision", "target-division", "oracle-division"])
+        "oracle-precision", "target-division", "oracle-division",
+        "non-monic", "lex-precision-row", "rank-mismatch", "chain-indices",
+        "chain-terminal", "chain-values", "params-depth", "params-window"])
 def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
                                         message):
     # a refusal raised while a row is parsed names the row's line (and the

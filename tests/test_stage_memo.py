@@ -1,15 +1,16 @@
 """The per-entry memo of stage values and weights never changes an answer.
 
-Every `ChainEntry` over Q(y) or F_p(y) memoizes `term_values` at its level
-and keeps the level's weight monomial once made, and chains that share an
-entry share both.  An explored chain is queried first, with memos and
-weights warmed by growth and shared with its sibling branches; its entries
-are then replayed into a fresh chain, whose memos and weights start empty
-and are filled in the opposite stage order.  At every stage the weight, the
-side residual, and for the target, each key and seeded random polynomials
-the truncated value, effective degree and initial form must be the same
-from both.  A memo whose entries leaked across levels or chains would make
-the answers depend on the order in which it was filled.
+Every `ChainEntry`, over each field kind, memoizes `term_values` at its
+level by polynomial identity and keeps the level's weight monomial once
+made; a clone shares every entry, so sibling branches share both.  An
+explored chain is queried first, with memos and weights warmed by growth
+and shared with its sibling branches; its entries are then replayed into a
+fresh chain, whose memos and weights start empty and are filled in the
+opposite stage order.  At every stage the weight, the side residual, and
+for the target, each key and seeded random polynomials (over the field's
+own atoms) the truncated value, effective degree and initial form must be
+the same from both.  A memo whose entries leaked across levels or chains
+would make the answers depend on the order in which it was filled.
 """
 
 import random
@@ -24,23 +25,29 @@ from valforge.scenario import load_scenario
 
 FIELDS = {"Q(y)": QQ, "F_2(y)": PrimeField(2), "F_3(y)": PrimeField(3),
           "F_5(y)": PrimeField(5)}
+# packaged scenarios over the lex series and the coordinate tower, with the
+# atoms their probes are built from
+OTHER_FIELDS = {"cubic_char3": ("z", "y"), "quintic_tower": ("v", "u")}
 SEEDED_TARGETS = 4
 DEPTH = 5
 RANDOM_POLYS = 3
 
 
-def _rand_poly(F, rng, degree, monic):
-    y = F.atom("y")
+def _rand_poly(F, rng, degree, monic, atoms=("y",), var="x"):
+    """A random polynomial in var whose coefficients are small sums of
+    monomials in the named atoms of F."""
+    atoms = [F.atom(name) for name in atoms]
     coeffs = []
     for _ in range(degree):
         c = F.zero
         for _ in range(rng.randrange(0, 3)):
-            term = F.mul(F.from_int(rng.randrange(-2, 3)),
-                         F.pow(y, rng.randrange(0, 4)))
+            term = F.from_int(rng.randrange(-2, 3))
+            for a in atoms:
+                term = F.mul(term, F.pow(a, rng.randrange(0, 4)))
             c = F.add(c, term)
         coeffs.append(c)
     coeffs.append(F.one if monic else F.from_int(rng.randrange(1, 4)))
-    return Poly(F, "x", coeffs)
+    return Poly(F, var, coeffs)
 
 
 def _outcome(fn, *args):
@@ -71,15 +78,16 @@ def _answers(ch, probes, stages):
     return out
 
 
-def _check_chains(F, target, chains, rng):
+def _check_chains(F, target, chains, rng, atoms=("y",)):
     for ch in chains:
         assert all(ent.memo for ent in ch.entries[:-1]), "growth warms the memos"
         stages = range(1, ch.depth() + 1)
         probes = ([target] + [ent.poly for ent in ch.entries]
-                  + [_rand_poly(F, rng, rng.randint(1, 2 * target.degree), False)
+                  + [_rand_poly(F, rng, rng.randint(1, 2 * target.degree),
+                                False, atoms, target.var)
                      for _ in range(RANDOM_POLYS)])
         warm = _answers(ch, probes, stages)
-        fresh = replay(F, "x", target,
+        fresh = replay(F, target.var, target,
                        [(ent.index, ent.poly, ent.beta) for ent in ch.entries])
         for ent in fresh.entries:       # replay itself fills some
             ent.memo.clear()
@@ -91,6 +99,18 @@ def test_memo_never_changes_an_answer_quartic():
     sc = load_scenario("quartic")
     chains, _ = explore(sc.field, sc.var, sc.target, 8)
     _check_chains(sc.field, sc.target, chains, random.Random(6))
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_FIELDS))
+def test_memo_never_changes_an_answer_other_fields(name):
+    """The lex series (cubic_char3) and the coordinate tower (quintic_tower),
+    grown as `valforge chain` grows them."""
+    sc = load_scenario(name)
+    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
+                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
+                        scripted_only=sc.branches_mode == "scripted")
+    _check_chains(sc.field, sc.target, chains, random.Random(name),
+                  OTHER_FIELDS[name])
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
