@@ -36,7 +36,7 @@ from functools import reduce
 from itertools import combinations, count
 from math import comb, gcd, isqrt, lcm
 
-from .polyring import Domain, format_terms
+from .polyring import Domain, _power, format_terms
 from .values import INF, Value, ValueGroup
 
 
@@ -52,48 +52,6 @@ class UnsupportedStructure(Exception):
 # scalar domains (residue fields)
 
 
-class Rationals(Domain):
-    """The field Q with Fraction elements."""
-
-    char = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def sort_key(self, a):
-        return (a.numerator, a.denominator)
-
-    def format(self, a):
-        return str(a)
-
-    def __repr__(self):
-        return "Q"
-
-
 class Integers(Domain):
     """The ring Z with int elements.  It has no `inv`: the dense core over Z
     divides only by monic polynomials, whose lead it never inverts."""
@@ -107,9 +65,6 @@ class Integers(Domain):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -121,6 +76,35 @@ class Integers(Domain):
 
     def __repr__(self):
         return "ZZ"
+
+
+class Rationals(Integers):
+    """The field Q with Fraction elements.  Python's operators do its ring
+    arithmetic as they do that of `Integers`; it adds inverses, a sort key
+    and a format."""
+
+    char = 0
+
+    def __init__(self):
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+    def sort_key(self, a):
+        return (a.numerator, a.denominator)
+
+    def format(self, a):
+        return str(a)
+
+    def __repr__(self):
+        return "Q"
 
 
 class _IntegersMod(Domain):
@@ -138,9 +122,6 @@ class _IntegersMod(Domain):
 
     def add(self, a, b):
         return (a + b) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
 
     def mul(self, a, b):
         return (a * b) % self.m
@@ -350,18 +331,6 @@ def _squarefree_parts(sp, f, p, q):
     return out
 
 
-def _powmod(sp, a, n, f):
-    """a^n mod f by square-and-multiply."""
-    out = sp.one()
-    while n:
-        if n & 1:
-            out = sp.mod(sp.mul(out, a), f)
-        n >>= 1
-        if n:
-            a = sp.mod(sp.mul(a, a), f)
-    return out
-
-
 def _distinct_degree(sp, f, q):
     """Pairs (d, h): h the product of the degree-d factors of the squarefree
     f, from gcd(f, x^(q^d) - x)."""
@@ -371,7 +340,7 @@ def _distinct_degree(sp, f, q):
     d = 0
     while sp.degree(f) >= 2 * (d + 1):
         d += 1
-        h = _powmod(sp, h, q, f)
+        h = _power(h, q, sp.one(), lambda u, v: sp.mod(sp.mul(u, v), f))
         g = sp.gcd(f, sp.sub(h, x))
         if len(g) > 1:
             out.append((d, g))
@@ -394,7 +363,9 @@ def _equal_degree(sp, f, d, q, rng):
     while True:
         a = sp.trim([dom.from_int(rng.randrange(q)) for _ in range(n)])
         if q % 2:
-            b = sp.sub(_powmod(sp, a, (q**d - 1) // 2, f), sp.one())
+            b = sp.sub(_power(a, (q**d - 1) // 2, sp.one(),
+                              lambda u, v: sp.mod(sp.mul(u, v), f)),
+                       sp.one())
         else:
             b = t = a
             for _ in range(d * (q.bit_length() - 1) - 1):

@@ -299,7 +299,14 @@ class Chain:
         than f and to which dexps gives no exponent: there f is its own
         expansion, its value and the check against the monomial are those of
         the level below, and the rule power is one, so the level below gives
-        the same residue or the same refusal."""
+        the same residue or the same refusal.
+
+        At level k the residue is the level's residual polynomial evaluated
+        at its residue class: every term of the minimum lies t_m spacings
+        from the monomial's Q_k exponent, `_residual` gives its residue
+        against the monomial less t_m weight monomials, and the sum weighs
+        each by the t_m-th power of the class of Q_k^{e_k} over the weight
+        (`_rule_power`)."""
         ring = self.ring
         if f.is_zero:
             return ring.zero
@@ -319,7 +326,6 @@ class Chain:
                 raise ChainError("initial form dips below its reference monomial")
             return ring.embed(self.field.unit_residue(
                 elem, self.field.canonical_element(dv0)))
-        ent = self.entry(k)
         target = dv0
         for j, m in dexps.items():
             target = target + self.entry(j).beta.scale(m)
@@ -332,22 +338,19 @@ class Chain:
         if minv < target:
             raise ChainError("initial form dips below its reference monomial")
         dk = dexps.get(k, 0)
-        wt = self.weight(k)
-        acc = ring.zero
-        for m, c in S:
-            q, r = divmod(m - dk, ent.e_step)
+        e = self.entry(k).e_step
+        ts = []
+        for m, _ in S:
+            t, r = divmod(m - dk, e)
             if r:
                 raise ChainError("graded term off the value lattice of level %d" % k)
-            sub_v0 = dv0 - wt.v0.scale(q) if q else dv0
-            sub_exps = {j: n for j, n in dexps.items() if j < k}
-            if q:
-                for j, n in wt.exps.items():
-                    sub_exps[j] = sub_exps.get(j, 0) - q * n
-                sub_exps = {j: n for j, n in sub_exps.items() if n}
-            part = self.nres(c, sub_v0, sub_exps, k - 1)
-            if ring.is_zero(part):
-                continue
-            acc = ring.add(acc, ring.mul(self._rule_power(k, q), part))
+            ts.append(t)
+        parts = self._residual(dict(S), k, dk, ts, dv0,
+                               {j: m for j, m in dexps.items() if j < k})
+        acc = ring.zero
+        for t, part in zip(ts, parts):
+            if not ring.is_zero(part):
+                acc = ring.add(acc, ring.mul(self._rule_power(k, t), part))
         return acc
 
     def in_class(self, f, k=None):
@@ -403,14 +406,15 @@ class Chain:
         else:
             e_order = prev_group.multiple_order(beta)
             group = prev_group.extend(beta)
-        if prev is None or index.is_limit:
-            f_step = 1
-        else:
-            f_step, fr = divmod(alpha, prev.e_step)
-            if fr:
+        f_step = 1
+        if prev is not None:
+            g, r = divmod(alpha, prev.e_step)
+            if r:
                 raise ChainError("degree jump %d is not a multiple of the "
                                  "level %d spacing %d"
                                  % (alpha, self.depth(), prev.e_step))
+            if not index.is_limit:
+                f_step = g
         if beta is INF:
             c0 = self._expand(self.target, poly)[0]
             if not all(field.is_zero_mod_precision(c) for c in c0.coeffs):
@@ -418,7 +422,7 @@ class Chain:
                                  "polynomial within the working precision")
         rule = None
         if prev is not None:
-            rule = self._derive_rule(poly, alpha)
+            rule = self._derive_rule(poly, g)
             if rule[0] == "ext" and self.ext_level is not None:
                 raise UnsupportedStructure(
                     "%s: the incoming key %s relates the residue class by "
@@ -436,17 +440,14 @@ class Chain:
         ent = self.entry(k)
         return "stage %s, key Q = %s" % (ent.index, ent.poly.format())
 
-    def _derive_rule(self, newpoly, alpha):
+    def _derive_rule(self, newpoly, g):
         """Identification of the level-k residue class forced by the incoming
-        key: the monic relation its initial form imposes on the class of
-        Q_k^{e_k} over the weight monomial."""
+        key, whose degree jump over Q_k is g*e_k (`append` has checked the
+        spacing): the monic relation of degree g that its initial form
+        imposes on the class of Q_k^{e_k} over the weight monomial."""
         k = self.depth()
         ent = self.entries[-1]
         e = ent.e_step
-        g, r = divmod(alpha, e)
-        if r:
-            raise ChainError("degree jump %d is not a multiple of the level "
-                             "%d spacing %d" % (alpha, k, e))
         expected = ent.beta.scale(g * e)
         minv, S = self.argmin_data(newpoly, k)
         if minv < expected:
@@ -457,7 +458,7 @@ class Chain:
                              "value lattice of level %d" % k)
         wt = self.weight(k)
         ring = self.ring
-        rel = self._residual(dict(S), k, 0, g, wt.v0.scale(g),
+        rel = self._residual(dict(S), k, 0, range(g), wt.v0.scale(g),
                              {j: m * g for j, m in wt.exps.items()})
         rel.append(ring.one)
         if all(ring.is_scalar(a) for a in rel):
@@ -479,15 +480,17 @@ class Chain:
             "%s: key relation of degree %d over an extended residue ring"
             % (self._where(k), g))
 
-    def _residual(self, S, k, j1, n, dv0, dexps):
+    def _residual(self, S, k, j1, ts, dv0, dexps):
         """Residues of the terms m = j1 + t*e_k of S ({m: coefficient}),
-        t < n, each against the monomial (dv0, dexps) less t weight
+        t in ts, each against the monomial (dv0, dexps) less t weight
         monomials of level k; zero where S has no term.  A coefficient
-        outside S lies above the minimum, so its residue is zero."""
+        outside S lies above the minimum, so its residue is zero.  `nres`,
+        `side_residual` and `_derive_rule` all lower their monomials by
+        weight monomials here and nowhere else."""
         e = self.entry(k).e_step
         wt = self.weight(k)
         out = []
-        for t in range(n):
+        for t in ts:
             c = S.get(j1 + t * e)
             if c is None:
                 out.append(self.ring.zero)
@@ -517,7 +520,7 @@ class Chain:
             if (m - j1) % e:
                 raise ChainError("side support leaves the value lattice")
         dmono = self.canonical_monomial(minv - ent.beta.scale(j1), k - 1)
-        raw = self._residual(dict(S), k, j1, (j2 - j1) // e + 1,
+        raw = self._residual(dict(S), k, j1, range((j2 - j1) // e + 1),
                              dmono.v0, dmono.exps)
         ring = self.ring
         base_inv = ring.inv(raw[0])

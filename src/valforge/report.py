@@ -256,8 +256,10 @@ def render_chain(chains, fmt="text"):
 
 
 def render_defect(branches, identity, skipped=(), fmt="text"):
+    """Branch reports and the identity line; each branch's defect is read
+    from its term of the identity, which `degree_identity` computed."""
     lines = []
-    ds = defect(branches)
+    ds = [d for _, _, d in identity.terms]
     if fmt == "tsv":
         for br, d in zip(branches, ds):
             lines.append("\t".join(

@@ -314,6 +314,22 @@ def test_validation_rejects_bad_entries():
         ch.append(IDX[2], Q, V(4), "scripted")  # index must increase
 
 
+@pytest.mark.parametrize("index, beta", [
+    (IDX[2], V(5)),                 # a successor entry
+    (OrdinalIndex(1, 0), V(5)),     # a limit entry
+    (OrdinalIndex(1, 0), INF),      # refused before the terminal check
+], ids=["successor", "limit", "limit-terminal"])
+def test_degree_jump_must_be_a_multiple_of_the_spacing(index, beta):
+    F, x, Q, P = quartic_setup()
+    ch = Chain(F, "x", P)
+    ch.append(IDX[1], x, V("3/2"), "scripted")     # spacing e_1 = 2
+    with pytest.raises(ChainError) as info:
+        ch.append(index, x.pow(3), beta, "scripted")
+    assert str(info.value) == ("degree jump 3 is not a multiple of the "
+                               "level 1 spacing 2")
+    assert ch.depth() == 1
+
+
 def test_second_residue_extension_refusal_names_stage_and_key():
     # x^2 + y^2 adjoins a root of T^2 + 1 at level 1; the incoming key asks
     # for T^2 + 1 again at level 2

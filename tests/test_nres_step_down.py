@@ -13,13 +13,16 @@ work at a level it should have stepped past.
 import importlib.util
 import os
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import valforge.keypoly as keypoly
+from valforge.fields import QQ, RationalFunctions
 from valforge.keypoly import Chain, ChainError
+from valforge.polyring import Poly
 from valforge.scenario import load_scenario
-from valforge.values import INF
+from valforge.values import INF, OrdinalIndex, Value
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "perfbench", "corpus.py")
@@ -172,6 +175,45 @@ def test_calls_with_a_level_k_exponent_match_the_reference():
                         seen[bool(t), got[0]] += 1
     assert all(seen[key] for key in ((True, True), (True, False),
                                      (False, True), (False, False))), seen
+
+
+@pytest.mark.parametrize("q1, q2, want", [(0, 2, 1), (0, 3, -1), (1, 1, -1)],
+                         ids=["Q2^2", "Q2^3", "Q2*Q1"])
+def test_key_exponents_are_lowered_by_the_weight_monomial(q1, q2, want):
+    # In the first quartic chain grown to depth 3 the weight monomial of
+    # level 2 carries a Q_1 exponent, so each spacing that a term of
+    # Q_1^q1 * Q_2^q2 lies above its canonical monomial lowers the Q_1
+    # exponent of the monomial one level down by one.
+    sc = load_scenario("quartic")
+    ch = keypoly.explore(sc.field, sc.var, sc.target, 3)[0][0]
+    wt = ch.weight(2)
+    assert (wt.v0, wt.exps) == (Value([2]), {1: 1})
+    f = ch.entry(1).poly.pow(q1) * ch.entry(2).poly.pow(q2)
+    mono = ch.canonical_monomial(ch.cval(f, 2), 2)
+    want_outcome = (True, want)
+    assert _outcome(ch.nres, f, mono.v0, mono.exps, 2) == want_outcome
+    assert _outcome(_level_by_level_nres, ch, f, mono.v0, mono.exps,
+                    2) == want_outcome
+
+
+def test_a_term_a_spacing_below_the_key_exponent_takes_the_inverse_rule():
+    # The monomial y^-2 * x^4 has the value of x at level 1 of x @ 2/3, but
+    # its x exponent lies a spacing e_1 = 3 above the term's: the residue of
+    # x against it is the inverse of the class of x^3 / y^2, which the key
+    # x^3 + 2*y^2 sets to -2.  `_derive_rule` can make such calls when the
+    # weight monomial's exponents times the relation degree pass a spacing.
+    F = RationalFunctions(QQ, "y")
+    x = Poly.variable(F, "x")
+    target = x.pow(3) + Poly.const(F, "x", F.from_int(2)) * Poly.const(
+        F, "x", F.atom("y")).pow(2)
+    ch = Chain(F, "x", target)
+    ch.append(OrdinalIndex(0, 1), x, Value([Fraction(2, 3)]), "scripted")
+    ch.append(OrdinalIndex(0, 2), target, INF, "scripted")
+    assert ch.entry(2).rule == ("const", -2)
+    want = (True, Fraction(-1, 2))
+    assert _outcome(ch.nres, x, Value([-2]), {1: 4}, 1) == want
+    assert _outcome(_level_by_level_nres, ch, x, Value([-2]), {1: 4},
+                    1) == want
 
 
 def _guard(monkeypatch, nres):
