@@ -11,6 +11,7 @@ packaged examples.  Exit status: 0 success, 1 failed verdict, 2 error.
 """
 
 import argparse
+import functools
 import sys
 
 from .fields import InsufficientPrecision, UnsupportedStructure
@@ -118,7 +119,10 @@ _COMMANDS = {"chain": _cmd_chain, "defect": _cmd_defect,
              "newton": _cmd_newton, "verify": _cmd_verify}
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="valforge",
         description="key polynomial chains, defects, and Newton polygons "

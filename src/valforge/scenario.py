@@ -14,6 +14,14 @@ Sections in square brackets, keys as `name = value`, comments with `#`.
 [params]     depth, window, lump_sides, branches = all | scripted
 
 Rationals are written a/b, rank 2 values as (a1, a2), infinity as inf.
+A scenario file is ASCII; a byte outside it is refused at its line.
+
+Expressions are tokenized in one regex pass and evaluated on coefficient
+tuples of the field's dense core (`field.polys`), with one `Poly` made per
+row.  One parser serves a whole scenario, and its memo holds the value of
+each atom and each operation under its source text, so the rows of a key
+ladder, each a partial sum that repeats the products of the row before,
+compute every repeated product once.
 """
 
 import os
@@ -40,105 +48,137 @@ class ScenarioError(Exception):
 # ---------------------------------------------------------------------------
 # expressions
 
-_TOKENS = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\^|[()+\-*/]|\S")
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[()+\-*/^])|(?P<bad>\S)")
 
 
 def _tokenize(text):
+    """(kind, text, start, end) per token, in one pass of one regex, then an
+    end token (text None); kind is num, name or op, and anything else but
+    whitespace is refused."""
     out = []
-    for m in _TOKENS.finditer(text):
-        tok = m.group(0)
-        if tok not in "()+-*/^" and not tok.isdigit() \
-                and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise ScenarioError("stray character %r" % tok)
-        out.append(tok)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ScenarioError("stray character %r" % m.group())
+        out.append((kind, m.group(), m.start(), m.end()))
+    out.append(("end", None, len(text), len(text)))
     return out
 
 
 class _ExprParser:
     """Infix expressions over the scenario field: the chain variable, the
     field's named atoms, integers, + - * / ^ and parentheses.  Division
-    only by constants; exponents are literal nonnegative integers."""
+    only by constants; exponents are literal nonnegative integers.
 
-    def __init__(self, field, var, text):
+    Values are coefficient tuples on the field's dense core, and `parse`
+    wraps one `Poly` around each expression.  The memo maps source text to
+    its coefficient tuple: every atom and number by its token, and the
+    result of every operator by the text it spans (`v2*v4*v6`, `v^2`,
+    `y + v2`).  The same text always has the same value over one field and
+    chain variable, so an expression that repeats the products or sums of
+    an earlier one, as the rows of a key ladder do, meets each of them in
+    the memo.  A parser, and so its memo, serves one scenario."""
+
+    def __init__(self, field, var):
         self.field = field
+        self.polys = field.polys
         self.var = var
+        self.memo = {}
+
+    def parse(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
         out = self.expr()
         if self.peek() is not None:
             raise ScenarioError("unexpected %r" % self.peek())
+        return Poly(self.field, self.var, out)
+
+    def peek(self):
+        return self.toks[self.pos][1]
+
+    def take(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def remember(self, start, op, *args):
+        """op(*args), made once per source text: the text runs from token
+        `start` to the last token taken."""
+        key = self.text[self.toks[start][2]:self.toks[self.pos - 1][3]]
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = op(*args)
         return out
 
     def expr(self):
+        start = self.pos
         out = self.term()
         while self.peek() in ("+", "-"):
-            if self.take() == "+":
-                out = out + self.term()
-            else:
-                out = out - self.term()
+            op = self.polys.add if self.take()[1] == "+" else self.polys.sub
+            rhs = self.term()
+            out = self.remember(start, op, out, rhs)
         return out
 
     def term(self):
+        start = self.pos
         out = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.take()
+            op = self.polys.mul if self.take()[1] == "*" else self.divide
             rhs = self.factor()
-            if op == "*":
-                out = out * rhs
-            else:
-                if rhs.degree != 0 or rhs.is_zero:
-                    raise ScenarioError("division only by nonzero constants")
-                F = self.field
-                out = out.scale(F.div(F.one, rhs.constant_term()))
+            out = self.remember(start, op, out, rhs)
         return out
 
+    def divide(self, out, rhs):
+        if len(rhs) != 1:
+            raise ScenarioError("division only by nonzero constants")
+        F = self.field
+        return self.polys.scale(out, F.div(F.one, rhs[0]))
+
     def factor(self):
+        start = self.pos
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            out = self.factor()
+            return self.remember(start, self.polys.neg, out)
         out = self.atom()
         while self.peek() == "^":
             self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
+            kind, text = self.take()[:2]
+            if kind != "num":
                 raise ScenarioError("exponent must be a literal integer")
-            out = out.pow(int(tok))
+            out = self.remember(start, self.polys.pow, out, int(text))
         return out
 
     def atom(self):
-        tok = self.take()
-        if tok is None:
+        kind, text = self.take()[:2]
+        if kind == "end":
             raise ScenarioError("expression ended early")
-        if tok == "(":
+        if text == "(":
             out = self.expr()
-            if self.take() != ")":
+            if self.peek() != ")":
                 raise ScenarioError("missing closing parenthesis")
+            self.take()
             return out
-        if tok.isdigit():
-            return Poly.const(self.field, self.var, self.field.from_int(int(tok)))
-        if tok == self.var:
-            return Poly.variable(self.field, self.var)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            try:
-                elem = self.field.atom(tok)
-            except KeyError as exc:
-                raise ScenarioError(exc.args[0])
-            return Poly.const(self.field, self.var, elem)
-        raise ScenarioError("unexpected %r" % tok)
+        if kind == "op":
+            raise ScenarioError("unexpected %r" % text)
+        return self.remember(self.pos - 1, self.constant, kind, text)
+
+    def constant(self, kind, text):
+        F = self.field
+        if kind == "num":
+            return self.polys.const(F.from_int(int(text)))
+        if text == self.var:
+            return Poly.variable(F, self.var).coeffs
+        try:
+            return self.polys.const(F.atom(text))
+        except KeyError as exc:
+            raise ScenarioError(exc.args[0])
 
 
 def parse_expression(field, var, text):
-    return _ExprParser(field, var, text).parse()
+    return _ExprParser(field, var).parse(text)
 
 
 def parse_index(tok):
@@ -380,8 +420,9 @@ def parse_scenario(text, name="scenario", precision_override=None):
                             "element of the field" % (n, var))
     poly_row = _want(kv, "poly", "target")
     _reject_extra(kv, "target")
+    parse = _ExprParser(field, var).parse
     with _refusing(poly_row, "poly"):
-        target = parse_expression(field, var, poly_row[1])
+        target = parse(poly_row[1])
         if not target.is_monic:
             raise ScenarioError("target polynomial is not monic")
 
@@ -393,7 +434,7 @@ def parse_scenario(text, name="scenario", precision_override=None):
                                 "index ; expr ; value" % n)
         with _refusing((n, line)):
             index = parse_index(parts[0])
-            poly = parse_expression(field, var, parts[1])
+            poly = parse(parts[1])
             beta = parse_value(parts[2], rank)
             if script:
                 i1, _, b1 = script[-1]
@@ -415,7 +456,7 @@ def parse_scenario(text, name="scenario", precision_override=None):
             raise ScenarioError("line %d: oracle rows are "
                                 "expr ; value [; value ...]" % n)
         with _refusing((n, line)):
-            poly = parse_expression(field, var, parts[0])
+            poly = parse(parts[0])
             values = [parse_value(p, rank) for p in parts[1:]]
         oracle.append((poly, values))
 
@@ -507,11 +548,22 @@ def scenario_search_paths():
     return paths
 
 
+def _decode(data):
+    """Scenario bytes as text.  A byte outside ASCII is refused at its line,
+    counted as `_split_sections` counts lines."""
+    text = data.decode("ascii", errors="replace")
+    if not data.isascii():
+        for n, line in enumerate(text.splitlines(), 1):
+            if "\ufffd" in line:
+                raise ScenarioError("line %d: non-ASCII character" % n)
+    return text
+
+
 def _packaged_text(fname):
     from importlib import resources
     ref = resources.files(__package__) / "scenarios" / fname
     if ref.is_file():
-        return ref.read_text(encoding="ascii")
+        return _decode(ref.read_bytes())
     return None
 
 
@@ -525,8 +577,8 @@ def load_scenario(name, precision_override=None):
         candidates = [os.path.join(d, fname) for d in scenario_search_paths()]
     for cand in candidates:
         if os.path.isfile(cand):
-            with open(cand, "r", encoding="ascii") as fh:
-                text = fh.read()
+            with open(cand, "rb") as fh:
+                text = _decode(fh.read())
             return parse_scenario(text, os.path.basename(fname)[:-4],
                                   precision_override)
     text = _packaged_text(fname)

@@ -469,6 +469,52 @@ def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
     assert rc == 2 and out == "" and err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL.replace("x^2 - y^3", "x^² - y^3"),
+     "line 8: poly: stray character '²'"),
+    (MINIMAL.replace("x^2 - y^3", "x^2 - y^٣"),
+     "line 8: poly: stray character '٣'"),
+    (MINIMAL + "\n[chain]\n1 ; x ; 3/2\n2 ; x^² - y^3 ; 7/2\n",
+     "line 12: stray character '²'"),
+    (MINIMAL + "\n[oracle]\nx + ² ; 3/2\n", "line 11: stray character '²'"),
+], ids=["target-superscript", "target-arabic-indic", "chain-superscript",
+        "oracle-superscript"])
+def test_digits_outside_ascii_are_refused_at_their_line(text, message):
+    # '²'.isdigit() is true, and the one-pass tokenizer takes only ASCII
+    # digits, so these are stray characters, not a bare ValueError of int()
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text, "non_ascii_digit")
+    assert type(exc.value) is ScenarioError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("data, line", [
+    (MINIMAL.replace("x^2 - y^3", "x^² - y^3").encode("utf-8"), 8),
+    (("# café\n" + MINIMAL).encode("utf-8"), 1),
+    ((MINIMAL + "\n[chain]\n1 ; x ; 3/2 # ≥\n").encode("utf-8"), 11),
+    (MINIMAL.encode("ascii").replace(b"generator = y", b"generator = \xff"), 4),
+    (MINIMAL.encode("ascii").replace(b"\n", b"\r\n").replace(b"- y^3",
+                                                             b"- y^\xb3"), 8),
+], ids=["target-utf8", "comment-utf8", "chain-utf8", "latin1-byte", "crlf"])
+def test_cli_non_ascii_byte_names_its_line(tmp_path, capsys, data, line):
+    path = tmp_path / "non_ascii.scn"
+    path.write_bytes(data)
+    for cmd in ("chain", "verify"):
+        rc = main([cmd, str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: line %d: non-ASCII character\n" % line
+
+
+def test_cli_builds_its_argument_parser_once():
+    import valforge.cli as cli
+    assert cli._parser() is cli._parser()
+    ns = cli._parser().parse_args(["chain", "quartic", "--depth", "3",
+                                   "--branch", "1"])
+    assert (ns.depth, ns.branch) == (3, 1)
+    ns = cli._parser().parse_args(["newton", "quartic"])
+    assert ns.command == "newton" and (ns.depth, ns.branch) == (None, None)
+
+
 def test_tower_power_parses_to_the_repeated_product():
     F = CoordinateTower(2, 1, 8)
     v = F.atom("v")
