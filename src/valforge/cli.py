@@ -25,16 +25,15 @@ __all__ = ["main"]
 
 
 def _precision_override(text):
+    """{VAR: N} for `VAR:N`, {None: N} for a bare `N`; N is ASCII digits."""
     if text is None:
         return None
-    if ":" in text:
-        var, _, num = text.partition(":")
-        if not var or not num.isdigit():
-            raise ScenarioError("bad precision %r; use N or VAR:N" % text)
-        return {var: int(num)}
-    if not text.isdigit():
+    var, colon, num = text.partition(":")
+    if not colon:
+        var, num = None, text
+    if var == "" or not (num.isascii() and num.isdigit()):
         raise ScenarioError("bad precision %r; use N or VAR:N" % text)
-    return {None: int(text)}
+    return {var: int(num)}
 
 
 def _build(ns):

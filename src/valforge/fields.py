@@ -8,9 +8,13 @@ Three concrete coefficient fields cover every scenario the engine handles:
   over F_p, so equal elements are equal tuples of ints.
 * `LexMonomialSeries`: Laurent polynomials in several variables over a prime
   field, valued by the lexicographic exponent order (first variable dominant).
-  Elements are plain {exponent tuple: scalar} dicts with exact arithmetic; an
-  optional per-variable precision box is the tolerance for accepting a
-  terminal key, whose remainder may keep only terms outside the box.
+  A monomial is one int that packs its signed exponents in 64-bit fields,
+  first variable on top, so integer order is the lex order and a product of
+  monomials is an integer sum.  Elements are plain {monomial: scalar} dicts
+  with exact arithmetic, and a product reduces each coefficient mod p once;
+  an exponent outside [-2^31, 2^31) is refused.  An optional per-variable
+  precision box is the tolerance for accepting a terminal key, whose
+  remainder may keep only terms outside the box.
 * `CoordinateTower`: the fraction field of a 2-variable coordinate tower
   u_i = v_i^p (v_{i+1} + gamma_{i+1}), v_i = u_{i+1}, with v(u_1) = 1 and
   v(v_i) = 1/p^i.  A monomial in the v-atoms is one int that packs its
@@ -587,14 +591,28 @@ class RationalFunctions(ValuedFieldBase):
 
 
 class LexMonomialSeries(ValuedFieldBase):
-    """Laurent polynomials in an ordered tuple of variables, valued by the
-    lexicographic order on exponent vectors (first variable strongest).
+    """Laurent polynomials in an ordered tuple of variables over a prime
+    field, valued by the lexicographic order on exponent vectors (first
+    variable strongest).
 
-    An element is the dict {exponent tuple: nonzero scalar}.  Elements are
-    never changed in place, so `zero` and `one` are shared, and two elements
-    compare equal exactly when their terms do.  Arithmetic is exact; the
-    optional per-variable precision box only says which terms a terminal key
-    may leave behind (`is_zero_mod_precision`).
+    A monomial is one int: the exponent vector (e_1, ..., e_r) is
+    m = sum e_i 2^(64 (r - i)), signed digits in 64-bit fields with the
+    first variable's on top.  Integer order on m is then the lex order on
+    vectors, a product of monomials is m1 + m2, the monomial 1 is 0 and the
+    inverse of m is -m.  A stored exponent lies in the signed 32-bit range
+    [-2^31, 2^31), so a digit of the sum of two monomials never reaches
+    past its field; a product, an inverse, `canonical_element` and `atom`
+    check the range on what they make, a product with one add and one mask,
+    and refuse with `InsufficientPrecision`, naming the monomial, where it
+    fails.  Vectors are decoded only where they leave the field: values,
+    the precision box and the format.
+
+    An element is the dict {monomial: scalar in [1, p)}.  A product sums the
+    raw int products of its term pairs per monomial and reduces each sum
+    mod p once.  Elements are never changed in place, so `zero` and `one`
+    are shared, and two elements compare equal exactly when their terms do.
+    Arithmetic is exact; the optional per-variable precision box only says
+    which terms a terminal key may leave behind (`is_zero_mod_precision`).
 
     Division is supported only by single-term elements; everything the chain
     machinery needs from this field reduces to term arithmetic and leading
@@ -602,46 +620,97 @@ class LexMonomialSeries(ValuedFieldBase):
     """
 
     def __init__(self, scalars, varnames, precision=None):
+        if not isinstance(scalars, PrimeField):
+            raise ValueError("lex series scalars must be a prime field, got %r"
+                             % (scalars,))
         self.scalars = scalars
+        self.p = scalars.p
         self.varnames = tuple(varnames)
         self.rank = len(self.varnames)
         self.precision = dict(precision or {})
         for var in self.precision:
             if var not in self.varnames:
                 raise ValueError("precision bound for unknown variable %r" % var)
+        self._box = [(i, self.precision[v]) for i, v in enumerate(self.varnames)
+                     if v in self.precision]
+        # m + _offs holds each in-range exponent as a digit in [0, 2^32) of
+        # its field, so an exponent out of range sets a bit of _guard
+        fields = [1 << 64 * i for i in range(self.rank)]
+        self._offs = sum(f << 31 for f in fields)
+        self._guard = sum((f << 64) - (f << 32) for f in fields)
         self.zero = {}
-        self.one = {(0,) * self.rank: scalars.one}
+        self.one = {0: scalars.one}
 
-    def _make(self, terms):
-        sc = self.scalars
-        return {e: c for e, c in terms.items() if not sc.is_zero(c)}
+    def _exponents(self, m):
+        """The exponent vector of the monomial m, read as signed 64-bit
+        digits from the lowest field up."""
+        out = []
+        for _ in range(self.rank):
+            e = ((m + 2 ** 63) & (2 ** 64 - 1)) - 2 ** 63
+            out.append(e)
+            m = (m - e) >> 64
+        return tuple(reversed(out))
+
+    def _monomial(self, exps):
+        if not all(-2 ** 31 <= e < 2 ** 31 for e in exps):
+            raise self._overflow(exps)
+        m = 0
+        for e in exps:
+            m = (m << 64) + e
+        return m
+
+    def _overflow(self, exps):
+        return InsufficientPrecision(
+            "%s has an exponent outside [-2^31, 2^31), beyond the lex "
+            "series' exponent fields" % self._spell(exps))
+
+    def _spell(self, exps):
+        return "*".join(var if k == 1 else "%s^%d" % (var, k)
+                        for var, k in zip(self.varnames, exps) if k)
 
     def add(self, x, y):
-        sc = self.scalars
-        terms = dict(x)
-        for e, c in y.items():
-            terms[e] = sc.add(terms.get(e, sc.zero), c)
-        return self._make(terms)
+        if not x:
+            return y
+        p = self.p
+        out = dict(x)
+        for m, c in y.items():
+            s = (out.get(m, 0) + c) % p
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return out
 
     def neg(self, x):
-        return {e: self.scalars.neg(c) for e, c in x.items()}
+        p = self.p
+        return {m: p - c for m, c in x.items()}
 
     def mul(self, x, y):
-        sc = self.scalars
-        terms = {}
-        for e1, c1 in x.items():
-            for e2, c2 in y.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = sc.add(terms.get(e, sc.zero), sc.mul(c1, c2))
-        return self._make(terms)
+        acc = {}
+        get = acc.get
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+        p, offs, guard = self.p, self._offs, self._guard
+        out = {}
+        for m, c in acc.items():
+            c %= p
+            if c:
+                if (m + offs) & guard:
+                    raise self._overflow(self._exponents(m))
+                out[m] = c
+        return out
 
     def inv(self, x):
         if not x:
             raise ZeroDivisionError("division by zero")
         if len(x) != 1:
             raise UnsupportedStructure("series division is restricted to monomial divisors")
-        (e0, c0), = x.items()
-        return {tuple(-a for a in e0): self.scalars.inv(c0)}
+        (m, c), = x.items()
+        if (self._offs - m) & self._guard:
+            raise self._overflow(self._exponents(-m))
+        return {-m: self.scalars.inv(c)}
 
     def is_zero(self, x):
         return not x
@@ -649,35 +718,35 @@ class LexMonomialSeries(ValuedFieldBase):
     def is_zero_mod_precision(self, x):
         """True when every term of x lies outside the precision box, that is,
         has some exponent at or above its variable's bound."""
-        box = [(i, self.precision[v]) for i, v in enumerate(self.varnames)
-               if v in self.precision]
-        return all(any(e[i] >= b for i, b in box) for e in x)
+        box = self._box
+        return all(any(e[i] >= b for i, b in box)
+                   for e in map(self._exponents, x))
 
     def valuate(self, x):
-        return Value.over(min(x)) if x else INF
+        return Value.over(self._exponents(min(x))) if x else INF
 
     def unit_residue(self, x, d):
         if not x or not d:
             raise ValueError("unit_residue of zero")
         lx, ld = min(x), min(d)
         if lx != ld:
-            raise ValueError("unit_residue needs equal values, got %s and %s" % (lx, ld))
+            raise ValueError("unit_residue needs equal values, got %s and %s"
+                             % (self._exponents(lx), self._exponents(ld)))
         return self.scalars.div(x[lx], d[ld])
 
     def canonical_element(self, v):
         if v.den != 1:
             raise ValueError("%s is not in the base value group" % v)
-        return {v.nums: self.scalars.one}
+        return {self._monomial(v.nums): self.scalars.one}
 
     def lift_scalar(self, c):
-        if self.scalars.is_zero(c):
-            return self.zero
-        return {(0,) * self.rank: c}
+        c %= self.p
+        return {0: c} if c else self.zero
 
     def atom(self, name):
         if name in self.varnames:
-            exps = tuple(1 if v == name else 0 for v in self.varnames)
-            return {exps: self.scalars.one}
+            return {self._monomial([1 if v == name else 0
+                                    for v in self.varnames]): self.scalars.one}
         raise KeyError("unknown name %r" % name)
 
     def base_group_gens(self):
@@ -687,11 +756,9 @@ class LexMonomialSeries(ValuedFieldBase):
         return gens
 
     def format_element(self, x):
-        return format_terms(
-            (self.scalars.format(x[e]),
-             "*".join(var if k == 1 else "%s^%d" % (var, k)
-                      for var, k in zip(self.varnames, e) if k))
-            for e in sorted(x))
+        return format_terms((self.scalars.format(x[m]),
+                             self._spell(self._exponents(m)))
+                            for m in sorted(x))
 
     def __repr__(self):
         return "%r[[%s]] lex" % (self.scalars, ", ".join(self.varnames))

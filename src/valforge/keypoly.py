@@ -24,7 +24,8 @@ quotient ring k[T]/(m); a second simultaneous extension is refused rather
 than guessed at.  Entries are never changed or replaced once appended.
 """
 
-from .fields import UnsupportedStructure, factor_scalar_poly
+from .fields import (InsufficientPrecision, UnsupportedStructure,
+                     factor_scalar_poly)
 from .graded import EtaleRing, InClass, ScalarRing
 from .polyring import Poly, standard_expansion
 from .values import INF, OrdinalIndex
@@ -615,12 +616,12 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     in which case they are reported as skipped.  Each grown starting value's
     branches grow stage by stage (`_grow`) and come back in depth-first
     order; a refusal raised there is the first met stage by stage, at the
-    shallowest stage that refuses."""
+    shallowest stage that refuses, and names its branch."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
     x = Poly.variable(field, var)
     chains, skipped = [], []
-    for beta1 in seed.candidate_betas(x, 0):
+    for root, beta1 in enumerate(seed.candidate_betas(x, 0), 1):
         script = scripted.pop(beta1, None)
         if script is not None:
             chains.append(replay(field, var, target, script, lump_sides))
@@ -629,7 +630,7 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
         else:
             ch = seed.clone()
             ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
-            chains.extend(_grow(ch, depth))
+            chains.extend(_grow(ch, depth, root))
     for script in scripted.values():
         chains.append(replay(field, var, target, script, lump_sides))
     return chains, skipped
@@ -643,7 +644,7 @@ def replay(field, var, target, entries, lump_sides=False):
     return ch
 
 
-def _grow(ch, depth):
+def _grow(ch, depth, root):
     """Every chain grown from ch up to the given depth, in depth-first order.
 
     Growth goes stage by stage: each chain of one stage derives its keys and
@@ -653,9 +654,12 @@ def _grow(ch, depth):
     Sorting the finished chains by path gives the depth-first order.  A
     refusal ends the whole growth, so the one reported is the first met in
     the stage-by-stage order: it lies at the shallowest stage that refuses,
-    and no branch has grown past that stage."""
+    and no branch has grown past that stage.  It keeps its type and is
+    prefixed with the path of its branch, `branch r.i.j: `, where r is the
+    root's index among the first values (`explore`) and i, j, ... are the
+    1-based move indices below it."""
     done = []
-    frontier = [((), ch)]
+    frontier = [((root,), ch)]
     while frontier:
         grown = []
         for path, cur in frontier:
@@ -663,17 +667,30 @@ def _grow(ch, depth):
             if cur.depth() >= depth or top.beta is INF:
                 done.append((path, cur))
                 continue
-            moves = [(q, sigma) for q in cur.derive_keys()
-                     for sigma in cur.candidate_betas(q)]
+            try:
+                moves = [(q, sigma) for q in cur.derive_keys()
+                         for sigma in cur.candidate_betas(q)]
+            except _REFUSALS as exc:
+                raise _on_branch(exc, path) from None
             if not moves:
                 done.append((path, cur))
                 continue
             index = top.index.successor()
-            last = len(moves) - 1
-            for i, (q, sigma) in enumerate(moves):
-                child = cur if i == last else cur.clone()
-                child.append(index, q, sigma, "derived")
+            for i, (q, sigma) in enumerate(moves, 1):
+                child = cur if i == len(moves) else cur.clone()
+                try:
+                    child.append(index, q, sigma, "derived")
+                except _REFUSALS as exc:
+                    raise _on_branch(exc, path + (i,)) from None
                 grown.append((path + (i,), child))
         frontier = grown
     done.sort(key=lambda item: item[0])
     return [chain for _, chain in done]
+
+
+_REFUSALS = (ChainError, UnsupportedStructure, InsufficientPrecision)
+
+
+def _on_branch(exc, path):
+    """The refusal exc, of the same type, prefixed with its branch path."""
+    return type(exc)("branch %s: %s" % (".".join(map(str, path)), exc))

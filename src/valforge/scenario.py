@@ -345,7 +345,7 @@ def _build_field(kv, precision_override):
         with _refusing(prec_row, "precision"):
             for part in prec_row[1].split():
                 var, _, num = part.partition(":")
-                if not num.isdigit():
+                if not (num.isascii() and num.isdigit()):
                     raise ScenarioError("bad precision %r" % part)
                 precision[var] = int(num)
         _reject_extra(kv, "field")

@@ -668,8 +668,12 @@ def _random_lex(rng):
     F = LexMonomialSeries(PrimeField(3), ("z", "y"))
 
     def elem(monomial=False):
-        return {(rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.randrange(1, 3)
-                for _ in range(1 if monomial else rng.randint(1, 4))}
+        acc = F.zero
+        for _ in range(1 if monomial else rng.randint(1, 4)):
+            mono = F.canonical_element(Value([rng.randrange(-2, 3),
+                                              rng.randrange(-2, 3)]))
+            acc = F.add(acc, F.mul(F.lift_scalar(rng.randrange(1, 3)), mono))
+        return acc
 
     return F, elem
 

@@ -420,6 +420,11 @@ QUINTIC = (pathlib.Path(valforge.__file__).parent / "scenarios"
 HUGE = "v^4294967296"
 TOO_BIG = ("the product of v^2147483648 and v^2147483648 has value 2^31 or "
            "more, beyond the tower's exponent fields")
+# the power squares from the top bit down: z^1562499999 squared is the first
+# product past the lex range, refused before an exponent could wrap into its
+# neighbour's field (the tuple-keyed lex field verified this target)
+LEX_TOO_BIG = ("z^3124999998 has an exponent outside [-2^31, 2^31), beyond "
+               "the lex series' exponent fields")
 
 
 @pytest.mark.parametrize("text, kind, message", [
@@ -435,6 +440,8 @@ TOO_BIG = ("the product of v^2147483648 and v^2147483648 has value 2^31 or "
      "line 8: poly: series division is restricted to monomial divisors"),
     (LEX + "\n[oracle]\ny + 1/(1 + z) ; 0\n", UnsupportedStructure,
      "line 11: series division is restricted to monomial divisors"),
+    (LEX.replace("y^2 + z", "y^2 + z^99999999999"), InsufficientPrecision,
+     "line 8: poly: " + LEX_TOO_BIG),
     (MINIMAL.replace("x^2 - y^3", "y*x^2 + 1"), ScenarioError,
      "line 8: poly: target polynomial is not monic"),
     (LEX.replace("generators = z x", "generators = z x\nprecision = z:abc"),
@@ -453,7 +460,7 @@ TOO_BIG = ("the product of v^2147483648 and v^2147483648 has value 2^31 or "
      "line 11: window: window must be at least 1, got 0"),
 ], ids=["target-syntax", "target-precision", "chain-precision",
         "oracle-precision", "target-division", "oracle-division",
-        "non-monic", "lex-precision-row", "rank-mismatch", "chain-indices",
+        "lex-huge-power", "non-monic", "lex-precision-row", "rank-mismatch", "chain-indices",
         "chain-terminal", "chain-values", "params-depth", "params-window"])
 def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
                                         message):
@@ -538,6 +545,23 @@ def test_cli_precision_override_rejects_stale_terminal(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "y:\u00b2", "\u0663", ":5", "y:"])
+def test_cli_precision_takes_ascii_digits_only(capsys, text):
+    # str.isdigit accepts a superscript two, which int() then refuses
+    rc = main(["chain", "cubic_char3", "--precision", text])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: bad precision %r; use N or VAR:N\n" % text
+
+
+def test_precision_row_takes_ascii_digits_only():
+    text = LEX.replace("generators = z x",
+                       "generators = z x\nprecision = z:\u00b2")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text, "superscript_precision")
+    assert str(exc.value) == "line 5: precision: bad precision 'z:\u00b2'"
+
+
 SCRIPTED_X_TO_5 = """
 [field]
 kind = rational_functions
@@ -593,7 +617,8 @@ def test_cli_refusal_names_stage_key_and_residual(tmp_path, capsys):
     rc = main(["defect", str(path)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("error: stage 2, key Q = x^4 + 2*y^2: ")
+    assert captured.err.startswith(
+        "error: branch 1.1: stage 2, key Q = x^4 + 2*y^2: ")
     assert "leave the scalar residue field" in captured.err
     assert "(1, -1/4*T), constant term first, over k[T]/(T^2 + 2)" in captured.err
 
