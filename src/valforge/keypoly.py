@@ -28,11 +28,16 @@ from .fields import (InsufficientPrecision, UnsupportedStructure,
                      factor_scalar_poly)
 from .graded import EtaleRing, InClass, ScalarRing
 from .polyring import Poly, standard_expansion
-from .values import INF, OrdinalIndex
+from .values import INF, OrdinalIndex, group_index
 
 
 class ChainError(Exception):
     """An entry or query that the chain axioms reject."""
+
+
+# `canonical_monomial` tries every multiple below a level's spacing, so
+# `append` refuses a value whose order over the group below exceeds this.
+ORDER_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +343,10 @@ class Chain:
             return ring.zero
         if minv < target:
             raise ChainError("initial form dips below its reference monomial")
-        dk = dexps.get(k, 0)
-        e = self.entry(k).e_step
-        ts = []
-        for m, _ in S:
-            t, r = divmod(m - dk, e)
-            if r:
-                raise ChainError("graded term off the value lattice of level %d" % k)
-            ts.append(t)
-        parts = self._residual(dict(S), k, dk, ts, dv0,
+        parts = self._residual(S, k, dexps.get(k, 0), dv0,
                                {j: m for j, m in dexps.items() if j < k})
         acc = ring.zero
-        for t, part in zip(ts, parts):
+        for t, part in parts.items():
             if not ring.is_zero(part):
                 acc = ring.add(acc, ring.mul(self._rule_power(k, t), part))
         return acc
@@ -401,12 +398,10 @@ class Chain:
                     raise ChainError("declared value %s does not dominate the "
                                      "current truncation %s" % (beta, dom))
         prev_group = self.group(self.depth())
-        if beta is INF:
-            e_order = 1
-            group = prev_group
-        else:
-            e_order = prev_group.multiple_order(beta)
-            group = prev_group.extend(beta)
+        group = prev_group if beta is INF else prev_group.extend(beta)
+        e_order = group_index(prev_group, group)
+        if e_order > ORDER_CAP:
+            raise ValueError("order of %s exceeds cap %d" % (beta, ORDER_CAP))
         f_step = 1
         if prev is not None:
             g, r = divmod(alpha, prev.e_step)
@@ -454,14 +449,12 @@ class Chain:
         if minv < expected:
             raise ChainError("incoming key is not balanced at level %d: value "
                              "%s below %s" % (k, minv, expected))
-        if any(m % e for m, _ in S):
-            raise ChainError("initial form of the incoming key leaves the "
-                             "value lattice of level %d" % k)
         wt = self.weight(k)
         ring = self.ring
-        rel = self._residual(dict(S), k, 0, range(g), wt.v0.scale(g),
-                             {j: m * g for j, m in wt.exps.items()})
-        rel.append(ring.one)
+        parts = self._residual([(m, c) for m, c in S if m < g * e], k, 0,
+                               wt.v0.scale(g),
+                               {j: m * g for j, m in wt.exps.items()})
+        rel = [parts.get(t, ring.zero) for t in range(g)] + [ring.one]
         if all(ring.is_scalar(a) for a in rel):
             domain = self.field.scalars
             sp = domain.polys
@@ -481,25 +474,25 @@ class Chain:
             "%s: key relation of degree %d over an extended residue ring"
             % (self._where(k), g))
 
-    def _residual(self, S, k, j1, ts, dv0, dexps):
-        """Residues of the terms m = j1 + t*e_k of S ({m: coefficient}),
-        t in ts, each against the monomial (dv0, dexps) less t weight
-        monomials of level k; zero where S has no term.  A coefficient
-        outside S lies above the minimum, so its residue is zero.  `nres`,
-        `side_residual` and `_derive_rule` all lower their monomials by
-        weight monomials here and nowhere else."""
+    def _residual(self, S, k, j1, dv0, dexps):
+        """{t: residue} over the (m, coefficient) terms S of a minimum at
+        level k, as `argmin_data` gives them: each term must lie on the
+        lattice m = j1 + t*e_k, and its residue is taken against the
+        monomial (dv0, dexps) less t weight monomials of level k.  A t with
+        no term lies above the minimum, so its residue is zero.  `nres`,
+        `side_residual` and `_derive_rule` check the lattice and lower their
+        monomials by weight monomials here and nowhere else."""
         e = self.entry(k).e_step
         wt = self.weight(k)
-        out = []
-        for t in ts:
-            c = S.get(j1 + t * e)
-            if c is None:
-                out.append(self.ring.zero)
-                continue
+        out = {}
+        for m, c in S:
+            t, r = divmod(m - j1, e)
+            if r:
+                raise ChainError("graded term off the value lattice of level %d" % k)
             exps = dict(dexps)
-            for j, m in wt.exps.items():
-                exps[j] = exps.get(j, 0) - t * m
-            out.append(self.nres(c, dv0 - wt.v0.scale(t), exps, k - 1))
+            for j, mj in wt.exps.items():
+                exps[j] = exps.get(j, 0) - t * mj
+            out[t] = self.nres(c, dv0 - wt.v0.scale(t), exps, k - 1)
         return out
 
     def side_residual(self, k=None):
@@ -514,18 +507,14 @@ class Chain:
         if data is None:
             raise ChainError("tracked polynomial vanishes at stage %d" % k)
         minv, S = data
-        ms = [m for m, _ in S]
-        j1, j2 = min(ms), max(ms)
+        j1, j2 = S[0][0], S[-1][0]
         e = ent.e_step
-        for m in ms:
-            if (m - j1) % e:
-                raise ChainError("side support leaves the value lattice")
         dmono = self.canonical_monomial(minv - ent.beta.scale(j1), k - 1)
-        raw = self._residual(dict(S), k, j1, range((j2 - j1) // e + 1),
-                             dmono.v0, dmono.exps)
+        raw = self._residual(S, k, j1, dmono.v0, dmono.exps)
         ring = self.ring
         base_inv = ring.inv(raw[0])
-        return e, j1, j2, [ring.mul(r, base_inv) for r in raw], minv
+        return e, j1, j2, [ring.mul(raw.get(t, ring.zero), base_inv)
+                           for t in range((j2 - j1) // e + 1)], minv
 
     def derive_keys(self, k=None):
         """Monic keys lifted from the irreducible factors of the stage
@@ -561,7 +550,7 @@ class Chain:
         wpoly = self.weight(k).materialize(self)
         out = ent.poly.pow(g * e)
         for s in range(g):
-            a = gcoeffs[s] if s < len(gcoeffs) else domain.zero
+            a = gcoeffs[s]
             if domain.is_zero(a):
                 continue
             term = Poly.const(self.field, self.var, self.field.lift_scalar(a))
@@ -574,34 +563,29 @@ class Chain:
         Newton polygon of the tracked polynomial against qnew that exceed the
         current truncation of qnew, plus infinity on exact division."""
         k = self.depth() if k is None else k
-        cs = self._expand(self.target, qnew)
-        pts = []
-        for j, c in enumerate(cs):
-            if c.is_zero:
-                continue
-            v = self.cval(c, k)
-            if v is not INF:
-                pts.append((j, v))
+        _, _, sides = self.polygon(self.target, qnew, k)
         threshold = None if k == 0 else self.cval(qnew, k)
-        out = []
-        for side in reversed(polygon_sides(lower_hull(pts))):
-            if threshold is None or side.sigma > threshold:
-                out.append(side.sigma)
-        if cs[0].is_zero:
+        out = [side.sigma for side in reversed(sides)
+               if threshold is None or side.sigma > threshold]
+        if self._expand(self.target, qnew)[0].is_zero:
             out.append(INF)
         return out
+
+    def polygon(self, f, key, k):
+        """The Newton polygon of f against key, ordinates at stage k, as
+        (points, hull, sides): points are (j, value) for each nonzero
+        coefficient of f's expansion in key, infinite ordinates included;
+        hull is the lower hull of the finite points and sides its sides."""
+        points = [(j, self.cval(c, k))
+                  for j, c in enumerate(self._expand(f, key)) if not c.is_zero]
+        hull = lower_hull([(j, v) for j, v in points if v is not INF])
+        return points, hull, polygon_sides(hull)
 
     def newton_points(self, f, k=None):
         """(j, value) pairs for the polygon of f against the stage-k key,
         ordinates taken at stage k-1; infinite ordinates are reported too."""
         k = self.depth() if k is None else k
-        ent = self.entry(k)
-        out = []
-        for j, c in enumerate(self._expand(f, ent.poly)):
-            if c.is_zero:
-                continue
-            out.append((j, self.cval(c, k - 1)))
-        return out
+        return self.polygon(f, self.entry(k).poly, k - 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +621,16 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
 
 
 def replay(field, var, target, entries, lump_sides=False):
+    """The scripted chain [(index, poly, beta)]; a refusal names the stage
+    and key it was appended to, but no branch, which `explore` numbers only
+    after it returns."""
     ch = Chain(field, var, target, lump_sides)
     for index, poly, beta in entries:
         origin = "limit" if index.is_limit else "scripted"
-        ch.append(index, poly, beta, origin)
+        try:
+            ch.append(index, poly, beta, origin)
+        except _REFUSALS as exc:
+            raise _located(exc, ch) from None
     return ch
 
 
@@ -655,7 +645,8 @@ def _grow(ch, depth, root):
     refusal ends the whole growth, so the one reported is the first met in
     the stage-by-stage order: it lies at the shallowest stage that refuses,
     and no branch has grown past that stage.  It keeps its type and is
-    prefixed with the path of its branch, `branch r.i.j: `, where r is the
+    prefixed with the stage and key of the branch's top entry and then with
+    the path of its branch, `branch r.i.j: ` (`_located`), where r is the
     root's index among the first values (`explore`) and i, j, ... are the
     1-based move indices below it."""
     done = []
@@ -671,7 +662,7 @@ def _grow(ch, depth, root):
                 moves = [(q, sigma) for q in cur.derive_keys()
                          for sigma in cur.candidate_betas(q)]
             except _REFUSALS as exc:
-                raise _on_branch(exc, path) from None
+                raise _located(exc, cur, path) from None
             if not moves:
                 done.append((path, cur))
                 continue
@@ -681,7 +672,7 @@ def _grow(ch, depth, root):
                 try:
                     child.append(index, q, sigma, "derived")
                 except _REFUSALS as exc:
-                    raise _on_branch(exc, path + (i,)) from None
+                    raise _located(exc, child, path + (i,)) from None
                 grown.append((path + (i,), child))
         frontier = grown
     done.sort(key=lambda item: item[0])
@@ -691,6 +682,15 @@ def _grow(ch, depth, root):
 _REFUSALS = (ChainError, UnsupportedStructure, InsufficientPrecision)
 
 
-def _on_branch(exc, path):
-    """The refusal exc, of the same type, prefixed with its branch path."""
-    return type(exc)("branch %s: %s" % (".".join(map(str, path)), exc))
+def _located(exc, ch, path=None):
+    """The refusal exc, of the same type, prefixed with the stage and key of
+    ch's top entry unless it names them already (`Chain._where`), and then
+    with its branch path when it has one."""
+    msg = str(exc)
+    if ch.entries:
+        where = ch._where(ch.depth())
+        if not msg.startswith(where + ": "):
+            msg = "%s: %s" % (where, msg)
+    if path is not None:
+        msg = "branch %s: %s" % (".".join(map(str, path)), msg)
+    return type(exc)(msg)

@@ -282,11 +282,7 @@ def render_defect(branches, identity, skipped=(), fmt="text"):
 
 
 def render_newton(ch, f, k, fmt="text"):
-    from .keypoly import lower_hull, polygon_sides
-    pts = ch.newton_points(f, k)
-    finite = [(j, v) for j, v in pts if v is not INF]
-    hull = lower_hull(finite)
-    sides = polygon_sides(hull)
+    pts, hull, sides = ch.polygon(f, ch.entry(k).poly, k - 1)
     if fmt == "tsv":
         lines = ["point\t%d\t%s" % (j, format_value(v)) for j, v in pts]
         lines += ["vertex\t%d\t%s" % (j, format_value(v)) for j, v in hull]

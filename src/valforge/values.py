@@ -274,15 +274,10 @@ class ValueGroup:
             return self
         return ValueGroup(self.rank, self.gens + (v,))
 
-    def multiple_order(self, v, cap=10**6):
-        """Least m >= 1 with m*v in the group; the commensurability index of v."""
-        if v.is_infinite:
-            raise ValueError("infinite value has no order against a group")
-        ext = ValueGroup(self.rank, self.gens + (v,))
-        m = group_index(self, ext)
-        if m > cap:
-            raise ValueError("order of %s exceeds cap %d" % (v, cap))
-        return m
+    def multiple_order(self, v):
+        """Least m >= 1 with m*v in the group: the index of the group in its
+        extension by v, the commensurability index of v."""
+        return group_index(self, self.extend(v))
 
     def __repr__(self):
         return "ValueGroup(rank=%d, gens=%s)" % (self.rank, list(self.gens))

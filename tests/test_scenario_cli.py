@@ -640,3 +640,122 @@ def test_cli_search_path_env(tmp_path):
     rc, out, err = run_cli("defect", "env_quartic",
                            env_extra={"VALFORGE_SCENARIO_PATH": str(tmp_path)})
     assert rc == 0 and "identity: 4 = 2*1*1 + 2*1*1" in out
+
+
+# ---------------------------------------------------------------------------
+# refusals that name their stage and key, and override paths
+
+ARTIN_SCHREIER = """\
+[field]
+kind = coordinate_tower
+p = 2
+gamma = 1
+depth = 12
+
+[target]
+var = y
+poly = y^2 + y + 1/v
+
+[params]
+depth = 8
+window = 3
+branches = all
+"""
+
+
+def test_cli_arithmetic_refusal_names_branch_stage_and_key(tmp_path, capsys):
+    # the tower runs out of levels inside the stage-6 key's arithmetic
+    path = tmp_path / "artin_schreier.scn"
+    path.write_text(ARTIN_SCHREIER, encoding="ascii")
+    rc = main(["defect", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: branch 1.1.1.1.1.1: stage 6, key Q = y + ")
+    assert err.endswith(": tower depth 12 exhausted\n")
+    assert err.count("stage ") == 1
+
+
+STALE_TERMINAL = ("stage 2, key Q = w^2 + 2*z^6: terminal key does not divide "
+                  "the tracked polynomial within the working precision")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["quartic", "--precision", "5"],
+     "rational function fields are exact; no precision to override"),
+    (["cubic_char3", "--precision", "q:5"],
+     "precision override for unknown variable 'q'"),
+    (["quintic_tower", "--precision", "y:3"],
+     "tower precision is its depth; use a bare number"),
+    (["cubic_char3", "--precision", "100"], STALE_TERMINAL),
+    (["cubic_char3", "--precision", "y:100"], STALE_TERMINAL),
+    (["quartic", "--depth", "-1"], "depth must be nonnegative"),
+], ids=["exact-field", "unknown-var", "tower-var", "bare-stale",
+        "var-stale", "negative-depth"])
+def test_cli_override_refusals(capsys, args, message):
+    rc = main(["chain"] + args)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_cli_bare_precision_needs_a_declared_cutoff(tmp_path, capsys):
+    path = tmp_path / "no_cutoff.scn"
+    path.write_text(LEX, encoding="ascii")
+    rc = main(["chain", str(path), "--precision", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("error: bare precision override needs a declared cutoff "
+                   "to replace\n")
+
+
+def test_cli_bare_precision_replaces_the_declared_cutoff(capsys):
+    golden = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+              / "golden" / "cubic_char3.chain.out").read_text(encoding="ascii")
+    rc = main(["chain", "cubic_char3", "--precision", "40"])
+    assert rc == 0 and capsys.readouterr().out == golden
+
+
+def test_cli_newton_tsv(capsys):
+    rc = main(["newton", "quartic", "--depth", "2", "--format", "tsv"])
+    assert rc == 0
+    rows = [("point", "0", "8"), ("point", "1", "7/2"), ("point", "2", "0"),
+            ("vertex", "0", "8"), ("vertex", "1", "7/2"), ("vertex", "2", "0"),
+            ("side", "0", "1", "9/2"), ("side", "1", "2", "7/2")]
+    assert capsys.readouterr().out == "".join("\t".join(r) + "\n"
+                                              for r in rows)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[field\n", "line 1: unterminated section header"),
+    (MINIMAL.replace("[target]", "[params]"), "missing [target] section"),
+    (MINIMAL + "\n[params]\nlump_sides = yes\n",
+     "line 11: lump_sides is true or false"),
+    (MINIMAL + "\n[params]\nbranches = some\n",
+     "line 11: branches is all or scripted"),
+    (MINIMAL + "\n[field]\n", "line 10: duplicate section 'field'"),
+    (MINIMAL.replace("char = 0", "char 0"),
+     "line 3: expected key = value in [field]"),
+    (MINIMAL + "\n[params]\nspeed = 2\n",
+     "line 11: unknown key 'speed' in [params]"),
+    (MINIMAL + "\n[chain]\n1 ; x\n",
+     "line 11: chain entries are index ; expr ; value"),
+    (MINIMAL + "\n[oracle]\nx\n",
+     "line 11: oracle rows are expr ; value [; value ...]"),
+], ids=["unterminated", "no-target", "lump-sides", "branches", "dup-section",
+        "no-equals", "unknown-key", "chain-row", "oracle-row"])
+def test_scenario_structure_refusals(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text, "broken")
+    assert str(exc.value) == message
+
+
+def test_cli_value_order_above_the_cap_is_refused(tmp_path, capsys):
+    # canonical monomials try every multiple below a level's spacing
+    path = tmp_path / "order_cap.scn"
+    path.write_text((SCRIPTED_X_TO_5 % 0).replace("1 ; x ; 5",
+                                                  "1 ; x ; 1/10000001"),
+                    encoding="ascii")
+    rc = main(["chain", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: order of 1/10000001 exceeds cap 1000000\n"
