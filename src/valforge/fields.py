@@ -36,11 +36,11 @@ named atoms for the scenario expression parser.
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, count
 from math import comb, gcd, isqrt, lcm
 
-from .polyring import Domain, _power, format_terms
+from .polyring import Domain, NumberPolys, _power, format_terms
 from .values import INF, Value, ValueGroup
 
 
@@ -58,10 +58,15 @@ class UnsupportedStructure(Exception):
 
 class Integers(Domain):
     """The ring Z with int elements.  It has no `inv`: the dense core over Z
-    divides only by monic polynomials, whose lead it never inverts."""
+    (`NumberPolys`, also that of `Rationals`) divides only by monic
+    polynomials, whose lead it never inverts."""
 
     zero = 0
     one = 1
+
+    @cached_property
+    def polys(self):
+        return NumberPolys(self)
 
     def from_int(self, n):
         return n
@@ -114,12 +119,18 @@ class Rationals(Integers):
 class _IntegersMod(Domain):
     """The ring Z/mZ with int elements in [0, m).  Only `PrimeField` can
     invert; Hensel lifting over Q runs on Z/p^kZ and divides by monic
-    polynomials alone, which `DensePolys.divmod` never inverts."""
+    polynomials alone, which `NumberPolys.divmod` never inverts.  The
+    dense core, also that of `PrimeField`, reduces each output coefficient
+    mod m once."""
 
     def __init__(self, m):
         self.m = m
         self.zero = 0
         self.one = 1 % m
+
+    @cached_property
+    def polys(self):
+        return NumberPolys(self, self.m)
 
     def from_int(self, n):
         return n % self.m
@@ -253,7 +264,7 @@ def _hensel_lift(fp, F, u, m):
     Algebra, Algorithm 15.10) lifts the Bezout coefficients s v + t u = 1
     along; every division is by the monic lift of u."""
     mod = fp.domain.p
-    v = fp.divmod(tuple(c % mod for c in F), u)[0]
+    v = fp.divmod(F, u)[0]
     _, s, t = fp.xgcd(v, u)
     while mod < m:
         mod *= mod

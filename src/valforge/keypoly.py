@@ -401,7 +401,7 @@ class Chain:
         group = prev_group if beta is INF else prev_group.extend(beta)
         e_order = group_index(prev_group, group)
         if e_order > ORDER_CAP:
-            raise ValueError("order of %s exceeds cap %d" % (beta, ORDER_CAP))
+            raise ChainError("order of %s exceeds cap %d" % (beta, ORDER_CAP))
         f_step = 1
         if prev is not None:
             g, r = divmod(alpha, prev.e_step)

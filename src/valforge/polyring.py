@@ -22,6 +22,14 @@ and the residue rings of `graded` (quotients k[T]/(m) and initial forms).
 Z and Z/p^kZ have no `inv`; the core divides over them by monic
 polynomials only.  `Poly` is a thin wrapper that carries the field and the
 variable name.
+
+Z, Q, F_p and Z/mZ, whose elements are Python numbers, select the subclass
+`NumberPolys` as their `polys`: the same algorithms with `+`, `*`, unary
+`-` and truth value inline, no domain method call per coefficient
+operation.  It collects raw sums of products and reduces each output
+coefficient once, mod m over Z/mZ and F_p, before it trims; inputs may be
+unreduced or negative, outputs lie in [0, m).  The valued fields and the
+residue rings keep `DensePolys`.
 """
 
 from functools import cached_property
@@ -234,6 +242,95 @@ class DensePolys:
             terms.append((cs, "" if i == 0 else
                           var if i == 1 else "%s^%d" % (var, i)))
         return format_terms(terms)
+
+
+class NumberPolys(DensePolys):
+    """The dense core over Z, Q or Z/mZ, whose elements are Python numbers:
+    `+`, `*`, unary `-` and truth value are the ring's arithmetic, up to one
+    reduction mod m when `m` is given.  Each operation collects raw sums of
+    products on ints or Fractions, seeded with the domain's `zero`, and
+    reduces every output coefficient once before it trims, so inputs may be
+    unreduced or negative (Hensel lifting passes Z coefficients into
+    Z/p^kZ).  Division keeps the generic contract on inverses."""
+
+    def __init__(self, domain, m=None):
+        super().__init__(domain)
+        self.m = m
+
+    def trim(self, coeffs):
+        m = self.m
+        out = list(coeffs) if m is None else [c % m for c in coeffs]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def ord(self, f):
+        m = self.m
+        for i, c in enumerate(f):
+            if c if m is None else c % m:
+                return i
+        raise ValueError("zero polynomial has no order")
+
+    def add(self, f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        out = list(f)
+        for i, c in enumerate(g):
+            out[i] += c
+        return self.trim(out)
+
+    def sub(self, f, g):
+        out = list(f) + [self.domain.zero] * (len(g) - len(f))
+        for i, c in enumerate(g):
+            out[i] -= c
+        return self.trim(out)
+
+    def neg(self, f):
+        return self.trim([-c for c in f])
+
+    def mul(self, f, g):
+        if not f or not g:
+            return ()
+        out = [self.domain.zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for k, b in enumerate(g, i):
+                    if b:
+                        out[k] += a * b
+        return self.trim(out)
+
+    def scale(self, f, c):
+        if not c:
+            return ()
+        return self.trim([a * c for a in f])
+
+    def divmod(self, f, g):
+        """As `DensePolys.divmod`: the lead of g is inverted only when
+        deg f >= deg g and it is not `one`, and only by `domain.inv`."""
+        if not g:
+            raise ZeroDivisionError("division by the zero polynomial")
+        dg = len(g) - 1
+        if len(f) - 1 < dg:
+            return (), self.trim(f)
+        d, m = self.domain, self.m
+        inv_lead = None if g[-1] == d.one else d.inv(g[-1])
+        low = [(i, -b) for i, b in enumerate(g[:-1]) if b]
+        rem = list(f)
+        q = [d.zero] * (len(f) - dg)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem.pop()
+            if m is not None:
+                c %= m
+            if not c:
+                continue
+            if inv_lead is not None:
+                c = c * inv_lead if m is None else c * inv_lead % m
+            q[k] = c
+            for i, nb in low:
+                rem[k + i] += c * nb
+        while q and not q[-1]:
+            q.pop()
+        return tuple(q), self.trim(rem)
 
 
 class Poly:

@@ -759,3 +759,17 @@ def test_cli_value_order_above_the_cap_is_refused(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == "error: order of 1/10000001 exceeds cap 1000000\n"
+
+
+def test_cli_value_order_above_the_cap_names_stage_and_key(tmp_path, capsys):
+    # past the first entry the cap refusal is located like every other one
+    path = tmp_path / "order_cap_stage.scn"
+    text = (SCRIPTED_X_TO_5 % 0).replace("x^2 + y\n", "(x^2 + y)^2 + y^5\n")
+    path.write_text(text.replace(
+        "1 ; x ; 5", "1 ; x ; 1/2\n2 ; x^2 + y ; 10000002/10000001"),
+        encoding="ascii")
+    rc = main(["chain", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("error: stage 1, key Q = x: order of 10000002/10000001 "
+                   "exceeds cap 1000000\n")
