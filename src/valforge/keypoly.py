@@ -71,11 +71,13 @@ class CanonMono:
 class ChainEntry:
     """One key of a chain.  `rule` is the residue identification of the level
     below, which this key forces (None on the first entry).  `memo` maps each
-    polynomial (by identity: a `Poly` is never changed) to its `term_values`
-    at this level, and `weight` is the level's weight monomial once
-    `Chain.weight` has made it.  Both depend only on the keys and values of
-    levels up to this one, which never change, so every chain that shares the
-    entry (each clone shares all of them) shares them too."""
+    polynomial (by identity: a `Poly` is never changed) to its record at this
+    level, the pair (`term_values`, `argmin_data`): the term list and its
+    minimum, both made once, when the polynomial is first valued here.
+    `weight` is the level's weight monomial once `Chain.weight` has made it.
+    Both depend only on the keys and values of levels up to this one, which
+    never change, so every chain that shares the entry (each clone shares all
+    of them) shares them too."""
 
     __slots__ = ("index", "poly", "beta", "origin", "alpha",
                  "e_step", "f_step", "group", "rule", "memo", "weight")
@@ -198,7 +200,9 @@ class Chain:
     # -- truncated values ---------------------------------------------------
 
     def cval(self, f, k):
-        """Value of f under the stage-k truncation (base valuation at k=0)."""
+        """Value of f under the stage-k truncation (base valuation at k=0).
+        Above stage 0 it is the minimum that `argmin_data` keeps in the
+        entry's memo."""
         if f.is_zero:
             return INF
         if k:
@@ -217,28 +221,39 @@ class Chain:
     def term_values(self, f, k):
         """(m, coefficient, m*beta_k + stage-(k-1) value) over the expansion
         of f in powers of Q_k; zero coefficients are skipped."""
+        return self._record(f, k)[0]
+
+    def argmin_data(self, f, k):
+        """(min value, ((m, coefficient), ...) attaining it), or None when
+        every term is infinite."""
+        return self._record(f, k)[1]
+
+    def _record(self, f, k):
+        """The memo record of f at level k, the pair (`term_values`,
+        `argmin_data`): made on the first call for f and level, and read
+        from the entry's memo after."""
         ent = self.entry(k)
-        out = ent.memo.get(f)
-        if out is not None:
-            return out
-        out = []
+        rec = ent.memo.get(f)
+        if rec is not None:
+            return rec
+        terms = []
+        minv, S = None, []
         for m, c in enumerate(self._expand(f, ent.poly)):
             if c.is_zero:
                 continue
-            cv = self.cval(c, k - 1)
-            out.append((m, c, cv if m == 0 else cv + ent.beta.scale(m)))
-        out = ent.memo[f] = tuple(out)
-        return out
-
-    def argmin_data(self, f, k):
-        """(min value, [(m, coefficient)] attaining it), or None when every
-        term is infinite."""
-        finite = [(m, c, v) for m, c, v in self.term_values(f, k)
-                  if v is not INF]
-        if not finite:
-            return None
-        minv = min(v for _, _, v in finite)
-        return minv, [(m, c) for m, c, v in finite if v == minv]
+            v = self.cval(c, k - 1)
+            if m and v is not INF:
+                v = v + ent.beta.scale(m)
+            terms.append((m, c, v))
+            if v is INF:
+                continue
+            if minv is None or v < minv:
+                minv, S = v, [(m, c)]
+            elif v == minv:
+                S.append((m, c))
+        rec = ent.memo[f] = (tuple(terms),
+                             None if minv is None else (minv, tuple(S)))
+        return rec
 
     def effective_degree(self, f, k=None):
         """Largest expansion exponent attaining the stage value; None when f

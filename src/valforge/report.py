@@ -5,9 +5,11 @@ Each completed block contributes one defect factor: the effective degree
 of the key that closes it, read over the last stages of the block, where
 it must have settled.  The final block contributes its own stable
 effective degree of the tracked polynomial; a terminated branch
-contributes one.  Step invariants multiply into the ramification index
-and residue degree, and the branch rows are summed against the degree of
-the tracked polynomial.
+contributes one.  A stable degree above 1 is refused: along a block the
+effective degree never rises and stays at least 1, so 1 is final, but a
+larger one may still drop at a later or a limit stage.  Step invariants
+multiply into the ramification index and residue degree, and the branch
+rows are summed against the degree of the tracked polynomial.
 """
 
 from .values import INF, format_value, group_index
@@ -98,7 +100,9 @@ def invariants_ef(ch):
 
 def classify(ch, window, branch_id=1):
     """Block decomposition with one defect factor per block, the step
-    invariant products, and a leaf status."""
+    invariant products, and a leaf status.  A final block whose effective
+    degree is stable above 1 is refused with a `ReportError` that names the
+    branch, the last stage and the degree."""
     if window < 1:
         raise ReportError("window must be at least 1")
     blocks = []
@@ -125,6 +129,11 @@ def classify(ch, window, branch_id=1):
             deltas = [ch.effective_degree(ch.target, k)
                       for k in stages[-window:]]
             if len(set(deltas)) == 1:
+                if deltas[-1] > 1:
+                    raise ReportError(
+                        "branch %s: stage %s: effective degree %d has not "
+                        "dropped; a limit stage is needed"
+                        % (branch_id, last.index, deltas[-1]))
                 blocks.append(BlockReport(j, stages, "stable", deltas,
                                           deltas[-1]))
                 status = "stable delta %d" % deltas[-1]

@@ -17,9 +17,11 @@ class Value:
     """A finite point of Q^r under lexicographic order, held as integer
     numerators `nums` over one positive denominator `den` in lowest terms, so
     equal points have equal fields however they were written.  `Value(coords)`
-    takes ints or Fractions; `Value.over(nums, den)` takes the integers.
-    Arithmetic and comparison work on the integers and cross-multiply only
-    when two denominators differ."""
+    takes ints or Fractions; `Value.over(nums, den)` takes the integers and
+    keeps a tuple it is given.  Arithmetic and comparison work on the
+    integers and cross-multiply only when two denominators differ; at rank 1
+    (every valuation on k(y) and the tower) sums, differences and int scales
+    work on the single numerator, with no generator or `zip`."""
 
     __slots__ = ("nums", "den")
     is_infinite = False
@@ -33,7 +35,8 @@ class Value:
     @classmethod
     def over(cls, nums, den=1):
         """The point nums/den for ints nums and den > 0."""
-        nums = tuple(nums)
+        if type(nums) is not tuple:
+            nums = tuple(nums)
         if den != 1:
             g = gcd(den, *nums)
             if g != 1:
@@ -62,8 +65,11 @@ class Value:
 
     def scale(self, n):
         """The point times a rational n (an int or a Fraction)."""
+        nums = self.nums
+        if type(n) is int and len(nums) == 1:
+            return Value.over((nums[0] * n,), self.den)
         num = n.numerator
-        return Value.over(tuple(a * num for a in self.nums),
+        return Value.over(tuple(a * num for a in nums),
                           self.den * n.denominator)
 
     def __truediv__(self, n):
@@ -82,8 +88,17 @@ class Value:
 
     def _combine(self, other, sign):
         """self + sign*other, over the lcm of the two denominators."""
-        pairs = zip(self.nums, other.nums, strict=True)
+        an, bn = self.nums, other.nums
         da, db = self.den, other.den
+        if len(an) == 1 and len(bn) == 1:
+            if da == db:
+                return Value.over((an[0] + bn[0] if sign > 0
+                                   else an[0] - bn[0],), da)
+            g = gcd(da, db)
+            fa = db // g
+            return Value.over((an[0] * fa + bn[0] * ((da // g) * sign),),
+                              da * fa)
+        pairs = zip(an, bn, strict=True)
         if da == db:
             if sign > 0:
                 return Value.over(tuple(x + y for x, y in pairs), da)

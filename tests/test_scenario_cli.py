@@ -595,6 +595,32 @@ def test_cli_zero_block_factor_is_refused(tmp_path, char):
     assert "branch 1" in err
 
 
+@pytest.mark.parametrize("cmd", ["defect", "verify"])
+@pytest.mark.parametrize("char, poly, delta", [
+    (2, "(x^2 + x + y)^2", 2),
+    (3, "(x^2 + x + y)^3", 3),
+    (3, "(x^2 - y^2 - y^3)^3", 3),
+    (0, "(x^2 - y^2 - y^3)^2", 2),
+], ids=["F2-square", "F3-cube", "F3-cube-nodal", "Q-square-nodal"])
+def test_cli_stable_block_above_one_is_refused(tmp_path, capsys, cmd, char,
+                                               poly, delta):
+    # a repeated factor whose local factors are not defined over k(y) keeps
+    # the target's effective degree at its multiplicity forever; that is no
+    # defect (k((y)) is separable over k(y)), and nothing proves the degree
+    # will not drop later, so classify refuses instead of reporting delta
+    text = (MINIMAL.replace("char = 0", "char = %d" % char)
+            .replace("x^2 - y^3", poly)
+            + "\n[params]\ndepth = 8\nwindow = 3\nbranches = all\n")
+    path = tmp_path / "stable_block.scn"
+    path.write_text(text, encoding="ascii")
+    rc = main([cmd, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: branch 1: stage 8: effective degree %d "
+                            "has not dropped; a limit stage is needed\n"
+                            % delta)
+
+
 @pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
 def test_cli_constant_target_is_refused(tmp_path, capsys, cmd):
     text = (SCRIPTED_X_TO_5.replace("x^2 + y", "1")

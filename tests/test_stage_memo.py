@@ -11,15 +11,19 @@ for the target, each key and seeded random polynomials (over the field's
 own atoms) the truncated value, effective degree and initial form must be
 the same from both.  A memo whose entries leaked across levels or chains
 would make the answers depend on the order in which it was filled.
+
+The memos also do their work: in one `explore`, each polynomial's minimum
+at each entry is made once.
 """
 
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
 from valforge.fields import PrimeField, QQ, RationalFunctions, UnsupportedStructure
 from valforge.graded import InClass
-from valforge.keypoly import ChainError, explore, replay
+from valforge.keypoly import Chain, ChainError, explore, replay
 from valforge.polyring import Poly
 from valforge.scenario import load_scenario
 
@@ -101,16 +105,22 @@ def test_memo_never_changes_an_answer_quartic():
     _check_chains(sc.field, sc.target, chains, random.Random(6))
 
 
-@pytest.mark.parametrize("name", sorted(OTHER_FIELDS))
-def test_memo_never_changes_an_answer_other_fields(name):
-    """The lex series (cubic_char3) and the coordinate tower (quintic_tower),
-    grown as `valforge chain` grows them."""
-    sc = load_scenario(name)
+def _explore_packaged(sc):
+    """The chains of a packaged scenario, grown as `valforge chain` grows
+    them."""
     chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
                         lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
                         scripted_only=sc.branches_mode == "scripted")
-    _check_chains(sc.field, sc.target, chains, random.Random(name),
-                  OTHER_FIELDS[name])
+    return chains
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_FIELDS))
+def test_memo_never_changes_an_answer_other_fields(name):
+    """The lex series (cubic_char3) and the coordinate tower
+    (quintic_tower)."""
+    sc = load_scenario(name)
+    _check_chains(sc.field, sc.target, _explore_packaged(sc),
+                  random.Random(name), OTHER_FIELDS[name])
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -128,3 +138,23 @@ def test_memo_never_changes_an_answer_seeded(name):
             continue
         _check_chains(F, target, chains, rng)
         checked += 1
+
+
+@pytest.mark.parametrize("name", ["quartic", "cubic_char3", "quintic_tower"])
+def test_each_minimum_is_made_once(monkeypatch, name):
+    """Every `argmin_data` answer for one (entry, polynomial) is the same
+    object: the minimum is made once and then read from the entry's memo."""
+    plain = Chain.argmin_data
+    answers = defaultdict(list)
+
+    def argmin_data(self, f, k):
+        out = plain(self, f, k)
+        answers[self.entry(k), f].append(out)   # keeps both alive
+        return out
+
+    monkeypatch.setattr(Chain, "argmin_data", argmin_data)
+    _explore_packaged(load_scenario(name))
+    assert any(len(outs) > 1 for outs in answers.values()), "no repeats"
+    made = Counter(len({id(out) for out in outs if out is not None})
+                   for outs in answers.values())
+    assert set(made) <= {0, 1}, made
