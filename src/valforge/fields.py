@@ -419,6 +419,11 @@ class ValuedFieldBase(Domain):
         """Default: exact fields have nothing to truncate."""
         return self.is_zero(x)
 
+    def admit_value(self, v):
+        """Refuse, with `InsufficientPrecision`, a key value that only a
+        truncation of the base value group would count as ramification.
+        Default: the base group is the field's whole value group."""
+
     def residue(self, x):
         """Residue of a value-zero element."""
         return self.unit_residue(x, self.one)
@@ -1102,6 +1107,22 @@ class CoordinateTower(ValuedFieldBase):
 
     def base_group_gens(self):
         return [Value.over((1,), self._pD)]
+
+    def admit_value(self, v):
+        """The infinite tower's value group is Z[1/p], of which depth D sees
+        only p^-D Z.  A value whose denominator holds p more than D times
+        lies outside the truncated group yet inside Z[1/p], so the step it
+        makes is the truncation's, not ramification: refuse it and name the
+        depth it needs.  A prime other than p in the denominator is real
+        ramification and passes."""
+        den, need = v.den, 0
+        while den % self.p == 0:
+            den //= self.p
+            need += 1
+        if need > self.max_depth:
+            raise InsufficientPrecision(
+                "value %s needs tower depth %d, beyond depth %d"
+                % (v, need, self.max_depth))
 
     def _format_poly(self, f):
         shift = self._shift

@@ -27,7 +27,7 @@ than guessed at.  Entries are never changed or replaced once appended.
 from .fields import (InsufficientPrecision, UnsupportedStructure,
                      factor_scalar_poly)
 from .graded import EtaleRing, InClass, ScalarRing
-from .polyring import Poly, standard_expansion
+from .polyring import Poly, shifted_expansion, standard_expansion
 from .values import INF, OrdinalIndex, group_index
 
 
@@ -163,6 +163,7 @@ class Chain:
         self.ext_level = None
         self.ring = ScalarRing(field.scalars)
         self._expansions = {}
+        self._latest = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -189,12 +190,27 @@ class Chain:
         and shared with every clone: `candidate_betas` expands the target in
         a key before it is appended, and `term_values` at the key's level
         (or the terminal check in `append`) needs the same expansion after.
-        A `Poly` hashes by identity, so the dict also keeps each key alive."""
+        A `Poly` hashes by identity, so the dict also keeps each key alive.
+
+        `_latest` holds the last key of each degree the target was expanded
+        in, shared with clones the same way.  When key differs from it only
+        in the constant coefficient (compared structurally), as successive
+        keys of a degree-1 ladder do, the target's expansion in key is the
+        Taylor shift of the one held (`shifted_expansion`), products by the
+        constant step instead of a division by the whole key; every other
+        expansion is divided out (`standard_expansion`)."""
         if f is not self.target:
             return standard_expansion(f, key)
         out = self._expansions.get(key)
         if out is None:
-            out = self._expansions[key] = standard_expansion(f, key)
+            held = self._latest.get(key.degree)
+            if held is not None and held.coeffs[1:] == key.coeffs[1:]:
+                step = self.field.sub(held.coeffs[0], key.coeffs[0])
+                out = shifted_expansion(self._expansions[held], step)
+            else:
+                out = standard_expansion(f, key)
+            self._expansions[key] = out
+            self._latest[key.degree] = key
         return out
 
     # -- truncated values ---------------------------------------------------
@@ -211,7 +227,7 @@ class Chain:
         while k and deg < self.entries[k - 1].poly.degree:
             k -= 1
         if k:
-            data = self.argmin_data(f, k)
+            data = self._record(f, k, self.entries[k - 1])[1]
             return INF if data is None else data[0]
         if deg > 0:
             raise ChainError("stage 0 only values constants")
@@ -221,18 +237,17 @@ class Chain:
     def term_values(self, f, k):
         """(m, coefficient, m*beta_k + stage-(k-1) value) over the expansion
         of f in powers of Q_k; zero coefficients are skipped."""
-        return self._record(f, k)[0]
+        return self._record(f, k, self.entry(k))[0]
 
     def argmin_data(self, f, k):
         """(min value, ((m, coefficient), ...) attaining it), or None when
         every term is infinite."""
-        return self._record(f, k)[1]
+        return self._record(f, k, self.entry(k))[1]
 
-    def _record(self, f, k):
-        """The memo record of f at level k, the pair (`term_values`,
-        `argmin_data`): made on the first call for f and level, and read
-        from the entry's memo after."""
-        ent = self.entry(k)
+    def _record(self, f, k, ent):
+        """The memo record of f at level k, whose entry ent the caller has
+        looked up, the pair (`term_values`, `argmin_data`): made on the
+        first call for f and level, and read from the entry's memo after."""
         rec = ent.memo.get(f)
         if rec is not None:
             return rec
@@ -350,7 +365,7 @@ class Chain:
         target = dv0
         for j, m in dexps.items():
             target = target + self.entry(j).beta.scale(m)
-        data = self.argmin_data(f, k)
+        data = self._record(f, k, self.entries[k - 1])[1]
         if data is None:
             return ring.zero
         minv, S = data
@@ -412,6 +427,13 @@ class Chain:
                 if not beta > dom:
                     raise ChainError("declared value %s does not dominate the "
                                      "current truncation %s" % (beta, dom))
+        if beta is not INF:
+            try:
+                field.admit_value(beta)
+            except InsufficientPrecision as exc:
+                raise InsufficientPrecision(
+                    "incoming key %s at stage %s: %s"
+                    % (poly.format(), index, exc)) from None
         prev_group = self.group(self.depth())
         group = prev_group if beta is INF else prev_group.extend(beta)
         e_order = group_index(prev_group, group)
@@ -615,7 +637,9 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     in which case they are reported as skipped.  Each grown starting value's
     branches grow stage by stage (`_grow`) and come back in depth-first
     order; a refusal raised there is the first met stage by stage, at the
-    shallowest stage that refuses, and names its branch."""
+    shallowest stage that refuses, and names its branch.  A script whose
+    first value is the r-th root names its branch r in a refusal, as a
+    grown branch does; a script for no root names none."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
     x = Poly.variable(field, var)
@@ -623,7 +647,8 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     for root, beta1 in enumerate(seed.candidate_betas(x, 0), 1):
         script = scripted.pop(beta1, None)
         if script is not None:
-            chains.append(replay(field, var, target, script, lump_sides))
+            chains.append(replay(field, var, target, script, lump_sides,
+                                 root))
         elif scripted_only:
             skipped.append(beta1)
         else:
@@ -635,17 +660,18 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     return chains, skipped
 
 
-def replay(field, var, target, entries, lump_sides=False):
+def replay(field, var, target, entries, lump_sides=False, root=None):
     """The scripted chain [(index, poly, beta)]; a refusal names the stage
-    and key it was appended to, but no branch, which `explore` numbers only
-    after it returns."""
+    and key it was appended to, and the branch `root` when given (`explore`
+    passes the index of the script's first value among the roots)."""
     ch = Chain(field, var, target, lump_sides)
     for index, poly, beta in entries:
         origin = "limit" if index.is_limit else "scripted"
         try:
             ch.append(index, poly, beta, origin)
         except _REFUSALS as exc:
-            raise _located(exc, ch) from None
+            path = None if root is None else (root,)
+            raise _located(exc, ch, path) from None
     return ch
 
 

@@ -17,7 +17,8 @@ The same core runs over every domain valforge has: the integers Z
 (numerators and denominators of Q(t), recombination over Q), the scalar
 fields Q and F_p (numerators and denominators of F_p(t), residual
 polynomials and their factoring, with Z/p^kZ for Hensel lifting over Q),
-the valued base fields (`Poly`, standard expansions in powers of a key),
+the valued base fields (`Poly`, standard expansions in powers of a key
+and their Taylor shifts when the key moves by a constant),
 and the residue rings of `graded` (quotients k[T]/(m) and initial forms).
 Z and Z/p^kZ have no `inv`; the core divides over them by monic
 polynomials only.  `Poly` is a thin wrapper that carries the field and the
@@ -436,3 +437,32 @@ def standard_expansion(f, q):
     if not out:
         out.append(f._spawn(()))
     return out
+
+
+def shifted_expansion(expansion, s):
+    """The expansion in powers of q - s, for a constant s, of the polynomial
+    whose expansion [c_0, c_1, ...] in powers of q is given.  From
+    f = sum c_j ((q - s) + s)^j the new coefficients are those of the Taylor
+    shift g(Z + s) of g(Z) = sum c_j Z^j, so they too have degree below
+    deg q.  Horner's scheme shifts each column (the x^i-coefficients of
+    c_0, c_1, ...) as a list of field elements, at most n(n+1)/2 products
+    by s per column for n + 1 coefficients, with the field's `add` and `mul`
+    bound from the instance at call time."""
+    head = expansion[0]
+    field = head.field
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    if is_zero(s):
+        return list(expansion)
+    n = len(expansion) - 1
+    zero = field.zero
+    cols = []
+    for i in range(max(len(c.coeffs) for c in expansion)):
+        col = [c.coeffs[i] if i < len(c.coeffs) else zero for c in expansion]
+        for lo in range(n):
+            for j in range(n - 1, lo - 1, -1):
+                b = col[j + 1]
+                if not is_zero(b):
+                    col[j] = add(col[j], mul(s, b))
+        cols.append(col)
+    trim = field.polys.trim
+    return [head._spawn(trim([col[j] for col in cols])) for j in range(n + 1)]

@@ -629,3 +629,26 @@ def test_cval_matches_flat_expansion_oracle_over_tower_and_lex(name):
             assert ch.cval(f, k) == brute_flat_value(polys[:k], betas[:k], F, f)
             compared += 1
     assert compared == 60
+
+
+def test_tower_refuses_a_value_beyond_its_depth():
+    """At depth D the tower sees p^-D Z of its value group Z[1/p]: a value
+    with denominator p^D extends nothing, one with p^(D+1) is the
+    truncation's artifact and is refused with the depth it needs, and a
+    denominator prime to p is ramification and passes."""
+    F = CoordinateTower(2, 1, max_depth=3)
+    y = Poly.variable(F, "y")
+    target = y * y + Poly.const(F, "y", F.atom("v3"))
+    first = OrdinalIndex(0, 1)
+    ch = Chain(F, "y", target)
+    ch.append(first, y, Value([Fraction(1, 8)]), "derived")
+    assert ch.entry(1).e_step == 1
+    ch = Chain(F, "y", target)
+    ch.append(first, y, Value([Fraction(1, 3)]), "derived")
+    assert ch.entry(1).e_step == 3
+    ch = Chain(F, "y", target)
+    with pytest.raises(InsufficientPrecision) as info:
+        ch.append(first, y, Value([Fraction(1, 16)]), "derived")
+    assert str(info.value) == ("incoming key y at stage 1: value 1/16 needs "
+                               "tower depth 4, beyond depth 3")
+    assert ch.depth() == 0

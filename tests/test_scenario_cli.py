@@ -701,8 +701,27 @@ def test_cli_arithmetic_refusal_names_branch_stage_and_key(tmp_path, capsys):
     assert err.count("stage ") == 1
 
 
-STALE_TERMINAL = ("stage 2, key Q = w^2 + 2*z^6: terminal key does not divide "
-                  "the tracked polynomial within the working precision")
+def test_cli_tower_truncation_artifact_is_refused(tmp_path, capsys):
+    # unscripted, branch 2 is a degree-1 ladder whose stage-9 value has
+    # denominator 2^28: the depth-26 tower sees only 2^-26 Z of Z[1/2], so
+    # that step is the truncation's, not ramification (it used to count
+    # e_step 4 and exit 0 with `5 = 1*1*1 + 4*1*1`)
+    path = tmp_path / "quintic_unscripted.scn"
+    path.write_text(QUINTIC.split("[chain]")[0] + "[params]\nbranches = all\n",
+                    encoding="ascii")
+    rc = main(["defect", str(path), "--depth", "10", "--window", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: branch 2.1.1.1.1.1.1.1.1: stage 8, key "
+                          "Q = y + ")
+    assert err.count("incoming key y + ") == 1
+    assert err.endswith(" at stage 9: value 89478485/268435456 needs tower "
+                        "depth 28, beyond depth 26\n")
+
+
+STALE_TERMINAL = ("branch 1: stage 2, key Q = w^2 + 2*z^6: terminal key does "
+                  "not divide the tracked polynomial within the working "
+                  "precision")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -797,5 +816,5 @@ def test_cli_value_order_above_the_cap_names_stage_and_key(tmp_path, capsys):
     rc = main(["chain", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert err == ("error: stage 1, key Q = x: order of 10000002/10000001 "
-                   "exceeds cap 1000000\n")
+    assert err == ("error: branch 1: stage 1, key Q = x: order of "
+                   "10000002/10000001 exceeds cap 1000000\n")

@@ -142,17 +142,18 @@ def test_memo_never_changes_an_answer_seeded(name):
 
 @pytest.mark.parametrize("name", ["quartic", "cubic_char3", "quintic_tower"])
 def test_each_minimum_is_made_once(monkeypatch, name):
-    """Every `argmin_data` answer for one (entry, polynomial) is the same
-    object: the minimum is made once and then read from the entry's memo."""
-    plain = Chain.argmin_data
+    """Every minimum for one (entry, polynomial) is the same object: it is
+    made once and then read from the entry's memo.  `cval`, `nres` and
+    `argmin_data` all read it from `Chain._record`."""
+    plain = Chain._record
     answers = defaultdict(list)
 
-    def argmin_data(self, f, k):
-        out = plain(self, f, k)
-        answers[self.entry(k), f].append(out)   # keeps both alive
+    def _record(self, f, k, ent):
+        out = plain(self, f, k, ent)
+        answers[ent, f].append(out[1])      # keeps both alive
         return out
 
-    monkeypatch.setattr(Chain, "argmin_data", argmin_data)
+    monkeypatch.setattr(Chain, "_record", _record)
     _explore_packaged(load_scenario(name))
     assert any(len(outs) > 1 for outs in answers.values()), "no repeats"
     made = Counter(len({id(out) for out in outs if out is not None})
