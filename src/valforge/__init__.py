@@ -3,7 +3,8 @@ Newton polygons, branch enumeration, and defect accounting."""
 
 from .values import INF, OrdinalIndex, Value, ValueGroup, group_index
 from .fields import (CoordinateTower, InsufficientPrecision, LexMonomialSeries,
-                     PrimeField, QQ, RationalFunctions, UnsupportedStructure)
+                     PrimeField, QQ, RationalFunctions, Refusal,
+                     UnsupportedStructure)
 from .polyring import Poly, standard_expansion
 from .keypoly import Chain, ChainError, explore, replay
 from .report import (BranchReport, DegreeIdentity, ReportError, classify,
@@ -14,7 +15,7 @@ from .scenario import (Scenario, ScenarioError, format_scenario,
 __all__ = [
     "INF", "OrdinalIndex", "Value", "ValueGroup", "group_index",
     "CoordinateTower", "InsufficientPrecision", "LexMonomialSeries",
-    "PrimeField", "QQ", "RationalFunctions", "UnsupportedStructure",
+    "PrimeField", "QQ", "RationalFunctions", "Refusal", "UnsupportedStructure",
     "Poly", "standard_expansion",
     "Chain", "ChainError", "explore", "replay",
     "BranchReport", "DegreeIdentity", "ReportError", "classify",

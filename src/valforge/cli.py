@@ -7,18 +7,18 @@
 
 Scenarios are named by file path or by bare name, searched on the
 directories in VALFORGE_SCENARIO_PATH, the working directory, and the
-packaged examples.  Exit status: 0 success, 1 failed verdict, 2 error.
+packaged examples.  Exit status: 0 success, 1 failed verdict, 2 a
+refusal (any `Refusal`) or an unreadable file; a traceback is a bug.
 """
 
 import argparse
 import functools
 import sys
 
-from .fields import InsufficientPrecision, UnsupportedStructure
-from .keypoly import ChainError, explore
-from .report import (ReportError, classify, completeness_sample, defect,
-                     degree_identity, render_chain, render_defect,
-                     render_newton)
+from .fields import Refusal
+from .keypoly import explore
+from .report import (classify, completeness_sample, defect, degree_identity,
+                     render_chain, render_defect, render_newton)
 from .scenario import ScenarioError, load_scenario
 
 __all__ = ["main"]
@@ -150,8 +150,7 @@ def main(argv=None):
     ns = _parser().parse_args(argv)
     try:
         out, code = _COMMANDS[ns.command](ns)
-    except (ScenarioError, ReportError, ChainError, UnsupportedStructure,
-            InsufficientPrecision, OSError, ValueError) as exc:
+    except (Refusal, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     sys.stdout.write(out)

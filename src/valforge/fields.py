@@ -44,11 +44,16 @@ from .polyring import Domain, NumberPolys, _power, format_terms
 from .values import INF, Value, ValueGroup
 
 
-class InsufficientPrecision(Exception):
+class Refusal(Exception):
+    """The engine declines an input, and says why: the one type every typed
+    refusal derives from, and the one its callers catch."""
+
+
+class InsufficientPrecision(Refusal):
     """A leading term was requested that the declared precision cannot certify."""
 
 
-class UnsupportedStructure(Exception):
+class UnsupportedStructure(Refusal):
     """The input is legal mathematics but outside what this engine implements."""
 
 
@@ -423,10 +428,6 @@ class ValuedFieldBase(Domain):
         """Refuse, with `InsufficientPrecision`, a key value that only a
         truncation of the base value group would count as ramification.
         Default: the base group is the field's whole value group."""
-
-    def residue(self, x):
-        """Residue of a value-zero element."""
-        return self.unit_residue(x, self.one)
 
     def from_int(self, n):
         return self.lift_scalar(self.scalars.from_int(n))

@@ -24,14 +24,14 @@ quotient ring k[T]/(m); a second simultaneous extension is refused rather
 than guessed at.  Entries are never changed or replaced once appended.
 """
 
-from .fields import (InsufficientPrecision, UnsupportedStructure,
+from .fields import (InsufficientPrecision, Refusal, UnsupportedStructure,
                      factor_scalar_poly)
 from .graded import EtaleRing, InClass, ScalarRing
 from .polyring import Poly, shifted_expansion, standard_expansion
 from .values import INF, OrdinalIndex, group_index
 
 
-class ChainError(Exception):
+class ChainError(Refusal):
     """An entry or query that the chain axioms reject."""
 
 
@@ -669,7 +669,7 @@ def replay(field, var, target, entries, lump_sides=False, root=None):
         origin = "limit" if index.is_limit else "scripted"
         try:
             ch.append(index, poly, beta, origin)
-        except _REFUSALS as exc:
+        except Refusal as exc:
             path = None if root is None else (root,)
             raise _located(exc, ch, path) from None
     return ch
@@ -683,13 +683,13 @@ def _grow(ch, depth, root):
     next stage, tagged with its parent's path plus the move's index.  A chain
     stops at the depth cap, at a terminal value, or when it has no move.
     Sorting the finished chains by path gives the depth-first order.  A
-    refusal ends the whole growth, so the one reported is the first met in
-    the stage-by-stage order: it lies at the shallowest stage that refuses,
-    and no branch has grown past that stage.  It keeps its type and is
-    prefixed with the stage and key of the branch's top entry and then with
-    the path of its branch, `branch r.i.j: ` (`_located`), where r is the
-    root's index among the first values (`explore`) and i, j, ... are the
-    1-based move indices below it."""
+    `Refusal` of any type ends the whole growth, so the one reported is
+    the first met in the stage-by-stage order: it lies at the shallowest
+    stage that refuses, and no branch has grown past that stage.  It keeps
+    its type and is prefixed with the stage and key of the branch's top
+    entry and then with the path of its branch, `branch r.i.j: `
+    (`_located`), where r is the root's index among the first values
+    (`explore`) and i, j, ... are the 1-based move indices below it."""
     done = []
     frontier = [((root,), ch)]
     while frontier:
@@ -702,7 +702,7 @@ def _grow(ch, depth, root):
             try:
                 moves = [(q, sigma) for q in cur.derive_keys()
                          for sigma in cur.candidate_betas(q)]
-            except _REFUSALS as exc:
+            except Refusal as exc:
                 raise _located(exc, cur, path) from None
             if not moves:
                 done.append((path, cur))
@@ -712,15 +712,12 @@ def _grow(ch, depth, root):
                 child = cur if i == len(moves) else cur.clone()
                 try:
                     child.append(index, q, sigma, "derived")
-                except _REFUSALS as exc:
+                except Refusal as exc:
                     raise _located(exc, child, path + (i,)) from None
                 grown.append((path + (i,), child))
         frontier = grown
     done.sort(key=lambda item: item[0])
     return [chain for _, chain in done]
-
-
-_REFUSALS = (ChainError, UnsupportedStructure, InsufficientPrecision)
 
 
 def _located(exc, ch, path=None):

@@ -12,6 +12,7 @@ multiply into the ramification index and residue degree, and the branch
 rows are summed against the degree of the tracked polynomial.
 """
 
+from .fields import Refusal
 from .values import INF, format_value, group_index
 
 __all__ = ["ReportError", "BlockReport", "BranchReport", "DegreeIdentity",
@@ -20,20 +21,17 @@ __all__ = ["ReportError", "BlockReport", "BranchReport", "DegreeIdentity",
            "render_defect", "render_newton"]
 
 
-class ReportError(Exception):
+class ReportError(Refusal):
     """A bookkeeping cross-check failed or a branch is not classifiable."""
 
 
 class BlockReport:
     """One block of consecutive stages: the slice between limit entries."""
 
-    __slots__ = ("number", "stages", "kind", "deltas", "d")
+    __slots__ = ("kind", "d")
 
-    def __init__(self, number, stages, kind, deltas, d):
-        self.number = number
-        self.stages = stages
+    def __init__(self, kind, d):
         self.kind = kind          # limit | terminated | stable | open
-        self.deltas = deltas      # window sweep backing the classification
         self.d = d                # None only while open
 
 
@@ -119,11 +117,11 @@ def classify(ch, window, branch_id=1):
                 raise ReportError(
                     "block %d closes with a degree jump of %d but effective "
                     "degree %d" % (j, closer.alpha, deltas[-1]))
-            blocks.append(BlockReport(j, stages, "limit", deltas, deltas[-1]))
+            blocks.append(BlockReport("limit", deltas[-1]))
             continue
         last = ch.entry(stages[-1])
         if last.beta is INF:
-            blocks.append(BlockReport(j, stages, "terminated", [], 1))
+            blocks.append(BlockReport("terminated", 1))
             status = "terminated"
         else:
             deltas = [ch.effective_degree(ch.target, k)
@@ -134,11 +132,10 @@ def classify(ch, window, branch_id=1):
                         "branch %s: stage %s: effective degree %d has not "
                         "dropped; a limit stage is needed"
                         % (branch_id, last.index, deltas[-1]))
-                blocks.append(BlockReport(j, stages, "stable", deltas,
-                                          deltas[-1]))
+                blocks.append(BlockReport("stable", deltas[-1]))
                 status = "stable delta %d" % deltas[-1]
             else:
-                blocks.append(BlockReport(j, stages, "open", deltas, None))
+                blocks.append(BlockReport("open", None))
                 status = "open"
     e, f = invariants_ef(ch)
     notes = []

@@ -28,9 +28,8 @@ import os
 import re
 from contextlib import contextmanager
 
-from .fields import (CoordinateTower, InsufficientPrecision,
-                     LexMonomialSeries, PrimeField, QQ, RationalFunctions,
-                     UnsupportedStructure)
+from .fields import (CoordinateTower, LexMonomialSeries, PrimeField, QQ,
+                     RationalFunctions, Refusal)
 from .polyring import Poly
 from .values import INF, OrdinalIndex, format_value, parse_value
 
@@ -41,8 +40,8 @@ __all__ = ["Scenario", "ScenarioError", "parse_scenario", "format_scenario",
 ENV_PATH = "VALFORGE_SCENARIO_PATH"
 
 
-class ScenarioError(Exception):
-    pass
+class ScenarioError(Refusal):
+    """A scenario, or a command-line setting, that cannot be read."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,10 @@ class _ExprParser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
-        out = self.expr()
+        try:
+            out = self.expr()
+        except RecursionError:
+            raise ScenarioError("expression nested too deeply") from None
         if self.peek() is not None:
             raise ScenarioError("unexpected %r" % self.peek())
         return Poly(self.field, self.var, out)
@@ -303,14 +305,14 @@ def _int(row, key, least=None):
 def _refusing(row, key=None):
     """Refuse what building from a row raises at the row's line, and at its
     key when given, keeping the reason.  A ValueError (a field constructor's
-    or `parse_value`'s) and a parse error become a ScenarioError; a typed
-    refusal of the field keeps its type."""
+    or `parse_value`'s) becomes a ScenarioError; a `Refusal`, a parse error
+    among them, keeps its type."""
     where = "line %d: " % row[0] + ("%s: " % key if key else "")
     try:
         yield
-    except (ValueError, ScenarioError) as exc:
+    except ValueError as exc:
         raise ScenarioError(where + str(exc)) from None
-    except (InsufficientPrecision, UnsupportedStructure) as exc:
+    except Refusal as exc:
         raise type(exc)(where + str(exc)) from None
 
 

@@ -188,7 +188,7 @@ def test_identity_line_shapes():
 def test_char_zero_defect_is_refused():
     P, chains, branches = quartic_branches()
     fake = BranchReport(1, chains[0],
-                        [BlockReport(0, [1], "stable", [2], 2)],
+                        [BlockReport("stable", 2)],
                         1, 1, "stable delta 2", [])
     assert defect([fake]) == [2]  # no characteristic to check against
     with pytest.raises(ReportError):
@@ -198,7 +198,7 @@ def test_char_zero_defect_is_refused():
 def test_defect_must_be_a_power_of_the_characteristic():
     P, chains, branches = cubic_branches()
     fake = BranchReport(1, chains[0],
-                        [BlockReport(0, [1], "stable", [2], 2)],
+                        [BlockReport("stable", 2)],
                         1, 1, "stable delta 2", [])
     with pytest.raises(ReportError):
         defect([fake])
@@ -207,7 +207,7 @@ def test_defect_must_be_a_power_of_the_characteristic():
 def test_open_branch_refuses_defect():
     P, chains, branches = quartic_branches()
     opened = BranchReport(1, chains[0],
-                          [BlockReport(0, [1], "open", [2, 1], None)],
+                          [BlockReport("open", None)],
                           1, 1, "open", [])
     with pytest.raises(ReportError):
         opened.d

@@ -23,7 +23,7 @@ import valforge.keypoly as keypoly
 from test_dense_core import DOMAINS, SETTINGS, TERMS, _element
 from test_growth_order import CORPUS_SEED, CORPUS_SIZE, _corpus_module
 from valforge.cli import main
-from valforge.fields import CoordinateTower
+from valforge.fields import CoordinateTower, Refusal
 from valforge.keypoly import Chain, explore
 from valforge.polyring import Poly, shifted_expansion, standard_expansion
 from valforge.report import ReportError, classify, render_chain
@@ -89,7 +89,7 @@ def test_corpus_expands_as_division(target_expansions):
         target = corpus.build_poly(t)
         try:
             chains, _ = explore(target.field, "x", target, corpus.DEPTH)
-        except keypoly._REFUSALS:
+        except Refusal:
             continue
         for i, ch in enumerate(chains, 1):
             try:
