@@ -137,7 +137,8 @@ def _parser():
         p.add_argument("--depth", type=int, default=None,
                        help="override the scenario depth")
         p.add_argument("--window", type=int, default=None,
-                       help="stages examined for stability")
+                       help="stages over which a limit block's closing key "
+                            "must keep its degree")
         p.add_argument("--precision", default=None, metavar="N|VAR:N",
                        help="override the field precision")
         p.add_argument("--format", choices=("text", "tsv"), default="text")

@@ -24,6 +24,8 @@ quotient ring k[T]/(m); a second simultaneous extension is refused rather
 than guessed at.  Entries are never changed or replaced once appended.
 """
 
+import functools
+
 from .fields import (InsufficientPrecision, Refusal, UnsupportedStructure,
                      factor_scalar_poly)
 from .graded import EtaleRing, InClass, ScalarRing
@@ -160,7 +162,6 @@ class Chain:
         self.lump_sides = lump_sides
         self.entries = []
         self.base_group = field.base_group()
-        self.ext_level = None
         self.ring = ScalarRing(field.scalars)
         self._expansions = {}
         self._latest = {}
@@ -456,14 +457,13 @@ class Chain:
         rule = None
         if prev is not None:
             rule = self._derive_rule(poly, g)
-            if rule[0] == "ext" and self.ext_level is not None:
+            if rule[0] == "ext" and isinstance(self.ring, EtaleRing):
                 raise UnsupportedStructure(
                     "%s: the incoming key %s relates the residue class by "
                     "%s, and a second residue field extension is not "
                     "supported" % (self._where(self.depth()), poly.format(),
                                    field.scalars.polys.format(rule[1], "T")))
             if rule[0] == "ext":
-                self.ext_level = self.depth()
                 self.ring = EtaleRing(field.scalars, rule[1])
         self.entries.append(ChainEntry(index, poly, beta, origin, alpha,
                                        e_order, f_step, group, rule))
@@ -496,14 +496,9 @@ class Chain:
             domain = self.field.scalars
             sp = domain.polys
             factors = factor_scalar_poly(domain, [ring.to_scalar(a) for a in rel])
-            if len(factors) == 1:
-                fac = factors[0][0]
-                if sp.degree(fac) == 1:
-                    return ("const", domain.neg(fac[0]))
-                return ("ext", fac)
-            rad = sp.one()
-            for fac, _ in factors:
-                rad = sp.mul(rad, fac)
+            rad = functools.reduce(sp.mul, [fac for fac, _ in factors])
+            if sp.degree(rad) == 1:
+                return ("const", domain.neg(rad[0]))
             return ("ext", rad)
         if g == 1:
             return ("const", ring.neg(rel[0]))
@@ -553,11 +548,11 @@ class Chain:
         return e, j1, j2, [ring.mul(raw.get(t, ring.zero), base_inv)
                            for t in range((j2 - j1) // e + 1)], minv
 
-    def derive_keys(self, k=None):
+    def derive_keys(self):
         """Monic keys lifted from the irreducible factors of the stage
         residual, in deterministic order.  With lump_sides a residual that
         splits is kept whole, so the whole side lifts to a single key."""
-        k = self.depth() if k is None else k
+        k = self.depth()
         e, j1, j2, rho, _ = self.side_residual(k)
         if j2 == j1:
             return []

@@ -3,14 +3,16 @@
 A finished branch decomposes into blocks separated by its limit entries.
 Each completed block contributes one defect factor: the effective degree
 of the key that closes it, read over the last stages of the block, where
-it must have settled.  The final block contributes its own stable
-effective degree of the tracked polynomial; a terminated branch
-contributes one.  A stable degree above 1 is refused: along a block the
-effective degree never rises and stays at least 1, so 1 is final, but a
-larger one may still drop at a later or a limit stage.  Step invariants
-multiply into the ramification index and residue degree, and the branch
-rows are summed against the degree of the tracked polynomial.
+it must have settled.  The final block contributes the effective degree
+of the tracked polynomial at its last stage; a terminated branch
+contributes one.  Along a block that degree never rises and stays at
+least 1, so 1 is final; a larger one may still drop at a deeper or a
+limit stage, and is refused.  Step invariants multiply into the
+ramification index and residue degree, and the branch rows are summed
+against the degree of the tracked polynomial.
 """
+
+import math
 
 from .fields import Refusal
 from .values import INF, format_value, group_index
@@ -31,8 +33,8 @@ class BlockReport:
     __slots__ = ("kind", "d")
 
     def __init__(self, kind, d):
-        self.kind = kind          # limit | terminated | stable | open
-        self.d = d                # None only while open
+        self.kind = kind          # limit | terminated | stable
+        self.d = d
 
 
 class BranchReport:
@@ -53,13 +55,7 @@ class BranchReport:
 
     @property
     def d(self):
-        out = 1
-        for blk in self.blocks:
-            if blk.d is None:
-                raise ReportError("branch %d is open; its defect is undefined"
-                                  % self.branch_id)
-            out *= blk.d
-        return out
+        return math.prod(blk.d for blk in self.blocks)
 
 
 def split_stages(ch):
@@ -98,9 +94,11 @@ def invariants_ef(ch):
 
 def classify(ch, window, branch_id=1):
     """Block decomposition with one defect factor per block, the step
-    invariant products, and a leaf status.  A final block whose effective
-    degree is stable above 1 is refused with a `ReportError` that names the
-    branch, the last stage and the degree."""
+    invariant products, and a leaf status.  A limit block must have settled
+    against its closing key over the last `window` stages.  The final block
+    is read at its last stage: a target effective degree above 1 there is
+    refused with a `ReportError` that names the branch, the stage and the
+    degree."""
     if window < 1:
         raise ReportError("window must be at least 1")
     blocks = []
@@ -124,19 +122,14 @@ def classify(ch, window, branch_id=1):
             blocks.append(BlockReport("terminated", 1))
             status = "terminated"
         else:
-            deltas = [ch.effective_degree(ch.target, k)
-                      for k in stages[-window:]]
-            if len(set(deltas)) == 1:
-                if deltas[-1] > 1:
-                    raise ReportError(
-                        "branch %s: stage %s: effective degree %d has not "
-                        "dropped; a limit stage is needed"
-                        % (branch_id, last.index, deltas[-1]))
-                blocks.append(BlockReport("stable", deltas[-1]))
-                status = "stable delta %d" % deltas[-1]
-            else:
-                blocks.append(BlockReport("open", None))
-                status = "open"
+            delta = ch.effective_degree(ch.target, stages[-1])
+            if delta > 1:
+                raise ReportError(
+                    "branch %s: stage %s: effective degree %d has not "
+                    "dropped to 1; a deeper run or a limit stage is needed"
+                    % (branch_id, last.index, delta))
+            blocks.append(BlockReport("stable", delta))
+            status = "stable delta %d" % delta
     e, f = invariants_ef(ch)
     notes = []
     try:
@@ -151,9 +144,9 @@ def classify(ch, window, branch_id=1):
 
 
 def defect(branches):
-    """One defect per branch: the product of its block factors.  Open
-    branches and block factors below 1 refuse; in positive characteristic
-    each defect must be a power of the residue characteristic."""
+    """One defect per branch: the product of its block factors.  Each must
+    be at least 1 and a power of the residue characteristic p, where p = 0
+    admits only 1."""
     out = []
     for br in branches:
         d = br.d
@@ -161,13 +154,15 @@ def defect(branches):
             raise ReportError("branch %d has a block factor below 1: %s"
                               % (br.branch_id, br.d_blocks))
         p = br.chain.field.char
-        if p:
-            m = d
-            while m % p == 0:
-                m //= p
-            if m != 1:
-                raise ReportError("defect %d of branch %d is not a power "
-                                  "of %d" % (d, br.branch_id, p))
+        m = d
+        while p and m % p == 0:
+            m //= p
+        if m != 1 and not p:
+            raise ReportError("defect %d over a base of characteristic zero"
+                              % d)
+        if m != 1:
+            raise ReportError("defect %d of branch %d is not a power "
+                              "of %d" % (d, br.branch_id, p))
         out.append(d)
     return out
 
@@ -201,11 +196,6 @@ class DegreeIdentity:
 def degree_identity(target, branches, complete=True):
     ds = defect(branches)
     terms = [(br.e, br.f, d) for br, d in zip(branches, ds)]
-    if target.field.char == 0:
-        for _, _, d in terms:
-            if d != 1:
-                raise ReportError(
-                    "defect %d over a base of characteristic zero" % d)
     return DegreeIdentity(target.degree, terms, complete)
 
 

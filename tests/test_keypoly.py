@@ -7,9 +7,9 @@ from bruteforce import brute_flat_value, brute_lower_hull
 from valforge.fields import (CoordinateTower, InsufficientPrecision,
                              LexMonomialSeries, PrimeField, QQ,
                              RationalFunctions, UnsupportedStructure)
-from valforge.graded import (graded_add, graded_div, graded_divmod,
-                             graded_equal, graded_inverse, graded_is_unit,
-                             graded_mul)
+from valforge.graded import (EtaleRing, graded_add, graded_div,
+                             graded_divmod, graded_equal, graded_inverse,
+                             graded_is_unit, graded_mul)
 from valforge.keypoly import (Chain, ChainError, explore, lower_hull,
                               polygon_sides, replay)
 from valforge.polyring import Poly, standard_expansion
@@ -416,7 +416,7 @@ def test_cubic_lumped_branch_etale_layer():
     ch.append(IDX[2], q2, V(6, 3), "derived")
     # the lumped quadratic installs the one allowed residue ring extension
     assert ch.entry(2).rule == ("ext", (2, 0, 1))
-    assert ch.ext_level == 1
+    assert isinstance(ch.ring, EtaleRing) and ch.ring.modulus == (2, 0, 1)
     e, j1, j2, rho, _ = ch.side_residual()
     assert (e, j1, j2) == (1, 0, 1)
     assert rho == [(1,), (0, 1)]  # 1 and the adjoined class of T

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from test_growth_order import _inputs as growth_inputs
 from test_keypoly import cubic_setup, quartic_setup, tower_chain
+from valforge.fields import Refusal
 from valforge.keypoly import Chain, explore
 from valforge.polyring import Poly
 from valforge.report import (BlockReport, BranchReport, DegreeIdentity,
@@ -115,6 +117,35 @@ def test_classify_rejects_bad_window():
         classify(chains[0], 0)
 
 
+def _classified(ch, window, bid):
+    """The branch report as plain data, or the refusal's text."""
+    try:
+        br = classify(ch, window, bid)
+    except ReportError as exc:
+        return str(exc)
+    return ([(blk.kind, blk.d) for blk in br.blocks], br.e, br.f, br.status,
+            br.notes)
+
+
+def test_window_governs_limit_blocks_only():
+    # a branch without a limit entry is read at its last stage, whatever the
+    # window, on the packaged scenarios and the pinned benchmark corpus
+    checked = 0
+    for _, target, var, depth, kw in growth_inputs():
+        try:
+            chains, _ = explore(target.field, var, target, depth, **kw)
+        except Refusal:
+            continue
+        for bid, ch in enumerate(chains, 1):
+            if any(ent.index.is_limit for ent in ch.entries):
+                continue
+            first = _classified(ch, 1, bid)
+            assert _classified(ch, 3, bid) == first
+            assert _classified(ch, 8, bid) == first
+            checked += 1
+    assert checked >= 100
+
+
 # ---------------------------------------------------------------------------
 # step invariants
 
@@ -190,7 +221,9 @@ def test_char_zero_defect_is_refused():
     fake = BranchReport(1, chains[0],
                         [BlockReport("stable", 2)],
                         1, 1, "stable delta 2", [])
-    assert defect([fake]) == [2]  # no characteristic to check against
+    with pytest.raises(ReportError,
+                       match="^defect 2 over a base of characteristic zero$"):
+        defect([fake])
     with pytest.raises(ReportError):
         degree_identity(P, [fake])
 
@@ -202,17 +235,6 @@ def test_defect_must_be_a_power_of_the_characteristic():
                         1, 1, "stable delta 2", [])
     with pytest.raises(ReportError):
         defect([fake])
-
-
-def test_open_branch_refuses_defect():
-    P, chains, branches = quartic_branches()
-    opened = BranchReport(1, chains[0],
-                          [BlockReport("open", None)],
-                          1, 1, "open", [])
-    with pytest.raises(ReportError):
-        opened.d
-    with pytest.raises(ReportError):
-        defect([opened])
 
 
 # ---------------------------------------------------------------------------

@@ -617,8 +617,31 @@ def test_cli_stable_block_above_one_is_refused(tmp_path, capsys, cmd, char,
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == ("error: branch 1: stage 8: effective degree %d "
-                            "has not dropped; a limit stage is needed\n"
-                            % delta)
+                            "has not dropped to 1; a deeper run or a limit "
+                            "stage is needed\n" % delta)
+
+
+@pytest.mark.parametrize("cmd, last", [
+    ("defect", "identity: 4 = 2*1*1 + 2*1*1"),
+    ("verify", "ok: identity 4 = 2*1*1 + 2*1*1"),
+])
+def test_cli_shallow_run_answers_once_the_degree_is_one(capsys, cmd, last):
+    # both quartic branches reach effective degree 1 at stage 3, and 1 is
+    # final, so a depth-3 run gives the answer of the full depth-12 run
+    rc = main([cmd, "quartic", "--depth", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("cmd", ["defect", "verify"])
+def test_cli_shallow_run_above_one_is_refused(capsys, cmd):
+    # at stage 2 the effective degree has dropped, but only to 2
+    rc = main([cmd, "quartic", "--depth", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: branch 1: stage 2: effective degree 2 "
+                            "has not dropped to 1; a deeper run or a limit "
+                            "stage is needed\n")
 
 
 @pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
