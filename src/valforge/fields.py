@@ -644,6 +644,9 @@ class LexMonomialSeries(ValuedFieldBase):
         self.p = scalars.p
         self.varnames = tuple(varnames)
         self.rank = len(self.varnames)
+        for i, var in enumerate(self.varnames):
+            if var in self.varnames[:i]:
+                raise ValueError("generator %r named twice" % var)
         self.precision = dict(precision or {})
         for var in self.precision:
             if var not in self.varnames:

@@ -186,7 +186,7 @@ def parse_expression(field, var, text):
 def parse_index(tok):
     tok = tok.strip()
     m = re.fullmatch(r"(\d+)|w(\d*)(?:\+(\d+))?", tok)
-    if m is None:
+    if m is None or m.group(2) and int(m.group(2)) == 0:
         raise ScenarioError("bad chain index %r" % tok)
     if m.group(1) is not None:
         return OrdinalIndex(0, int(m.group(1)))
@@ -339,16 +339,20 @@ def _build_field(kv, precision_override):
     if kind == "lex_series":
         p_row = _want(kv, "p", "field")
         p = _int(p_row, "p")
-        gens = tuple(_want(kv, "generators", "field")[1].split())
+        gens_row = _want(kv, "generators", "field")
+        gens = tuple(gens_row[1].split())
         precision = {}
-        # overrides name known variables only, so an unknown one the
-        # constructor refuses always comes from this row
         prec_row = kv.pop("precision", (0, ""))
         with _refusing(prec_row, "precision"):
             for part in prec_row[1].split():
                 var, _, num = part.partition(":")
                 if not (num.isascii() and num.isdigit()):
                     raise ScenarioError("bad precision %r" % part)
+                if var not in gens:
+                    raise ScenarioError("precision bound for unknown "
+                                        "variable %r" % var)
+                if var in precision:
+                    raise ScenarioError("precision for %r given twice" % var)
                 precision[var] = int(num)
         _reject_extra(kv, "field")
         for var, num in (precision_override or {}).items():
@@ -365,7 +369,9 @@ def _build_field(kv, precision_override):
                 precision[var] = num
         with _refusing(p_row, "p"):
             scalars = PrimeField(p)
-        with _refusing(prec_row, "precision"):
+        # every precision variable is a generator by now, so the
+        # constructor can refuse only the generators
+        with _refusing(gens_row, "generators"):
             return LexMonomialSeries(scalars, gens, precision or None)
     if kind == "coordinate_tower":
         p_row = _want(kv, "p", "field")

@@ -9,32 +9,25 @@ extends the value group of the level below once, so it builds at most one
 """
 
 from bruteforce import brute_lower_hull
-from test_growth_order import CORPUS_SEED, _corpus_module
+from inputs import CORPUS, PACKAGED, corpus_targets, run_scenario
 from valforge.fields import InsufficientPrecision, UnsupportedStructure
 from valforge.keypoly import Chain, ChainError, explore
 from valforge.scenario import load_scenario
 from valforge.values import ValueGroup
 
-PACKAGED = ("quartic", "cubic_char3", "quintic_tower")
 CORPUS_SLICE = 24
 
 
 def _packaged_chains():
     for name in PACKAGED:
-        sc = load_scenario(name)
-        chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
-                            lump_sides=sc.lump_sides,
-                            scripted=sc.scripted_map(),
-                            scripted_only=sc.branches_mode == "scripted")
-        yield from chains
+        yield from run_scenario(load_scenario(name))[0]
 
 
 def _corpus_chains():
-    corpus = _corpus_module()
-    for t in corpus.draw_targets(CORPUS_SEED, CORPUS_SLICE):
-        target = corpus.build_poly(t)
+    for t in corpus_targets()[:CORPUS_SLICE]:
+        target = CORPUS.build_poly(t)
         try:
-            chains, _ = explore(target.field, "x", target, corpus.DEPTH)
+            chains, _ = explore(target.field, "x", target, CORPUS.DEPTH)
         except (ChainError, UnsupportedStructure, InsufficientPrecision):
             continue
         yield from chains

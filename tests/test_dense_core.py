@@ -12,84 +12,14 @@ the cost of division, products and powers in domain operations.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from valforge.fields import (QQ, CoordinateTower, LexMonomialSeries,
-                             PrimeField, RationalFunctions,
-                             UnsupportedStructure, _IntegersMod)
+from inputs import DOMAINS, SETTINGS, TERMS, element
+from valforge.fields import PrimeField, UnsupportedStructure, _IntegersMod
 from valforge.graded import EtaleRing, InClass, graded_divmod
 from valforge.polyring import DensePolys, Domain, Poly, standard_expansion
 from valforge.values import INF, Value
-
-SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
-
-
-def _rational_functions(scalars):
-    F = RationalFunctions(scalars, "t")
-    t = F.atom("t")
-    one_plus_t = F.add(F.one, t)
-    return F, F.from_int, (F.one, t, one_plus_t), (F.one, t, one_plus_t)
-
-
-def _lex_series():
-    F = LexMonomialSeries(PrimeField(5), ("z", "y"))
-    z, y = F.atom("z"), F.atom("y")
-    return F, F.from_int, (F.one, z, y, F.mul(z, y)), (F.one, z, y)
-
-
-def _tower():
-    F = CoordinateTower(2, 1, 6)
-    u, v, v2 = F.atom("u"), F.atom("v"), F.atom("v2")
-    return F, F.from_int, (F.one, u, v, v2), (F.one, v, F.add(F.one, v2))
-
-
-def _prime_field():
-    F = PrimeField(7)
-    return F, F.from_int, (1, 3, 5), (1, 2, 6)
-
-
-def _integers_mod_prime_power():
-    # Z/5^3Z has no inverse: numerators only, and monic divisors
-    R = _IntegersMod(5 ** 3)
-    return R, R.from_int, (1, 5, 7, 25), ()
-
-
-def _residue_field():
-    # F_3[T]/(T^2 + 1) is F_9: -1 is not a square mod 3
-    F3 = PrimeField(3)
-    R = EtaleRing(F3, (1, 0, 1))
-    one_plus_t = R.add(R.one, R.gen)
-    return (R, lambda n: R.embed(F3.from_int(n)), (R.one, R.gen, one_plus_t),
-            (R.one, R.gen, one_plus_t))
-
-
-# domain, integer embedding, building blocks of numerators, allowed
-# denominators (none where the domain cannot invert)
-DOMAINS = {
-    "Q(t)": _rational_functions(QQ),
-    "F_3(t)": _rational_functions(PrimeField(3)),
-    "lex series": _lex_series(),
-    "tower": _tower(),
-    "F_7": _prime_field(),
-    "Z/125Z": _integers_mod_prime_power(),
-    "F_3[T]/(T^2 + 1)": _residue_field(),
-}
-
-# one coefficient: sum of c * block_i * block_j, over one denominator
-TERMS = st.tuples(
-    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3),
-                       st.integers(0, 3)), max_size=3),
-    st.integers(0, 2))
-
-
-def _element(F, from_int, blocks, dens, spec):
-    terms, den = spec
-    out = F.zero
-    for c, i, j in terms:
-        mono = F.mul(blocks[i % len(blocks)], blocks[j % len(blocks)])
-        out = F.add(out, F.mul(from_int(c), mono))
-    return F.div(out, dens[den % len(dens)]) if dens else out
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
@@ -98,8 +28,8 @@ def _element(F, from_int, blocks, dens, spec):
        g_specs=st.lists(TERMS, min_size=1, max_size=3))
 def test_division_and_expansion_identities(name, f_specs, g_specs):
     F, from_int, blocks, dens = DOMAINS[name]
-    f = Poly(F, "x", [_element(F, from_int, blocks, dens, s) for s in f_specs])
-    g = Poly(F, "x", [_element(F, from_int, blocks, dens, s)
+    f = Poly(F, "x", [element(F, from_int, blocks, dens, s) for s in f_specs])
+    g = Poly(F, "x", [element(F, from_int, blocks, dens, s)
                       for s in g_specs] + [F.one])
     assert g.is_monic and g.degree >= 1
 

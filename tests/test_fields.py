@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from inputs import run_scenario
 from valforge.fields import (
     QQ,
     CoordinateTower,
@@ -16,7 +17,6 @@ from valforge.fields import (
     UnsupportedStructure,
     factor_scalar_poly,
 )
-from valforge.keypoly import explore
 from valforge.polyring import DensePolys as ScalarPolys
 from valforge.scenario import load_scenario, parse_expression
 from valforge.values import INF, Value
@@ -751,8 +751,6 @@ def test_explore_leaves_shared_constants_alone(name):
     sc = load_scenario(name)
     F = sc.field
     zero, one = copy.deepcopy(F.zero), copy.deepcopy(F.one)
-    chains, _ = explore(F, sc.var, sc.target, sc.depth,
-                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
-                        scripted_only=sc.branches_mode == "scripted")
+    chains, _ = run_scenario(sc)
     assert chains
     assert F.zero == zero and F.one == one

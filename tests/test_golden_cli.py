@@ -1,29 +1,39 @@
 """The command line against the golden outputs of the benchmark.
 
 `perfbench/golden/` holds the stdout bytes and exit codes of every packaged
-scenario under every subcommand.  Running `valforge.cli.main` in process
-here makes a change of output fail in the test suite and not only in the
-benchmark.  The files are only read.
+scenario and of the benchmark's corpus commands under every subcommand.
+Running `valforge.cli.main` in process here makes a change of output fail in
+the test suite and not only in the benchmark.  A corpus command's scenario
+is written from `perfbench/corpus.py` as the benchmark writes it.  The
+files are only read.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
+from inputs import CORPUS, PERFBENCH, corpus_targets
 from valforge.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
-SCENARIOS = ("quartic", "cubic_char3", "quintic_tower")
+GOLDEN = PERFBENCH / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+CORPUS_COMMANDS = {"t%03d" % index: index
+                   for index in MANIFEST["corpus_commands"]}
 COMMANDS = ("chain", "defect", "newton", "verify")
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_cli_output_matches_golden(scenario, cmd, capsys, monkeypatch):
+@pytest.mark.parametrize("scenario", sorted(MANIFEST["exit_codes"]))
+def test_cli_output_matches_golden(scenario, cmd, capsys, monkeypatch,
+                                   tmp_path):
     monkeypatch.delenv("VALFORGE_SCENARIO_PATH", raising=False)
-    manifest = json.loads((GOLDEN / "manifest.json").read_text())
-    code = main([cmd, scenario])
+    arg = scenario
+    if scenario in CORPUS_COMMANDS:
+        path = tmp_path / (scenario + ".scn")
+        path.write_text(CORPUS.scenario_text(
+            corpus_targets()[CORPUS_COMMANDS[scenario]]), encoding="ascii")
+        arg = str(path)
+    code = main([cmd, arg])
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / ("%s.%s.out" % (scenario, cmd))).read_bytes()
-    assert code == manifest["exit_codes"][scenario][cmd]
+    assert code == MANIFEST["exit_codes"][scenario][cmd]

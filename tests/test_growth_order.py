@@ -3,33 +3,21 @@
 `keypoly._grow` grows a root's branches one stage at a time and sorts the
 finished chains back into depth-first order.  Here it is checked against the
 depth-first loop it replaced, copied below, on the pinned benchmark corpus
-(`perfbench/corpus.py`, read only) and the three packaged scenarios: the
+(`perfbench/corpus.py`, read only) and every packaged scenario: the
 chains must agree entry by entry, and a refusal must have the same type,
 name its branch and name a stage no deeper than the reference's.
 """
 
-import importlib.util
-import os
 import re
 
 import pytest
 
 import valforge.keypoly as keypoly
+from inputs import growth_inputs
 from valforge.fields import PrimeField, RationalFunctions, UnsupportedStructure
 from valforge.keypoly import Chain
-from valforge.scenario import load_scenario, parse_expression, parse_index
+from valforge.scenario import parse_expression, parse_index
 from valforge.values import INF
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CORPUS = os.path.join(ROOT, "perfbench", "corpus.py")
-CORPUS_SEED, CORPUS_SIZE = 5, 120     # as perfbench/workloads.py pins them
-
-
-def _corpus_module():
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _depth_first_grow(ch, depth, root):
@@ -63,27 +51,11 @@ def _depth_first_grow(ch, depth, root):
     return out
 
 
-def _inputs():
-    corpus = _corpus_module()
-    out = []
-    for t in corpus.draw_targets(CORPUS_SEED, CORPUS_SIZE):
-        out.append(("t%03d" % t.index, corpus.build_poly(t), "x",
-                    corpus.DEPTH, {}))
-    for name in ("quartic", "cubic_char3", "quintic_tower"):
-        sc = load_scenario(name)
-        out.append((name, sc.target, sc.var, sc.depth,
-                    {"lump_sides": sc.lump_sides,
-                     "scripted": sc.scripted_map(),
-                     "scripted_only": sc.branches_mode == "scripted"}))
-    return out
-
-
-def _outcome(target, var, depth, kw):
+def _outcome(grow):
     """(chains as (index, key, value) text per entry, skipped), or the
     refusal."""
     try:
-        chains, skipped = keypoly.explore(target.field, var, target, depth,
-                                          **kw)
+        chains, skipped = grow()
     except Exception as exc:
         return exc
     return ([[(str(e.index), e.poly.format(), str(e.beta))
@@ -104,12 +76,12 @@ def _unbranched(exc):
 
 
 def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
-    inputs = _inputs()
-    grown = [_outcome(t, var, depth, kw) for _, t, var, depth, kw in inputs]
+    inputs = growth_inputs()
+    grown = [_outcome(grow) for _, grow in inputs]
     monkeypatch.setattr(keypoly, "_grow", _depth_first_grow)
-    reference = [_outcome(t, var, depth, kw) for _, t, var, depth, kw in inputs]
+    reference = [_outcome(grow) for _, grow in inputs]
     refusals = 0
-    for (name, *_), got, want in zip(inputs, grown, reference):
+    for (name, _), got, want in zip(inputs, grown, reference):
         if not isinstance(want, Exception):
             assert got == want, name
             continue

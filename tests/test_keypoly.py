@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import brute_flat_value, brute_lower_hull
-from valforge.fields import (CoordinateTower, InsufficientPrecision,
-                             LexMonomialSeries, PrimeField, QQ,
+from inputs import V, cubic_setup, quartic_setup, run_scenario, tower_chain
+from valforge.fields import (CoordinateTower, InsufficientPrecision, QQ,
                              RationalFunctions, UnsupportedStructure)
 from valforge.graded import (EtaleRing, graded_add, graded_div,
                              graded_divmod, graded_equal, graded_inverse,
@@ -17,24 +17,11 @@ from valforge.scenario import load_scenario
 from valforge.values import INF, OrdinalIndex, Value
 
 
-def V(*coords):
-    return Value([Fraction(c) for c in coords])
-
-
 IDX = [OrdinalIndex(0, n) for n in range(12)]
 
 
 # ---------------------------------------------------------------------------
 # the running example: P = Q^2 + (y^2 x + y^5) Q + y^8 over Q(y), Q = x^2 - y^3
-
-
-def quartic_setup():
-    F = RationalFunctions(QQ, "y")
-    x = Poly.variable(F, "x")
-    y = lambda n: Poly.const(F, "x", F.canonical_element(V(n)))
-    Q = x * x - y(3)
-    P = Q * Q + (x.scale(F.canonical_element(V(2))) + y(5)) * Q + y(8)
-    return F, x, Q, P
 
 
 def test_first_candidates_single_side():
@@ -367,16 +354,6 @@ def test_terminal_entry_requires_divisibility():
 # char 3, rank 2: P = w^3 - z^6 w + y^3 z^9 over GF(3)((z,y)) lex
 
 
-def cubic_setup(precision={"y": 40}):
-    F = LexMonomialSeries(PrimeField(3), ("z", "y"), precision=precision)
-    w = Poly.variable(F, "w")
-    z = F.atom("z")
-    y = F.atom("y")
-    c = lambda e: Poly.const(F, "w", e)
-    P = w.pow(3) - c(F.pow(z, 6)) * w + c(F.mul(F.pow(y, 3), F.pow(z, 9)))
-    return F, w, z, y, P
-
-
 def test_cubic_two_sides():
     F, w, z, y, P = cubic_setup()
     ch = Chain(F, "w", P)
@@ -475,66 +452,6 @@ def test_scripted_replay_roundtrip():
 # the quintic over the coordinate tower: two limit stages, trivial e and f
 
 
-def tower_setup(max_depth=26):
-    F = CoordinateTower(2, 1, max_depth=max_depth)
-    u, v = F.atom("u"), F.atom("v")
-    one = F.one
-    v2u = F.add(F.mul(v, v), u)
-    P = Poly(F, "y", [v2u, F.mul(v, v), F.zero, F.zero, one, one])
-    qw = Poly(F, "y", [v, F.zero, one])
-    qw2 = Poly(F, "y", [v2u, F.zero, F.zero, F.zero, one])
-    return F, P, qw, qw2
-
-
-def tower_script(F, qw, qw2, depth=12):
-    """Scripted chain for the quintic.  Inside a block consecutive keys
-    differ by the digit monomial of the stage value, so the correction
-    tails are cumulative products of every other tower atom."""
-    u, v = F.atom("u"), F.atom("v")
-    y = Poly.variable(F, "y")
-    c = lambda e: Poly.const(F, "y", e)
-    one = F.one
-    script = []
-    tail, prod = F.zero, one
-    for l in range(1, depth + 1):
-        script.append((OrdinalIndex(0, l), y + c(tail),
-                       V(Fraction(4 ** l - 1, 3 * 4 ** l))))
-        prod = F.mul(prod, F.atom("v%d" % (2 * l)))
-        tail = F.add(tail, prod)
-    script.append((OrdinalIndex(1, 0), qw, V(Fraction(3, 8))))
-    script.append((OrdinalIndex(1, 1), qw, V(Fraction(1, 2))))
-    tail, prod = F.zero, one
-    for k in range(2, depth + 1):
-        beta = (1 + sum(Fraction(2, 2 ** (2 * j + 1)) for j in range(1, k - 1))
-                + Fraction(1, 2 ** (2 * k - 2))) / 2
-        script.append((OrdinalIndex(1, k),
-                       Poly(F, "y", [F.mul(v, tail), F.zero, one]), V(beta)))
-        prod = F.mul(prod, F.atom("v%d" % (2 * k - 1)))
-        tail = F.add(tail, prod)
-    script.append((OrdinalIndex(2, 0), qw2, V(Fraction(3, 4))))
-    tail, prod = F.zero, one
-    for n in range(1, depth + 1):
-        q = Poly(F, "y", [F.add(u, F.mul(F.mul(v, v), F.add(one, tail))),
-                          F.zero, F.zero, F.zero, one])
-        script.append((OrdinalIndex(2, n), q,
-                       V(1 + Fraction(4 ** n - 1, 3 * 4 ** n))))
-        prod = F.mul(prod, F.atom("v%d" % (2 * n)))
-        tail = F.add(tail, prod)
-    return script
-
-
-_TOWER = {}
-
-
-def tower_chain():
-    if not _TOWER:
-        F, P, qw, qw2 = tower_setup()
-        script = tower_script(F, qw, qw2)
-        _TOWER["data"] = (F, P, qw, qw2, script,
-                          replay(F, "y", P, script))
-    return _TOWER["data"]
-
-
 def test_tower_scripted_chain_replays():
     F, P, qw, qw2, script, ch = tower_chain()
     assert ch.depth() == 38
@@ -592,9 +509,7 @@ def _oracle_cases():
     F, P, qw, qw2, script, ch = tower_chain()
     cases = {"tower": (ch, 6, [F.atom(a) for a in ("u", "v", "v2", "v3")])}
     sc = load_scenario("cubic_char3")
-    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
-                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
-                        scripted_only=sc.branches_mode == "scripted")
+    chains, _ = run_scenario(sc)
     for n, c in enumerate(chains):
         stages = sum(not e.beta.is_infinite for e in c.entries)
         cases["cubic_char3-%d" % n] = (

@@ -4,29 +4,25 @@
 its argument f and to which the monomial gives no exponent: there f is its
 own expansion, and the level below gives the same residue or the same
 refusal.  Here it is checked against the level-by-level recursion it
-replaced, copied below, on every call the engine makes for the three
-packaged scenarios and a slice of the pinned benchmark corpus
+replaced, copied below, on every call the engine makes for every packaged
+scenario and a slice of the pinned benchmark corpus
 (`perfbench/corpus.py`, read only).  A guard checks that no call does its
 work at a level it should have stepped past.
 """
 
-import importlib.util
-import os
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import valforge.keypoly as keypoly
+from inputs import growth_inputs, run_scenario
 from valforge.fields import QQ, RationalFunctions
 from valforge.keypoly import Chain, ChainError
 from valforge.polyring import Poly
 from valforge.scenario import load_scenario
 from valforge.values import INF, OrdinalIndex, Value
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CORPUS = os.path.join(ROOT, "perfbench", "corpus.py")
-CORPUS_SEED, CORPUS_SIZE = 5, 120     # as perfbench/workloads.py pins them
 CORPUS_SLICE = 40
 
 
@@ -86,29 +82,13 @@ def _outcome(fn, *args):
         return False, str(exc)
 
 
-def _engine_inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    out = []
-    for name in ("quartic", "cubic_char3", "quintic_tower"):
-        sc = load_scenario(name)
-        out.append((sc.target, sc.var, sc.depth,
-                    {"lump_sides": sc.lump_sides,
-                     "scripted": sc.scripted_map(),
-                     "scripted_only": sc.branches_mode == "scripted"}))
-    for t in corpus.draw_targets(CORPUS_SEED, CORPUS_SIZE)[:CORPUS_SLICE]:
-        out.append((corpus.build_poly(t), "x", corpus.DEPTH, {}))
-    return out
-
-
 def _chains():
     """The chains `explore` grows for every input (the engine's only caller
     of `nres`; `classify` makes none); a typed refusal ends an input."""
     out = []
-    for target, var, depth, kw in _engine_inputs():
+    for _, grow in growth_inputs(CORPUS_SLICE):
         try:
-            out += keypoly.explore(target.field, var, target, depth, **kw)[0]
+            out += grow()[0]
         except (ChainError, keypoly.UnsupportedStructure):
             pass
     return out
@@ -184,8 +164,7 @@ def test_key_exponents_are_lowered_by_the_weight_monomial(q1, q2, want):
     # level 2 carries a Q_1 exponent, so each spacing that a term of
     # Q_1^q1 * Q_2^q2 lies above its canonical monomial lowers the Q_1
     # exponent of the monomial one level down by one.
-    sc = load_scenario("quartic")
-    ch = keypoly.explore(sc.field, sc.var, sc.target, 3)[0][0]
+    ch = run_scenario(load_scenario("quartic"), 3)[0][0]
     wt = ch.weight(2)
     assert (wt.v0, wt.exps) == (Value([2]), {1: 1})
     f = ch.entry(1).poly.pow(q1) * ch.entry(2).poly.pow(q2)
@@ -253,7 +232,6 @@ def test_the_guard_catches_the_level_by_level_recursion(monkeypatch):
 
 
 def test_a_level_the_chain_lacks_is_refused_before_stepping_down():
-    sc = load_scenario("quartic")
-    ch = keypoly.explore(sc.field, sc.var, sc.target, sc.depth)[0][0]
+    ch = run_scenario(load_scenario("quartic"))[0][0]
     with pytest.raises(ChainError, match="no entry at level"):
         ch.nres(ch.entries[0].poly, ch.base_group.gens[0], {}, ch.depth() + 1)

@@ -7,12 +7,12 @@ refusal or an unreadable file); a traceback is a bug.
 """
 
 import random
-from importlib import resources
 
 import pytest
 
 import valforge
 import valforge.keypoly as keypoly
+from inputs import PACKAGED, packaged_text
 from valforge.cli import main
 from valforge.keypoly import Chain
 from valforge.report import ReportError
@@ -86,9 +86,7 @@ def test_moderate_nesting_still_parses():
 # ---------------------------------------------------------------------------
 # seeded mutations of the packaged scenarios through the command line
 
-PACKAGED = [(resources.files("valforge") / "scenarios" / (name + ".scn"))
-            .read_text(encoding="ascii")
-            for name in ("quartic", "cubic_char3", "quintic_tower")]
+TEXTS = [packaged_text(name) for name in PACKAGED]
 
 # Insertions draw no digit, and a digit is replaced only by a digit, so no
 # number grows a digit and every mutated target keeps a small degree.
@@ -122,7 +120,7 @@ def test_mutated_scenarios_get_a_verdict_or_a_refusal(tmp_path, capsys):
     path = tmp_path / "mutated.scn"
     codes = set()
     for k in range(60):
-        text = _mutate(rng, PACKAGED[k % len(PACKAGED)])
+        text = _mutate(rng, TEXTS[k % len(TEXTS)])
         path.write_text(text, encoding="ascii")
         for cmd in ("chain", "defect", "newton", "verify"):
             rc = main([cmd, str(path), "--depth", "6"])

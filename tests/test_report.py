@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
-from test_growth_order import _inputs as growth_inputs
-from test_keypoly import cubic_setup, quartic_setup, tower_chain
+from inputs import (V, cubic_setup, growth_inputs, quartic_setup,
+                    tower_chain)
 from valforge.fields import Refusal
 from valforge.keypoly import Chain, explore
 from valforge.polyring import Poly
@@ -12,11 +10,7 @@ from valforge.report import (BlockReport, BranchReport, DegreeIdentity,
                              defect, degree_identity, invariants_ef,
                              render_chain, render_defect, render_newton,
                              split_stages)
-from valforge.values import INF, OrdinalIndex, Value
-
-
-def V(*coords):
-    return Value([Fraction(c) for c in coords])
+from valforge.values import INF, OrdinalIndex
 
 
 IDX = [OrdinalIndex(0, n) for n in range(12)]
@@ -131,9 +125,9 @@ def test_window_governs_limit_blocks_only():
     # a branch without a limit entry is read at its last stage, whatever the
     # window, on the packaged scenarios and the pinned benchmark corpus
     checked = 0
-    for _, target, var, depth, kw in growth_inputs():
+    for _, grow in growth_inputs():
         try:
-            chains, _ = explore(target.field, var, target, depth, **kw)
+            chains, _ = grow()
         except Refusal:
             continue
         for bid, ch in enumerate(chains, 1):

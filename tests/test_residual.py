@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from inputs import PACKAGED, run_scenario
 from valforge.fields import (QQ, PrimeField, RationalFunctions,
                              UnsupportedStructure)
 from valforge.graded import EtaleRing
@@ -76,23 +77,14 @@ def compare_all_stages(chains):
     return compared
 
 
-def scenario_chains(name):
-    sc = load_scenario(name)
-    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
-                        lump_sides=sc.lump_sides,
-                        scripted=sc.scripted_map(),
-                        scripted_only=sc.branches_mode == "scripted")
-    return chains
-
-
-@pytest.mark.parametrize("name", ["quartic", "cubic_char3", "quintic_tower"])
+@pytest.mark.parametrize("name", PACKAGED)
 def test_side_residual_matches_weight_products_on_scenarios(name):
-    chains = scenario_chains(name)
+    chains, _ = run_scenario(load_scenario(name))
     assert compare_all_stages(chains) >= len(chains)
 
 
 def test_side_residual_reaches_an_extended_residue_ring():
-    chains = scenario_chains("cubic_char3")
+    chains, _ = run_scenario(load_scenario("cubic_char3"))
     assert any(isinstance(ch.ring, EtaleRing) and ch.ring.modulus == (2, 0, 1)
                for ch in chains)
 

@@ -1,28 +1,20 @@
 import functools
 import os
-import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import valforge
-from test_keypoly import quartic_setup, tower_script, tower_setup
+from inputs import (PACKAGED, PERFBENCH, V, packaged_text, quartic_setup,
+                    tower_script, tower_setup)
 from valforge.cli import main
 from valforge.fields import (CoordinateTower, InsufficientPrecision,
                              UnsupportedStructure)
 from valforge.polyring import Poly
 from valforge.scenario import (ScenarioError, format_scenario, load_scenario,
                                parse_expression, parse_index, parse_scenario)
-from valforge.values import INF, OrdinalIndex, Value
-
-
-def V(*coords):
-    return Value([Fraction(c) for c in coords])
-
-
-PACKAGED = ("quartic", "cubic_char3", "quintic_tower")
+from valforge.values import INF, OrdinalIndex
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +51,7 @@ def test_index_tokens():
     assert parse_index("w+2") == OrdinalIndex(1, 2)
     assert parse_index("w2") == OrdinalIndex(2, 0)
     assert parse_index("w2+5") == OrdinalIndex(2, 5)
-    for bad in ("", "w-1", "+3", "2w", "w+", "x3"):
+    for bad in ("", "w-1", "+3", "2w", "w+", "x3", "w0", "w0+3"):
         with pytest.raises(ScenarioError):
             parse_index(bad)
 
@@ -276,7 +268,7 @@ def test_cli_verify_all_packaged(capsys):
         assert "fail" not in out
 
 
-@pytest.mark.parametrize("name", ["cubic_char3", "quintic_tower", "quartic"])
+@pytest.mark.parametrize("name", PACKAGED)
 def test_cold_verify_never_imports_sympy(name):
     # valforge factors over Q and over F_p with its own code; sympy is only a
     # test reference, and an import of it would put its import time back into
@@ -415,8 +407,7 @@ def test_cli_huge_tower_power_is_refused_at_once(tmp_path):
                    "exponent fields\n")
 
 
-QUINTIC = (pathlib.Path(valforge.__file__).parent / "scenarios"
-           / "quintic_tower.scn").read_text(encoding="ascii")
+QUINTIC = packaged_text("quintic_tower")
 HUGE = "v^4294967296"
 TOO_BIG = ("the product of v^2147483648 and v^2147483648 has value 2^31 or "
            "more, beyond the tower's exponent fields")
@@ -458,10 +449,17 @@ LEX_TOO_BIG = ("z^3124999998 has an exponent outside [-2^31, 2^31), beyond "
      "line 11: depth: depth must be at least 0, got -1"),
     (MINIMAL + "\n[params]\nwindow = 0\n", ScenarioError,
      "line 11: window: window must be at least 1, got 0"),
+    (LEX.replace("generators = z x", "generators = z z"), ScenarioError,
+     "line 4: generators: generator 'z' named twice"),
+    (LEX.replace("generators = z x", "generators = z x\nprecision = z:10 z:20"),
+     ScenarioError, "line 5: precision: precision for 'z' given twice"),
+    (MINIMAL + "\n[chain]\nw0+3 ; x ; 3/2\n", ScenarioError,
+     "line 11: bad chain index 'w0+3'"),
 ], ids=["target-syntax", "target-precision", "chain-precision",
         "oracle-precision", "target-division", "oracle-division",
         "lex-huge-power", "non-monic", "lex-precision-row", "rank-mismatch", "chain-indices",
-        "chain-terminal", "chain-values", "params-depth", "params-window"])
+        "chain-terminal", "chain-values", "params-depth", "params-window",
+        "lex-generator-twice", "lex-precision-twice", "chain-limit-zero"])
 def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
                                         message):
     # a refusal raised while a row is parsed names the row's line (and the
@@ -777,8 +775,8 @@ def test_cli_bare_precision_needs_a_declared_cutoff(tmp_path, capsys):
 
 
 def test_cli_bare_precision_replaces_the_declared_cutoff(capsys):
-    golden = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-              / "golden" / "cubic_char3.chain.out").read_text(encoding="ascii")
+    golden = (PERFBENCH / "golden" / "cubic_char3.chain.out").read_text(
+        encoding="ascii")
     rc = main(["chain", "cubic_char3", "--precision", "40"])
     assert rc == 0 and capsys.readouterr().out == golden
 

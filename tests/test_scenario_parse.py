@@ -11,14 +11,14 @@ coefficient tuples, or the same refusal type and message.
 """
 
 import functools
-import importlib.util
-import os
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inputs import (CORPUS, CORPUS_SIZE, PACKAGED, corpus_targets,
+                    packaged_text)
 from valforge.fields import (CoordinateTower, LexMonomialSeries, PrimeField,
                              QQ, RationalFunctions)
 from valforge.polyring import Poly
@@ -27,11 +27,6 @@ from valforge.scenario import (Scenario, ScenarioError, _ExprParser,
                                parse_expression, parse_scenario)
 from valforge.values import INF, OrdinalIndex, Value
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCENARIOS = os.path.join(ROOT, "src", "valforge", "scenarios")
-CORPUS = os.path.join(ROOT, "perfbench", "corpus.py")
-CORPUS_SEED, CORPUS_SIZE = 5, 120     # as perfbench/workloads.py pins them
-PACKAGED = ("quartic", "cubic_char3", "quintic_tower")
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
 
@@ -182,22 +177,13 @@ def _check_scenario_text(text):
     return sc
 
 
-def _corpus_texts():
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return [corpus.scenario_text(t)
-            for t in corpus.draw_targets(CORPUS_SEED, CORPUS_SIZE)]
-
-
 @pytest.mark.parametrize("name", PACKAGED)
 def test_packaged_scenarios_parse_as_the_reference_does(name):
-    with open(os.path.join(SCENARIOS, name + ".scn"), encoding="ascii") as fh:
-        _check_scenario_text(fh.read())
+    _check_scenario_text(packaged_text(name))
 
 
 def test_corpus_scenarios_parse_as_the_reference_does():
-    texts = _corpus_texts()
+    texts = [CORPUS.scenario_text(t) for t in corpus_targets()]
     assert len(texts) == CORPUS_SIZE
     for text in texts:
         _check_scenario_text(text)

@@ -20,8 +20,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import valforge.keypoly as keypoly
-from test_dense_core import DOMAINS, SETTINGS, TERMS, _element
-from test_growth_order import CORPUS_SEED, CORPUS_SIZE, _corpus_module
+from inputs import (CORPUS, DOMAINS, PACKAGED, SETTINGS, TERMS,
+                    corpus_targets, element)
 from valforge.cli import main
 from valforge.fields import CoordinateTower, Refusal
 from valforge.keypoly import Chain, explore
@@ -29,7 +29,6 @@ from valforge.polyring import Poly, shifted_expansion, standard_expansion
 from valforge.report import ReportError, classify, render_chain
 from valforge.scenario import load_scenario
 
-PACKAGED = ("quartic", "cubic_char3", "quintic_tower")
 COMMANDS = ("chain", "defect", "newton", "verify")
 VALUED = ("Q(t)", "F_3(t)", "lex series", "tower")
 
@@ -84,16 +83,15 @@ def test_packaged_commands_expand_as_division(target_expansions):
 
 def test_corpus_expands_as_division(target_expansions):
     met, shifted = target_expansions
-    corpus = _corpus_module()
-    for t in corpus.draw_targets(CORPUS_SEED, CORPUS_SIZE):
-        target = corpus.build_poly(t)
+    for t in corpus_targets():
+        target = CORPUS.build_poly(t)
         try:
-            chains, _ = explore(target.field, "x", target, corpus.DEPTH)
+            chains, _ = explore(target.field, "x", target, CORPUS.DEPTH)
         except Refusal:
             continue
         for i, ch in enumerate(chains, 1):
             try:
-                classify(ch, corpus.WINDOW, i)
+                classify(ch, CORPUS.WINDOW, i)
             except ReportError:     # a refused verdict still expanded
                 pass
         render_chain(list(enumerate(chains, 1)))
@@ -107,11 +105,11 @@ def test_corpus_expands_as_division(target_expansions):
 def test_shift_is_the_expansion_in_the_shifted_key(name, f_specs, q_specs,
                                                    s_spec):
     F, from_int, blocks, dens = DOMAINS[name]
-    f = Poly(F, "x", [_element(F, from_int, blocks, dens, spec)
+    f = Poly(F, "x", [element(F, from_int, blocks, dens, spec)
                       for spec in f_specs] + [F.one])
-    q = Poly(F, "x", [_element(F, from_int, blocks, dens, spec)
+    q = Poly(F, "x", [element(F, from_int, blocks, dens, spec)
                       for spec in q_specs] + [F.one])
-    s = _element(F, from_int, blocks, dens, s_spec)
+    s = element(F, from_int, blocks, dens, s_spec)
     moved = Poly(F, "x", (F.sub(q.coeffs[0], s),) + q.coeffs[1:])
     got = shifted_expansion(standard_expansion(f, q), s)
     assert _same_expansion(F, got, standard_expansion(f, moved))

@@ -21,37 +21,18 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from valforge.fields import PrimeField, QQ, RationalFunctions, UnsupportedStructure
+from inputs import FIELDS, PACKAGED, rand_poly, run_scenario
+from valforge.fields import RationalFunctions, UnsupportedStructure
 from valforge.graded import InClass
 from valforge.keypoly import Chain, ChainError, explore, replay
-from valforge.polyring import Poly
 from valforge.scenario import load_scenario
 
-FIELDS = {"Q(y)": QQ, "F_2(y)": PrimeField(2), "F_3(y)": PrimeField(3),
-          "F_5(y)": PrimeField(5)}
 # packaged scenarios over the lex series and the coordinate tower, with the
 # atoms their probes are built from
 OTHER_FIELDS = {"cubic_char3": ("z", "y"), "quintic_tower": ("v", "u")}
 SEEDED_TARGETS = 4
 DEPTH = 5
 RANDOM_POLYS = 3
-
-
-def _rand_poly(F, rng, degree, monic, atoms=("y",), var="x"):
-    """A random polynomial in var whose coefficients are small sums of
-    monomials in the named atoms of F."""
-    atoms = [F.atom(name) for name in atoms]
-    coeffs = []
-    for _ in range(degree):
-        c = F.zero
-        for _ in range(rng.randrange(0, 3)):
-            term = F.from_int(rng.randrange(-2, 3))
-            for a in atoms:
-                term = F.mul(term, F.pow(a, rng.randrange(0, 4)))
-            c = F.add(c, term)
-        coeffs.append(c)
-    coeffs.append(F.one if monic else F.from_int(rng.randrange(1, 4)))
-    return Poly(F, var, coeffs)
 
 
 def _outcome(fn, *args):
@@ -87,8 +68,8 @@ def _check_chains(F, target, chains, rng, atoms=("y",)):
         assert all(ent.memo for ent in ch.entries[:-1]), "growth warms the memos"
         stages = range(1, ch.depth() + 1)
         probes = ([target] + [ent.poly for ent in ch.entries]
-                  + [_rand_poly(F, rng, rng.randint(1, 2 * target.degree),
-                                False, atoms, target.var)
+                  + [rand_poly(F, rng, rng.randint(1, 2 * target.degree),
+                               False, atoms, target.var)
                      for _ in range(RANDOM_POLYS)])
         warm = _answers(ch, probes, stages)
         fresh = replay(F, target.var, target,
@@ -101,17 +82,8 @@ def _check_chains(F, target, chains, rng, atoms=("y",)):
 
 def test_memo_never_changes_an_answer_quartic():
     sc = load_scenario("quartic")
-    chains, _ = explore(sc.field, sc.var, sc.target, 8)
+    chains, _ = run_scenario(sc, 8)
     _check_chains(sc.field, sc.target, chains, random.Random(6))
-
-
-def _explore_packaged(sc):
-    """The chains of a packaged scenario, grown as `valforge chain` grows
-    them."""
-    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
-                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
-                        scripted_only=sc.branches_mode == "scripted")
-    return chains
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_FIELDS))
@@ -119,7 +91,7 @@ def test_memo_never_changes_an_answer_other_fields(name):
     """The lex series (cubic_char3) and the coordinate tower
     (quintic_tower)."""
     sc = load_scenario(name)
-    _check_chains(sc.field, sc.target, _explore_packaged(sc),
+    _check_chains(sc.field, sc.target, run_scenario(sc)[0],
                   random.Random(name), OTHER_FIELDS[name])
 
 
@@ -131,7 +103,7 @@ def test_memo_never_changes_an_answer_seeded(name):
     rng = random.Random("memo-" + name)
     checked = 0
     while checked < SEEDED_TARGETS:
-        target = _rand_poly(F, rng, rng.randint(2, 6), True)
+        target = rand_poly(F, rng, rng.randint(2, 6), True)
         try:
             chains, _ = explore(F, "x", target, DEPTH)
         except UnsupportedStructure:
@@ -140,7 +112,7 @@ def test_memo_never_changes_an_answer_seeded(name):
         checked += 1
 
 
-@pytest.mark.parametrize("name", ["quartic", "cubic_char3", "quintic_tower"])
+@pytest.mark.parametrize("name", PACKAGED)
 def test_each_minimum_is_made_once(monkeypatch, name):
     """Every minimum for one (entry, polynomial) is the same object: it is
     made once and then read from the entry's memo.  `cval`, `nres` and
@@ -154,7 +126,7 @@ def test_each_minimum_is_made_once(monkeypatch, name):
         return out
 
     monkeypatch.setattr(Chain, "_record", _record)
-    _explore_packaged(load_scenario(name))
+    run_scenario(load_scenario(name))
     assert any(len(outs) > 1 for outs in answers.values()), "no repeats"
     made = Counter(len({id(out) for out in outs if out is not None})
                    for outs in answers.values())

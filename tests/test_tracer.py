@@ -2,40 +2,27 @@
 
 The tracer wraps valforge callables by name, so a refactor that drops or
 renames one of them breaks `perfbench/run.py --trace 1`.  This test installs
-it, grows the two wild scenarios and the Q(y) quartic twice each, and checks
-that every field operation the tracer names is its wrapper, that the counts
-repeat exactly and that uninstalling restores the original functions."""
-
-import importlib.util
-import os
+it, grows every packaged scenario twice, and checks that every field
+operation the tracer names is its wrapper, that the counts repeat exactly
+and that uninstalling restores the original functions."""
 
 import pytest
 
 import valforge.keypoly as keypoly
+from inputs import PACKAGED, perfbench, run_scenario
 from valforge import (ChainError, InsufficientPrecision, ReportError,
                       ScenarioError, UnsupportedStructure)
 from valforge.scenario import load_scenario
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
 REFUSALS = (ScenarioError, ChainError, ReportError, UnsupportedStructure,
             InsufficientPrecision)
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("name", ["cubic_char3", "quartic", "quintic_tower"])
+@pytest.mark.parametrize("name", PACKAGED)
 def test_tracer_counts_repeat_and_uninstall_restores(name):
     sc = load_scenario(name)
-    kw = {"lump_sides": sc.lump_sides, "scripted": sc.scripted_map(),
-          "scripted_only": sc.branches_mode == "scripted"}
     original = keypoly.explore
-    module = _tracer_module()
+    module = perfbench("tracer")
     tr = module.Tracer()
     counts = []
     tr.install(REFUSALS)
@@ -49,7 +36,7 @@ def test_tracer_counts_repeat_and_uninstall_restores(name):
         for _ in range(2):
             tr.reset()
             tr.begin_run()
-            keypoly.explore(sc.field, sc.var, sc.target, sc.depth, **kw)
+            run_scenario(sc)
             counts.append((dict(tr.calls), dict(tr.events)))
     finally:
         tr.uninstall()

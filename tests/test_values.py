@@ -12,6 +12,7 @@ from bruteforce import (
     brute_multiple_order,
     brute_solve_unique,
 )
+from inputs import FIELDS, PACKAGED, rand_poly, run_scenario
 from valforge.values import (
     INF,
     OrdinalIndex,
@@ -21,7 +22,6 @@ from valforge.values import (
     group_index,
     parse_value,
 )
-from test_stage_memo import FIELDS, _rand_poly
 from valforge.fields import (QQ, CoordinateTower, LexMonomialSeries,
                              PrimeField, RationalFunctions,
                              UnsupportedStructure)
@@ -295,12 +295,9 @@ def _assert_exact_stage_values(ch):
                     (k, f.format(), v.coords)
 
 
-@pytest.mark.parametrize("name", ["quartic", "cubic_char3", "quintic_tower"])
+@pytest.mark.parametrize("name", PACKAGED)
 def test_stage_values_are_exact_packaged(name):
-    sc = load_scenario(name)
-    chains, _ = explore(sc.field, sc.var, sc.target, sc.depth,
-                        lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
-                        scripted_only=sc.branches_mode == "scripted")
+    chains, _ = run_scenario(load_scenario(name))
     assert chains
     for ch in chains:
         _assert_exact_stage_values(ch)
@@ -312,7 +309,7 @@ def test_stage_values_are_exact_seeded(name):
     rng = random.Random("exact-" + name)
     checked = 0
     while checked < 4:
-        target = _rand_poly(F, rng, rng.randint(2, 6), True)
+        target = rand_poly(F, rng, rng.randint(2, 6), True)
         try:
             chains, _ = explore(F, "x", target, 5)
         except UnsupportedStructure:
