@@ -41,7 +41,7 @@ from itertools import combinations, count
 from math import comb, gcd, isqrt, lcm
 
 from .polyring import Domain, NumberPolys, _power, format_terms
-from .values import INF, Value, ValueGroup
+from .values import INF, Value, ValueGroup, format_rational
 
 
 class Refusal(Exception):
@@ -115,7 +115,7 @@ class Rationals(Integers):
         return (a.numerator, a.denominator)
 
     def format(self, a):
-        return str(a)
+        return format_rational(a)
 
     def __repr__(self):
         return "Q"

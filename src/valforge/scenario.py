@@ -16,12 +16,13 @@ Sections in square brackets, keys as `name = value`, comments with `#`.
 Rationals are written a/b, rank 2 values as (a1, a2), infinity as inf.
 A scenario file is ASCII; a byte outside it is refused at its line.
 
-Expressions are tokenized in one regex pass and evaluated on coefficient
+Expressions are read one token at a time and evaluated on coefficient
 tuples of the field's dense core (`field.polys`), with one `Poly` made per
 row.  One parser serves a whole scenario, and its memo holds the value of
-each atom and each operation under its source text, so the rows of a key
-ladder, each a partial sum that repeats the products of the row before,
-compute every repeated product once.
+each atom and each operation under its source text.  Each row of a key
+ladder repeats the row before it and adds a term: the parser takes the
+repeated text's value from the memo at the start of a sum or a product, so
+it reads only the new tokens of each row and computes every product once.
 """
 
 import os
@@ -31,7 +32,8 @@ from contextlib import contextmanager
 from .fields import (CoordinateTower, LexMonomialSeries, PrimeField, QQ,
                      RationalFunctions, Refusal)
 from .polyring import Poly
-from .values import INF, OrdinalIndex, format_value, parse_value
+from .values import (INF, OrdinalIndex, format_value, parse_integer,
+                     parse_value)
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "format_scenario",
            "parse_expression", "parse_index", "load_scenario",
@@ -47,22 +49,13 @@ class ScenarioError(Refusal):
 # ---------------------------------------------------------------------------
 # expressions
 
-_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<op>[()+\-*/^])|(?P<bad>\S)")
-
-
-def _tokenize(text):
-    """(kind, text, start, end) per token, in one pass of one regex, then an
-    end token (text None); kind is num, name or op, and anything else but
-    whitespace is refused."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ScenarioError("stray character %r" % m.group())
-        out.append((kind, m.group(), m.start(), m.end()))
-    out.append(("end", None, len(text), len(text)))
-    return out
+# a token after optional whitespace; a stray character is refused up front
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[()+\-*/^]))")
+_STRAY = re.compile(r"[^\s0-9A-Za-z_()+\-*/^]")
+_SUM_OPS = re.compile(r"[-+]")
+_PRODUCT_OPS = re.compile(r"[*/]")
+_TERM_END = re.compile(r"[-+)]")
 
 
 class _ExprParser:
@@ -75,9 +68,21 @@ class _ExprParser:
     its coefficient tuple: every atom and number by its token, and the
     result of every operator by the text it spans (`v2*v4*v6`, `v^2`,
     `y + v2`).  The same text always has the same value over one field and
-    chain variable, so an expression that repeats the products or sums of
-    an earlier one, as the rows of a key ladder do, meets each of them in
-    the memo.  A parser, and so its memo, serves one scenario."""
+    chain variable.  A parser, and so its memo, serves one scenario.
+
+    An expression that repeats an earlier one and adds to it, as the rows
+    of a key ladder do, is read only where it is new.  At the start of a
+    sum the parser takes the longest remembered text that runs from there
+    to just before a + or -, and reads on after it.  At the start of a
+    product it takes the longest that runs to just before a * or / and
+    stops short of the first +, - or ) after the product's first token: a
+    product or a factor, never a remembered sum such as `a + b` in
+    `a + b*c`.  Every remembered text is a whole expression with balanced
+    parentheses, so one that ends before an operator of the current sum or
+    product is its left operand there, with the same value.  Tokens are
+    read one at a time from the current offset, so a text taken from the
+    memo is never tokenized; a stray character is refused by one search of
+    the row before any token is read."""
 
     def __init__(self, field, var):
         self.field = field
@@ -86,37 +91,86 @@ class _ExprParser:
         self.memo = {}
 
     def parse(self, text):
+        bad = _STRAY.search(text)
+        if bad is not None:
+            raise ScenarioError("stray character %r" % bad.group())
         self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.read(0)
         try:
-            out = self.expr()
+            out = self.expr(len(text))
         except RecursionError:
             raise ScenarioError("expression nested too deeply") from None
         if self.peek() is not None:
             raise ScenarioError("unexpected %r" % self.peek())
         return Poly(self.field, self.var, out)
 
+    def read(self, offset):
+        """Make the token after `offset` the next one: (kind, text, start,
+        end), kind num, name, op or end (text None); `last` is `offset`,
+        where the text taken so far ends."""
+        self.last = offset
+        m = _TOKEN.match(self.text, offset)
+        if m is None:
+            n = len(self.text)
+            self.tok = ("end", None, n, n)
+        else:
+            kind = m.lastgroup
+            end = m.end()
+            tok = m.group(kind)
+            self.tok = (kind, tok, end - len(tok), end)
+
     def peek(self):
-        return self.toks[self.pos][1]
+        return self.tok[1]
 
     def take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.read(tok[3])
         return tok
 
     def remember(self, start, op, *args):
-        """op(*args), made once per source text: the text runs from token
-        `start` to the last token taken."""
-        key = self.text[self.toks[start][2]:self.toks[self.pos - 1][3]]
+        """op(*args), made once per source text: the text runs from offset
+        `start` to the end of the last token taken."""
+        key = self.text[start:self.last]
         out = self.memo.get(key)
         if out is None:
             out = self.memo[key] = op(*args)
         return out
 
-    def expr(self):
-        start = self.pos
-        out = self.term()
+    def recall(self, start, ops, bound):
+        """The value of the longest remembered text that runs from offset
+        `start` to just before an operator that the regex `ops` finds
+        below `bound`, with the parser moved past it; None if there is
+        none.  Each partial sum and product is remembered as it is made,
+        so the remembered texts among these are the shorter ones (but for
+        a first operand in parentheses, which is not remembered alone).
+        The search tries the longest first, since a ladder row extends the
+        row before it, then bisects: it hashes at most 1 + log2(n) texts
+        for n operators."""
+        text = self.text
+        ops = [m.start() for m in ops.finditer(text, start + 1, bound)]
+        lo, hi = 0, len(ops)
+        found = None
+        mid = hi - 1
+        while lo < hi:
+            key = text[start:ops[mid]].rstrip()
+            if key in self.memo:
+                found, lo = key, mid + 1
+            else:
+                hi = mid
+            mid = (lo + hi) // 2
+        if found is None:
+            return None
+        self.read(start + len(found))
+        return self.memo[found]
+
+    def expr(self, bound):
+        """A sum, whose remembered left operands are looked up before
+        offset `bound`: the first ) after the opening parenthesis, or the
+        end of the row."""
+        start = self.tok[2]
+        out = self.recall(start, _SUM_OPS, bound)
+        if out is None:
+            out = self.term()
         while self.peek() in ("+", "-"):
             op = self.polys.add if self.take()[1] == "+" else self.polys.sub
             rhs = self.term()
@@ -124,8 +178,12 @@ class _ExprParser:
         return out
 
     def term(self):
-        start = self.pos
-        out = self.factor()
+        start = self.tok[2]
+        end = _TERM_END.search(self.text, start + 1)
+        out = self.recall(start, _PRODUCT_OPS,
+                          len(self.text) if end is None else end.start())
+        if out is None:
+            out = self.factor()
         while self.peek() in ("*", "/"):
             op = self.polys.mul if self.take()[1] == "*" else self.divide
             rhs = self.factor()
@@ -139,7 +197,7 @@ class _ExprParser:
         return self.polys.scale(out, F.div(F.one, rhs[0]))
 
     def factor(self):
-        start = self.pos
+        start = self.tok[2]
         if self.peek() == "-":
             self.take()
             out = self.factor()
@@ -158,19 +216,20 @@ class _ExprParser:
         if kind == "end":
             raise ScenarioError("expression ended early")
         if text == "(":
-            out = self.expr()
+            close = self.text.find(")", self.last)
+            out = self.expr(len(self.text) if close < 0 else close)
             if self.peek() != ")":
                 raise ScenarioError("missing closing parenthesis")
             self.take()
             return out
         if kind == "op":
             raise ScenarioError("unexpected %r" % text)
-        return self.remember(self.pos - 1, self.constant, kind, text)
+        return self.remember(self.last - len(text), self.constant, kind, text)
 
     def constant(self, kind, text):
         F = self.field
         if kind == "num":
-            return self.polys.const(F.from_int(int(text)))
+            return self.polys.const(F.from_int(parse_integer(text)))
         if text == self.var:
             return Poly.variable(F, self.var).coeffs
         try:

@@ -9,6 +9,8 @@ Q^r; membership and subgroup index go through integer Hermite normal forms of th
 generator numerators over their common denominator, so everything is exact.
 """
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -189,16 +191,37 @@ class _InfiniteValue(Value):
 INF = _InfiniteValue()
 
 
+def format_rational(q):
+    """str(q) for an int or a Fraction of any size.  str() of an int refuses
+    more than sys.get_int_max_str_digits() digits (4300 by default); the
+    Decimal conversion has no such limit and writes the same digits."""
+    text = str(Decimal(q.numerator))
+    if q.denominator == 1:
+        return text
+    return "%s/%s" % (text, Decimal(q.denominator))
+
+
+def parse_integer(digits):
+    """int(digits) for a string of ASCII digits, with a leading minus or
+    not, of any length: int() refuses more than 4300 digits, the Decimal
+    conversion reads them all."""
+    return int(Decimal(digits))
+
+
 def format_value(v):
     if v.is_infinite:
         return "inf"
     if len(v.coords) == 1:
-        return str(v.coords[0])
-    return "(%s)" % ", ".join(str(c) for c in v.coords)
+        return format_rational(v.coords[0])
+    return "(%s)" % ", ".join(format_rational(c) for c in v.coords)
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_value(text, rank):
-    """Parse 'inf', a single fraction, or a tuple '(a, b, ...)' of the given rank."""
+    """Parse 'inf', a single rational a or a/b, or a tuple '(a, b, ...)' of
+    the given rank, a and b integers in ASCII digits (`parse_integer`)."""
     text = text.strip()
     if text == "inf":
         return INF
@@ -210,10 +233,16 @@ def parse_value(text, rank):
         parts = [text]
     if len(parts) != rank:
         raise ValueError("value %r has %d coordinates, expected %d" % (text, len(parts), rank))
-    try:
-        return Value(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("bad value literal %r: %s" % (text, exc)) from None
+    nums, dens = [], []
+    for part in parts:
+        m = _RATIONAL.fullmatch(part)
+        den = parse_integer(m.group(2) or "1") if m else 0
+        if den == 0:
+            raise ValueError("bad value literal %r" % text)
+        nums.append(parse_integer(m.group(1)))
+        dens.append(den)
+    den = lcm(*dens)
+    return Value.over(tuple(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def _hermite_rows(rows):

@@ -10,9 +10,8 @@ from valforge.fields import (CoordinateTower, InsufficientPrecision, QQ,
 from valforge.graded import (EtaleRing, graded_add, graded_div,
                              graded_divmod, graded_equal, graded_inverse,
                              graded_is_unit, graded_mul)
-from valforge.keypoly import (Chain, ChainError, explore, lower_hull,
-                              polygon_sides, replay)
-from valforge.polyring import Poly, standard_expansion
+from valforge.keypoly import Chain, ChainError, explore, lower_hull, replay
+from valforge.polyring import Poly
 from valforge.scenario import load_scenario
 from valforge.values import INF, OrdinalIndex, Value
 

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -11,10 +12,9 @@ from inputs import (PACKAGED, PERFBENCH, V, packaged_text, quartic_setup,
 from valforge.cli import main
 from valforge.fields import (CoordinateTower, InsufficientPrecision,
                              UnsupportedStructure)
-from valforge.polyring import Poly
 from valforge.scenario import (ScenarioError, format_scenario, load_scenario,
                                parse_expression, parse_index, parse_scenario)
-from valforge.values import INF, OrdinalIndex
+from valforge.values import OrdinalIndex
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +455,25 @@ LEX_TOO_BIG = ("z^3124999998 has an exponent outside [-2^31, 2^31), beyond "
      ScenarioError, "line 5: precision: precision for 'z' given twice"),
     (MINIMAL + "\n[chain]\nw0+3 ; x ; 3/2\n", ScenarioError,
      "line 11: bad chain index 'w0+3'"),
+    # value literals are a or a/b in ASCII digits: an exponent, a decimal
+    # point or an underscore is refused at its line
+    (MINIMAL + "\n[chain]\n1 ; x ; 1e5000\n", ScenarioError,
+     "line 11: bad value literal '1e5000'"),
+    (MINIMAL + "\n[chain]\n1 ; x ; 1.5\n", ScenarioError,
+     "line 11: bad value literal '1.5'"),
+    (MINIMAL + "\n[oracle]\nx ; 1_0\n", ScenarioError,
+     "line 11: bad value literal '1_0'"),
+    (MINIMAL + "\n[chain]\n1 ; x ; 3/0\n", ScenarioError,
+     "line 11: bad value literal '3/0'"),
+    (LEX + "\n[oracle]\ny ; (1, 1e5)\n", ScenarioError,
+     "line 11: bad value literal '(1, 1e5)'"),
 ], ids=["target-syntax", "target-precision", "chain-precision",
         "oracle-precision", "target-division", "oracle-division",
         "lex-huge-power", "non-monic", "lex-precision-row", "rank-mismatch", "chain-indices",
         "chain-terminal", "chain-values", "params-depth", "params-window",
-        "lex-generator-twice", "lex-precision-twice", "chain-limit-zero"])
+        "lex-generator-twice", "lex-precision-twice", "chain-limit-zero",
+        "value-exponent", "value-decimal-point", "value-underscore",
+        "value-zero-denominator", "value-tuple-exponent"])
 def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
                                         message):
     # a refusal raised while a row is parsed names the row's line (and the
@@ -518,6 +532,27 @@ def test_cli_builds_its_argument_parser_once():
     assert (ns.depth, ns.branch) == (3, 1)
     ns = cli._parser().parse_args(["newton", "quartic"])
     assert ns.command == "newton" and (ns.depth, ns.branch) == (None, None)
+
+
+def test_integers_past_the_str_digit_limit_print_and_parse_back(tmp_path,
+                                                               capsys):
+    # str() of an int refuses more than 4300 digits; the target's
+    # coefficient 2^20000 has 6021, and chain and newton print it
+    text = MINIMAL.replace("x^2 - y^3", "x^2 - 2^20000*y")
+    path = tmp_path / "big.scn"
+    path.write_text(text, encoding="ascii")
+    digits = str(Decimal(2 ** 20000))
+    for cmd in ("chain", "newton", "defect", "verify"):
+        rc = main([cmd, str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == "", cmd
+        assert (digits in out) == (cmd in ("chain", "newton")), cmd
+    # and the printed scenario, which spells the coefficient out, parses
+    # back to the same target
+    sc = parse_scenario(text, "big")
+    back = parse_scenario(format_scenario(sc), "big")
+    assert digits in format_scenario(sc)
+    assert (back.target - sc.target).is_zero
 
 
 def test_tower_power_parses_to_the_repeated_product():

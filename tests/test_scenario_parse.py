@@ -1,13 +1,16 @@
 """The scenario expression parser against the one it replaced.
 
-`scenario._ExprParser` tokenizes in one regex pass, evaluates on coefficient
-tuples of the field's dense core and remembers the value of each source text
-for the rest of one scenario.  The tokenizer and parser it replaced, which
-built a `Poly` per atom and per operation and remembered nothing, are copied
-below as the reference.  Every expression of the packaged scenarios and of
-the pinned benchmark corpus (`perfbench/corpus.py`, read only), and drawn
-expressions over Q(y), F_p(y), the lex series and the tower, must give equal
-coefficient tuples, or the same refusal type and message.
+`scenario._ExprParser` reads tokens one at a time, evaluates on coefficient
+tuples of the field's dense core, remembers the value of each source text
+for the rest of one scenario, and takes the value of a remembered text at
+the start of a sum or a product instead of reading it again.  The tokenizer
+and parser it replaced, which built a `Poly` per atom and per operation and
+remembered nothing, are copied below as the reference.  Every expression of
+the packaged scenarios and of the pinned benchmark corpus
+(`perfbench/corpus.py`, read only), drawn expressions and drawn ladders of
+rows that each extend the row before, over Q(y), F_p(y), the lex series and
+the tower, must give equal coefficient tuples, or the same refusal type and
+message.
 """
 
 import functools
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from inputs import (CORPUS, CORPUS_SIZE, PACKAGED, corpus_targets,
                     packaged_text)
+from valforge import scenario
 from valforge.fields import (CoordinateTower, LexMonomialSeries, PrimeField,
                              QQ, RationalFunctions)
 from valforge.polyring import Poly
@@ -139,6 +143,15 @@ def _reference(field, var, text):
     return _outcome(lambda t: _RefParser(field, var, t).parse(), text)
 
 
+def _check_rows(field, texts):
+    """One parser, and so one memo, reads the texts in order and then back,
+    as it reads the rows of one scenario; each must parse as the reference
+    parses it alone.  A refused row leaves the memo as it was."""
+    parse = _ExprParser(field, "x").parse
+    for text in texts + texts[::-1]:
+        assert _outcome(parse, text) == _reference(field, "x", text), text
+
+
 # ---------------------------------------------------------------------------
 # scenario texts
 
@@ -204,7 +217,7 @@ FIELDS = {
 }
 
 
-def _expressions(atoms):
+def _expressions(atoms, max_leaves=8):
     leaf = st.sampled_from(["x"] + atoms) | st.integers(0, 7).map(str)
     power = st.tuples(leaf, st.integers(0, 3)).map(lambda t: "%s^%d" % t)
 
@@ -216,7 +229,7 @@ def _expressions(atoms):
             inner.map(lambda s: "(%s)" % s),
             inner.map(lambda s: "-" + s))
 
-    return st.recursive(leaf | power, grow, max_leaves=8)
+    return st.recursive(leaf | power, grow, max_leaves=max_leaves)
 
 
 def _drawn(kind):
@@ -226,19 +239,94 @@ def _drawn(kind):
 
 @pytest.mark.parametrize("kind", list(FIELDS))
 def test_drawn_expressions_parse_as_the_reference_does(kind):
-    # one parser, and so one memo, reads the whole list, as it reads the
-    # rows of one scenario; a refused row leaves the memo as it was
     make, atoms = FIELDS[kind]
 
     @SETTINGS
     @given(texts=_drawn(kind))
     def check(texts):
-        F = make()
-        parse = _ExprParser(F, "x").parse
-        for text in texts + texts[::-1]:
-            assert _outcome(parse, text) == _reference(F, "x", text), text
+        _check_rows(make(), texts)
 
     check()
+
+
+@st.composite
+def _ladders(draw, atoms):
+    """Rows that each extend the one before, as the rows of a key ladder
+    do.  The growing part gains ` + t`, ` - t`, `*f` or `/c`, or the term
+    added last times one more factor (the ladders of `quintic_tower`), or
+    the growth moves into a new parenthesized group after a head, as in
+    `y^2 + v*(v3 + v3*v5)`, the second and third ladders of
+    `quintic_tower`."""
+    expr = _expressions(atoms, max_leaves=3)
+    leaf = st.sampled_from(["x"] + atoms) | st.integers(0, 7).map(str)
+    outer, inner = "@", draw(expr)
+    last = inner
+    rows = [inner]
+    for _ in range(draw(st.integers(1, 8))):
+        step = draw(st.sampled_from([" + ", " - ", "*", "/", "ladder",
+                                     "nest"]))
+        if step in (" + ", " - "):
+            last = draw(expr)
+            inner += step + last
+        elif step in ("*", "/"):
+            inner += step + draw(leaf)
+        elif step == "ladder":
+            last = "%s*%s" % (last, draw(leaf))
+            inner += " + " + last
+        else:
+            outer = outer.replace("@", "%s*(@)" % draw(expr))
+            inner = last = draw(expr)
+        rows.append(outer.replace("@", inner))
+    return rows
+
+
+@pytest.mark.parametrize("kind", list(FIELDS))
+def test_drawn_ladders_parse_as_the_reference_does(kind):
+    # each row meets the texts of the rows before it, and on the way back
+    # of the longer rows after it, in the memo; a refused row is extended
+    # by the rows after it
+    make, atoms = FIELDS[kind]
+
+    @SETTINGS
+    @given(rows=_ladders(atoms))
+    def check(rows):
+        _check_rows(make(), rows)
+
+    check()
+
+
+TRAPS = {
+    # `x + y` is remembered as a sum, never taken for the left factor of
+    # `y*x`; `(x)` alone is not remembered, so no sum is taken before it
+    "sum-before-product": ["x + y", "x + y*x", "x + y*x - 1", "x + y/2",
+                           "(x) + y", "(x) + y*x", "(x) + y/2 - 1"],
+    "unary-minus-after-times": ["x*y", "x*-y", "x*-y*x + 1",
+                                "x*-y*x + 1 - x*-y", "-x*y - x*-y"],
+    "remembered-span-before-power": ["x + y", "x + y^2", "x*y", "x*y^2",
+                                     "x*y^2*x", "(x + y)^2", "-x^2*y",
+                                     "-x^2*y^2"],
+    "refused-row-then-extension": ["x + y + ", "x + y + 1", "x/(y - y)",
+                                   "x/(y - y) + 1", "x + q", "x + q + 1",
+                                   "(x + y", "(x + y)*2", "x*y/x",
+                                   "x*y/x*2", "x*y/2"],
+    "nested-ladder": ["y^2 + x*(y + y*x)", "y^2 + x*(y + y*x + y*x*y)",
+                      "y^2 + x*(y + y*x) + 1", "y^2 + x*(y + y*x)*x",
+                      "(y + y*x) - x", "x*(y + y*x)^2"],
+}
+
+
+@pytest.mark.parametrize("rows", list(TRAPS.values()), ids=list(TRAPS))
+def test_remembered_texts_are_taken_only_where_they_parse_alike(rows):
+    _check_rows(RationalFunctions(QQ, "y"), rows)
+
+
+def test_a_remembered_sum_is_not_a_left_factor():
+    F = RationalFunctions(QQ, "y")
+    parse = _ExprParser(F, "x").parse
+    x, y = Poly.variable(F, "x"), Poly.const(F, "x", F.atom("y"))
+    for first in ("x", "(x)"):
+        parse(first + " + y")
+        assert (parse(first + " + y*x") - (x + y * x)).is_zero
 
 
 MALFORMED = ("", " ", "x + * 2", "x/(x + 1)", "x/x", "x/0", "x/(y - y)",
@@ -287,6 +375,35 @@ def test_quintic_tower_computes_each_repeated_product_once(monkeypatch):
     monkeypatch.setattr(CoordinateTower, "mul", counted)
     sc = load_scenario("quintic_tower")
     assert 0 < len(calls) <= 100
+    assert len(sc.script) == 38
+
+
+class _CountedTokens:
+    """The tokenizer's regex, counting each token read through it, by
+    `match` (one token) or `finditer` (every token of a row)."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.tokens = 0
+
+    def match(self, *args):
+        self.tokens += 1
+        return self.pattern.match(*args)
+
+    def finditer(self, *args):
+        for m in self.pattern.finditer(*args):
+            self.tokens += 1
+            yield m
+
+
+def test_quintic_tower_reads_each_ladder_row_once(monkeypatch):
+    # each [chain] row holds the row before it and one more term: the
+    # scenario's expressions are 1861 tokens (1838 in the rows), and a
+    # parser that takes the remembered part of each row reads 366 of them
+    counted = _CountedTokens(scenario._TOKEN)
+    monkeypatch.setattr(scenario, "_TOKEN", counted)
+    sc = load_scenario("quintic_tower")
+    assert 0 < counted.tokens <= 400
     assert len(sc.script) == 38
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
-    brute_contains,
     brute_coset_count,
     brute_multiple_order,
     brute_solve_unique,
@@ -92,6 +91,22 @@ class TestParseFormat:
             parse_value("(1, 2", 2)
         with pytest.raises(ValueError):
             parse_value("one", 1)
+
+    @pytest.mark.parametrize("text", ["1e5", "1.5", "1_0", "+3", "3/0",
+                                      "3/-2", "1/2/3", "\u0663", "0x10", ""])
+    def test_only_integers_and_their_quotients_are_literals(self, text):
+        with pytest.raises(ValueError, match="bad value literal"):
+            parse_value(text, 1)
+        with pytest.raises(ValueError, match="bad value literal"):
+            parse_value("(1, %s)" % text, 2)
+
+    def test_literals_of_any_length_round_trip(self):
+        # int() and str() refuse more than 4300 digits
+        for text in ["1" * 5000, "-%s/7" % ("9" * 4400), "0/5"]:
+            back = format_value(parse_value(text, 1))
+            assert back == (text if text != "0/5" else "0")
+        assert format_value(parse_value("(6/4, -2/%s)" % ("3" * 4400), 2)) \
+            == "(3/2, -2/%s)" % ("3" * 4400)
 
 
 class TestValueGroup:
