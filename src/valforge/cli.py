@@ -5,15 +5,28 @@
     valforge newton SCENARIO   polygon of the target at the last stage
     valforge verify SCENARIO   oracle assertions; nonzero exit on failure
 
+Options, before or after SCENARIO, as `--opt V` or `--opt=V`; a unique
+prefix names its option (`--dep 3`), and the last of a repeated option
+wins:
+
+    --depth N              override the scenario depth
+    --window N             stages over which a limit block's closing key
+                           must keep its degree
+    --precision N|VAR:N    override the field precision
+    --format text|tsv      output format (default text)
+    --branch N             restrict to one branch id
+    -h, --help             print this help and exit
+
 Scenarios are named by file path or by bare name, searched on the
 directories in VALFORGE_SCENARIO_PATH, the working directory, and the
 packaged examples.  Exit status: 0 success, 1 failed verdict, 2 a
-refusal (any `Refusal`) or an unreadable file; a traceback is a bug.
+refusal (any `Refusal`), an unreadable file or a malformed command line;
+a traceback is a bug.
 """
 
-import argparse
-import functools
+import re
 import sys
+from types import SimpleNamespace
 
 from .fields import Refusal
 from .keypoly import explore
@@ -118,37 +131,152 @@ _COMMANDS = {"chain": _cmd_chain, "defect": _cmd_defect,
              "newton": _cmd_newton, "verify": _cmd_verify}
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built once per process: `parse_args` leaves it
-    unchanged."""
-    ap = argparse.ArgumentParser(
-        prog="valforge",
-        description="key polynomial chains, defects, and Newton polygons "
-                    "for scenario files")
-    sub = ap.add_subparsers(dest="command", required=True)
-    helps = {"chain": "print the branch tree stage by stage",
-             "defect": "print branch reports and the degree identity",
-             "newton": "print the polygon of the target at the last stage",
-             "verify": "run the scenario's oracle assertions"}
-    for name, text in helps.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("scenario", help="scenario name or .scn path")
-        p.add_argument("--depth", type=int, default=None,
-                       help="override the scenario depth")
-        p.add_argument("--window", type=int, default=None,
-                       help="stages over which a limit block's closing key "
-                            "must keep its degree")
-        p.add_argument("--precision", default=None, metavar="N|VAR:N",
-                       help="override the field precision")
-        p.add_argument("--format", choices=("text", "tsv"), default="text")
-        p.add_argument("--branch", type=int, default=None,
-                       help="restrict to one branch id")
-    return ap
+_USAGE = ("usage: valforge {chain,defect,newton,verify} SCENARIO "
+          "[--depth N] [--window N] [--precision N|VAR:N] "
+          "[--format {text,tsv}] [--branch N]")
+
+# the options every command takes, each with the values it admits: an int,
+# any text, or one of a tuple of choices
+_OPTIONS = {"--depth": int, "--window": int, "--precision": str,
+            "--format": ("text", "tsv"), "--branch": int}
+
+# an argument that starts with '-' but is a negative number is a value; the
+# pattern is compiled on first use, which a usual command line never needs
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+class _Malformed(Exception):
+    """A command line that names no command and scenario, or an option or
+    value that none of them takes."""
+
+
+def _option(arg, names):
+    """How one argument reads among the long option `names`: None for a
+    positional or a value, else (option, explicit value or None), with
+    option None when it is unknown.  `--opt=V` carries its value, a unique
+    prefix names its option, and `-h` followed only by more h's is help.
+    These are argparse's rules, and tests/test_cli_argv.py holds the
+    reader to them."""
+    if not arg.startswith("-") or arg in ("-", "--"):
+        return None
+    if arg.startswith("--"):
+        head, eq, tail = arg.partition("=")
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise _Malformed("ambiguous option: %s could match %s"
+                             % (head, ", ".join(found)))
+        if found:
+            return found[0], tail if eq else None
+    elif arg.startswith("-h"):
+        rest = arg[2:]
+        return "--help", rest if rest.strip("h") else None
+    if re.match(_NEGATIVE, arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _value(name, text):
+    kind = _OPTIONS[name]
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _Malformed("argument %s: invalid int value: %r"
+                             % (name, text)) from None
+    if kind is str or text in kind:
+        return text
+    raise _Malformed("argument %s: invalid choice: %r (choose from %s)"
+                     % (name, text, ", ".join(map(repr, kind))))
+
+
+def _no_value(text):
+    """Refuse a value given to help, as `--help=x`."""
+    if text is not None:
+        raise _Malformed("argument -h/--help: ignored explicit argument %r"
+                         % text)
+
+
+def _read_argv(argv):
+    """The command, scenario and options of a command line; None when it
+    asks for help.  Before the command only help is an option; after it, an
+    argument `--` makes every later one positional.  Help, a bad or missing
+    value and an ambiguous prefix take effect where they stand; an unknown
+    option, an extra positional and a missing scenario are refused once the
+    whole line is read."""
+    unknown = []
+    for pos, arg in enumerate(argv):
+        opt = _option(arg, ("--help",))
+        if opt is None:
+            break
+        if opt[0] is None:
+            unknown.append(arg)
+        else:
+            _no_value(opt[1])
+            return None
+    else:
+        raise _Malformed("the following arguments are required: command")
+    if arg not in _COMMANDS:
+        raise _Malformed("argument command: invalid choice: %r (choose from "
+                         "%s)" % (arg, ", ".join(map(repr, _COMMANDS))))
+    ns = SimpleNamespace(command=arg, scenario=None, format="text",
+                         depth=None, window=None, precision=None,
+                         branch=None)
+    args = argv[pos + 1:]
+    names = ("--help",) + tuple(_OPTIONS)
+    kinds, rest = [], False
+    for arg in args:
+        if rest:
+            kinds.append(None)
+        elif arg == "--":
+            rest = True
+            kinds.append("--")
+        else:
+            kinds.append(_option(arg, names))
+    i = at = 0
+    while i < len(args):
+        arg, kind = args[i], kinds[i]
+        i += 1
+        if kind is None:
+            if ns.scenario is None:
+                ns.scenario, at = arg, i
+            else:
+                unknown.append(arg)
+            continue
+        if kind == "--":
+            # a `--` that follows the scenario is taken only right after it
+            if ns.scenario is not None and at != i - 1:
+                unknown.append(arg)
+            continue
+        name, text = kind
+        if name is None:
+            unknown.append(arg)
+        elif name == "--help":
+            _no_value(text)
+            return None
+        else:
+            if text is None:
+                if i == len(args) or kinds[i] is not None:
+                    raise _Malformed("argument %s: expected one argument"
+                                     % name)
+                text = args[i]
+                i += 1
+            setattr(ns, name[2:], _value(name, text))
+    if ns.scenario is None:
+        raise _Malformed("the following arguments are required: scenario")
+    if unknown:
+        raise _Malformed("unrecognized arguments: %s" % " ".join(unknown))
+    return ns
 
 
 def main(argv=None):
-    ns = _parser().parse_args(argv)
+    try:
+        ns = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _Malformed as exc:
+        sys.stderr.write("%s\nvalforge: error: %s\n" % (_USAGE, exc))
+        return 2
+    if ns is None:
+        sys.stdout.write("%s\n\n%s" % (_USAGE, __doc__))
+        return 0
     try:
         out, code = _COMMANDS[ns.command](ns)
     except (Refusal, OSError) as exc:

@@ -884,7 +884,8 @@ class CoordinateTower(ValuedFieldBase):
             return g
         if max(f, default=0) + max(g, default=0) >= self._limit:
             raise self._overflow("the product of %s and %s"
-                                 % (self._spell(max(f)), self._spell(max(g))))
+                                 % (self._spell(self._pairs(max(f))),
+                                    self._spell(self._pairs(max(g)))))
         p = self.p
         out = {}
         for e1, c1 in f.items():
@@ -903,10 +904,12 @@ class CoordinateTower(ValuedFieldBase):
         return tuple((lvl, n) for lvl in range(1, self.max_depth + 1)
                      if (n := (m >> off[lvl]) & mask[lvl]))
 
-    def _spell(self, m):
+    @staticmethod
+    def _spell(pairs):
+        """The monomial of the (level, exponent) pairs, as v*v2^3."""
         return "*".join(("v" if lvl == 1 else "v%d" % lvl)
                         + ("" if n == 1 else "^%d" % n)
-                        for lvl, n in self._pairs(m))
+                        for lvl, n in pairs)
 
     @staticmethod
     def _overflow(what):
@@ -945,7 +948,7 @@ class CoordinateTower(ValuedFieldBase):
         step = atoms[i + 2]
         if base + e * step >= self._limit:
             raise self._overflow("%s rewritten one level deeper"
-                                 % self._spell(e * atoms[i]))
+                                 % self._spell(self._pairs(e * atoms[i])))
         return {base + ve * step: coeff * uc % p
                 for ve, uc in self._unit_block(e, self.gamma(i + 2)).items()}
 
@@ -1129,10 +1132,12 @@ class CoordinateTower(ValuedFieldBase):
                 % (v, need, self.max_depth))
 
     def _format_poly(self, f):
+        # value first, then the pairs; the two fix the monomial, so the
+        # coefficient is never compared
         shift = self._shift
-        return format_terms(
-            (self.scalars.format(f[m]), self._spell(m))
-            for m in sorted(f, key=lambda m: (m >> shift, self._pairs(m))))
+        terms = sorted((m >> shift, self._pairs(m), c) for m, c in f.items())
+        return format_terms((self.scalars.format(c), self._spell(pairs))
+                            for _, pairs, c in terms)
 
     def format_element(self, x):
         num, den = x

@@ -38,16 +38,15 @@ class BlockReport:
 
 
 class BranchReport:
-    __slots__ = ("branch_id", "chain", "blocks", "e", "f", "status", "notes")
+    __slots__ = ("branch_id", "chain", "blocks", "e", "f", "status")
 
-    def __init__(self, branch_id, chain, blocks, e, f, status, notes):
+    def __init__(self, branch_id, chain, blocks, e, f, status):
         self.branch_id = branch_id
         self.chain = chain
         self.blocks = blocks
         self.e = e
         self.f = f
         self.status = status
-        self.notes = notes
 
     @property
     def d_blocks(self):
@@ -98,7 +97,9 @@ def classify(ch, window, branch_id=1):
     against its closing key over the last `window` stages.  The final block
     is read at its last stage: a target effective degree above 1 there is
     refused with a `ReportError` that names the branch, the stage and the
-    degree."""
+    degree.  The ramification index e is checked against the index of the
+    base value group in the group of the last stage; a mismatch, or a pair
+    of groups that cannot be compared, is a `ReportError` too."""
     if window < 1:
         raise ReportError("window must be at least 1")
     blocks = []
@@ -131,16 +132,15 @@ def classify(ch, window, branch_id=1):
             blocks.append(BlockReport("stable", delta))
             status = "stable delta %d" % delta
     e, f = invariants_ef(ch)
-    notes = []
     try:
         direct = group_index(ch.base_group, ch.group(ch.depth()))
     except ValueError as exc:
-        notes.append("group index not directly comparable: %s" % exc)
-    else:
-        if direct != e:
-            notes.append("direct group index %d differs from e = %d"
-                         % (direct, e))
-    return BranchReport(branch_id, ch, blocks, e, f, status, notes)
+        raise ReportError("branch %s: group index not directly comparable: "
+                          "%s" % (branch_id, exc)) from None
+    if direct != e:
+        raise ReportError("branch %s: direct group index %d differs from "
+                          "e = %d" % (branch_id, direct, e))
+    return BranchReport(branch_id, ch, blocks, e, f, status)
 
 
 def defect(branches):
@@ -267,8 +267,6 @@ def render_defect(branches, identity, skipped=(), fmt="text"):
         lines.append("branch %d: e %d, f %d, d_blocks [%s], d %d, %s"
                      % (br.branch_id, br.e, br.f,
                         ", ".join(str(x) for x in br.d_blocks), d, br.status))
-        for note in br.notes:
-            lines.append("  note: %s" % note)
     for beta1 in skipped:
         lines.append("skipped branch at first value %s" % format_value(beta1))
     if len(branches) == 1:

@@ -49,6 +49,11 @@ class ScenarioError(Refusal):
 # ---------------------------------------------------------------------------
 # expressions
 
+# the highest degree a power may have in the chain variable, or in the
+# generator of k(y): `x^1000000000` would otherwise ask for a dense list of
+# 10^9 coefficients before anything refuses it
+DEGREE_CAP = 1 << 16
+
 # a token after optional whitespace; a stray character is refused up front
 _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[()+\-*/^]))")
@@ -208,8 +213,23 @@ class _ExprParser:
             kind, text = self.take()[:2]
             if kind != "num":
                 raise ScenarioError("exponent must be a literal integer")
-            out = self.remember(start, self.polys.pow, out, int(text))
+            out = self.remember(start, self.power, out, int(text))
         return out
+
+    def power(self, base, n):
+        """base^n, refused before it is built when its degree in the chain
+        variable or in the generator of k(y) would pass DEGREE_CAP."""
+        F = self.field
+        degrees = [(len(base) - 1, self.var)]
+        if isinstance(F, RationalFunctions):
+            degrees.append((max((len(part) - 1 for c in base for part in c),
+                                default=0), F.var))
+        for degree, var in degrees:
+            if degree * n > DEGREE_CAP:
+                raise ScenarioError("a power of degree %d in %s passes the "
+                                    "degree cap %d" % (degree * n, var,
+                                                       DEGREE_CAP))
+        return self.polys.pow(base, n)
 
     def atom(self):
         kind, text = self.take()[:2]

@@ -73,7 +73,6 @@ def test_quartic_branch_reports():
         assert br.d == 1
         assert br.status == "stable delta 1"
         assert [blk.kind for blk in br.blocks] == ["stable"]
-        assert br.notes == []
         check_block_degree_route(br)
 
 
@@ -111,14 +110,30 @@ def test_classify_rejects_bad_window():
         classify(chains[0], 0)
 
 
+def test_group_index_cross_check_is_a_refusal(monkeypatch):
+    import valforge.report as report
+    P, chains, branches = quartic_branches()
+    monkeypatch.setattr(report, "group_index", lambda base, group: 3)
+    with pytest.raises(ReportError, match="^branch 2: direct group index 3 "
+                                          "differs from e = 2$"):
+        classify(chains[1], 5, 2)
+
+    def incomparable(base, group):
+        raise ValueError("groups of different rank")
+
+    monkeypatch.setattr(report, "group_index", incomparable)
+    with pytest.raises(ReportError, match="^branch 1: group index not "
+                       "directly comparable: groups of different rank$"):
+        classify(chains[0], 5, 1)
+
+
 def _classified(ch, window, bid):
     """The branch report as plain data, or the refusal's text."""
     try:
         br = classify(ch, window, bid)
     except ReportError as exc:
         return str(exc)
-    return ([(blk.kind, blk.d) for blk in br.blocks], br.e, br.f, br.status,
-            br.notes)
+    return ([(blk.kind, blk.d) for blk in br.blocks], br.e, br.f, br.status)
 
 
 def test_window_governs_limit_blocks_only():
@@ -214,7 +229,7 @@ def test_char_zero_defect_is_refused():
     P, chains, branches = quartic_branches()
     fake = BranchReport(1, chains[0],
                         [BlockReport("stable", 2)],
-                        1, 1, "stable delta 2", [])
+                        1, 1, "stable delta 2")
     with pytest.raises(ReportError,
                        match="^defect 2 over a base of characteristic zero$"):
         defect([fake])
@@ -226,7 +241,7 @@ def test_defect_must_be_a_power_of_the_characteristic():
     P, chains, branches = cubic_branches()
     fake = BranchReport(1, chains[0],
                         [BlockReport("stable", 2)],
-                        1, 1, "stable delta 2", [])
+                        1, 1, "stable delta 2")
     with pytest.raises(ReportError):
         defect([fake])
 

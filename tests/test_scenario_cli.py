@@ -272,15 +272,17 @@ def test_cli_verify_all_packaged(capsys):
 def test_cold_verify_never_imports_sympy(name):
     # valforge factors over Q and over F_p with its own code; sympy is only a
     # test reference, and an import of it would put its import time back into
-    # every cold verify
+    # every cold verify.  The command line is read without argparse, whose
+    # import and parser would cost every cold process some 3 ms.
     rc, out, err = run_python("-c", (
         "import contextlib, io, sys\n"
         "from valforge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = main(['verify', %r])\n"
-        "print(rc, 'sympy' in sys.modules)\n") % name)
+        "print(rc, 'sympy' in sys.modules, 'argparse' in sys.modules)\n")
+        % name)
     assert err == ""
-    assert out == "0 False\n"
+    assert out == "0 False False\n"
 
 
 def test_cli_tsv_and_branch_filter(capsys):
@@ -488,6 +490,30 @@ def test_parse_refusals_name_their_line(tmp_path, capsys, text, kind,
     assert rc == 2 and out == "" and err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("poly, degree, var", [
+    ("x^65537 + 1", 65537, "x"),
+    ("(x^2)^32769", 65538, "x"),
+    ("x + y^65537", 65537, "y"),
+    ("x + (1/y)^65537", 65537, "y"),
+], ids=["chain-variable", "chain-variable-power", "generator",
+        "generator-denominator"])
+def test_power_past_the_degree_cap_is_refused(poly, degree, var):
+    # the degree is checked before the power is built: x^1000000000 would
+    # otherwise be a dense list of 10^9 coefficients
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(MINIMAL.replace("x^2 - y^3", poly))
+    assert str(exc.value) == ("line 8: poly: a power of degree %d in %s "
+                              "passes the degree cap 65536" % (degree, var))
+
+
+def test_powers_up_to_the_degree_cap_parse():
+    # the cap bounds degrees only: a number's power is a constant
+    for poly, degree in (("x^65536 + y^65536", 65536),
+                         ("x + 2^65537", 1), ("x + y^0", 1)):
+        sc = parse_scenario(MINIMAL.replace("x^2 - y^3", poly))
+        assert sc.target.degree == degree
+
+
 @pytest.mark.parametrize("text, message", [
     (MINIMAL.replace("x^2 - y^3", "x^² - y^3"),
      "line 8: poly: stray character '²'"),
@@ -522,16 +548,6 @@ def test_cli_non_ascii_byte_names_its_line(tmp_path, capsys, data, line):
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err == "error: line %d: non-ASCII character\n" % line
-
-
-def test_cli_builds_its_argument_parser_once():
-    import valforge.cli as cli
-    assert cli._parser() is cli._parser()
-    ns = cli._parser().parse_args(["chain", "quartic", "--depth", "3",
-                                   "--branch", "1"])
-    assert (ns.depth, ns.branch) == (3, 1)
-    ns = cli._parser().parse_args(["newton", "quartic"])
-    assert ns.command == "newton" and (ns.depth, ns.branch) == (None, None)
 
 
 def test_integers_past_the_str_digit_limit_print_and_parse_back(tmp_path,
