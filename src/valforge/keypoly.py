@@ -459,19 +459,14 @@ class Chain:
             rule = self._derive_rule(poly, g)
             if rule[0] == "ext" and isinstance(self.ring, EtaleRing):
                 raise UnsupportedStructure(
-                    "%s: the incoming key %s relates the residue class by "
-                    "%s, and a second residue field extension is not "
-                    "supported" % (self._where(self.depth()), poly.format(),
-                                   field.scalars.polys.format(rule[1], "T")))
+                    "the incoming key %s relates the residue class by %s, "
+                    "and a second residue field extension is not supported"
+                    % (poly.format(),
+                       field.scalars.polys.format(rule[1], "T")))
             if rule[0] == "ext":
                 self.ring = EtaleRing(field.scalars, rule[1])
         self.entries.append(ChainEntry(index, poly, beta, origin, alpha,
                                        e_order, f_step, group, rule))
-
-    def _where(self, k):
-        """The stage and key that a refusal at level k names."""
-        ent = self.entry(k)
-        return "stage %s, key Q = %s" % (ent.index, ent.poly.format())
 
     def _derive_rule(self, newpoly, g):
         """Identification of the level-k residue class forced by the incoming
@@ -503,8 +498,7 @@ class Chain:
         if g == 1:
             return ("const", ring.neg(rel[0]))
         raise UnsupportedStructure(
-            "%s: key relation of degree %d over an extended residue ring"
-            % (self._where(k), g))
+            "key relation of degree %d over an extended residue ring" % g)
 
     def _residual(self, S, k, j1, dv0, dexps):
         """{t: residue} over the (m, coefficient) terms S of a minimum at
@@ -559,10 +553,9 @@ class Chain:
         ring = self.ring
         if not all(ring.is_scalar(r) for r in rho):
             raise UnsupportedStructure(
-                "%s: residual coefficients leave the scalar residue field: "
-                "(%s), constant term first, over k[T]/(%s)"
-                % (self._where(k),
-                   ", ".join(ring.sp.format(r, "T") for r in rho),
+                "residual coefficients leave the scalar residue field: (%s), "
+                "constant term first, over k[T]/(%s)"
+                % (", ".join(ring.sp.format(r, "T") for r in rho),
                    ring.sp.format(ring.modulus, "T")))
         domain = self.field.scalars
         sp = domain.polys
@@ -666,7 +659,7 @@ def replay(field, var, target, entries, lump_sides=False, root=None):
             ch.append(index, poly, beta, origin)
         except Refusal as exc:
             path = None if root is None else (root,)
-            raise _located(exc, ch, path) from None
+            raise located(exc, ch, path) from None
     return ch
 
 
@@ -681,10 +674,10 @@ def _grow(ch, depth, root):
     `Refusal` of any type ends the whole growth, so the one reported is
     the first met in the stage-by-stage order: it lies at the shallowest
     stage that refuses, and no branch has grown past that stage.  It keeps
-    its type and is prefixed with the stage and key of the branch's top
-    entry and then with the path of its branch, `branch r.i.j: `
-    (`_located`), where r is the root's index among the first values
-    (`explore`) and i, j, ... are the 1-based move indices below it."""
+    its type and names the path of its branch, `branch r.i.j`, and the stage
+    and key of the branch's top entry (`located`), where r is the root's
+    index among the first values (`explore`) and i, j, ... are the 1-based
+    move indices below it."""
     done = []
     frontier = [((root,), ch)]
     while frontier:
@@ -698,7 +691,7 @@ def _grow(ch, depth, root):
                 moves = [(q, sigma) for q in cur.derive_keys()
                          for sigma in cur.candidate_betas(q)]
             except Refusal as exc:
-                raise _located(exc, cur, path) from None
+                raise located(exc, cur, path) from None
             if not moves:
                 done.append((path, cur))
                 continue
@@ -708,22 +701,21 @@ def _grow(ch, depth, root):
                 try:
                     child.append(index, q, sigma, "derived")
                 except Refusal as exc:
-                    raise _located(exc, child, path + (i,)) from None
+                    raise located(exc, child, path + (i,)) from None
                 grown.append((path + (i,), child))
         frontier = grown
     done.sort(key=lambda item: item[0])
     return [chain for _, chain in done]
 
 
-def _located(exc, ch, path=None):
-    """The refusal exc, of the same type, prefixed with the stage and key of
-    ch's top entry unless it names them already (`Chain._where`), and then
-    with its branch path when it has one."""
-    msg = str(exc)
+def located(exc, ch, path=None):
+    """The refusal exc, of the same type, with its place put before its
+    reason: `branch P: stage S, key Q = K: reason`, the branch path when
+    there is one and the stage and key of ch's top entry when ch has one.
+    Growth, replay and classification locate their refusals here, and
+    nowhere else; the raisers state only the reason."""
+    where = [] if path is None else ["branch " + ".".join(map(str, path))]
     if ch.entries:
-        where = ch._where(ch.depth())
-        if not msg.startswith(where + ": "):
-            msg = "%s: %s" % (where, msg)
-    if path is not None:
-        msg = "branch %s: %s" % (".".join(map(str, path)), msg)
-    return type(exc)(msg)
+        top = ch.entries[-1]
+        where.append("stage %s, key Q = %s" % (top.index, top.poly.format()))
+    return type(exc)(": ".join(where + [str(exc)]))

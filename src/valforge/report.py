@@ -15,6 +15,7 @@ against the degree of the tracked polynomial.
 import math
 
 from .fields import Refusal
+from .keypoly import located
 from .values import INF, format_value, group_index
 
 __all__ = ["ReportError", "BlockReport", "BranchReport", "DegreeIdentity",
@@ -96,12 +97,20 @@ def classify(ch, window, branch_id=1):
     invariant products, and a leaf status.  A limit block must have settled
     against its closing key over the last `window` stages.  The final block
     is read at its last stage: a target effective degree above 1 there is
-    refused with a `ReportError` that names the branch, the stage and the
-    degree.  The ramification index e is checked against the index of the
+    refused.  The ramification index e is checked against the index of the
     base value group in the group of the last stage; a mismatch, or a pair
-    of groups that cannot be compared, is a `ReportError` too."""
+    of groups that cannot be compared, is refused too.  A refusal names the
+    branch, stage and key (`located`)."""
     if window < 1:
         raise ReportError("window must be at least 1")
+    try:
+        return BranchReport(branch_id, ch, *_classify_unlocated(ch, window))
+    except Refusal as exc:
+        raise located(exc, ch, (branch_id,)) from None
+
+
+def _classify_unlocated(ch, window):
+    """The blocks, e, f and status of `classify`, refused unlocated."""
     blocks = []
     groups = split_stages(ch)
     for j, stages in enumerate(groups):
@@ -118,52 +127,49 @@ def classify(ch, window, branch_id=1):
                     "degree %d" % (j, closer.alpha, deltas[-1]))
             blocks.append(BlockReport("limit", deltas[-1]))
             continue
-        last = ch.entry(stages[-1])
-        if last.beta is INF:
+        if ch.entry(stages[-1]).beta is INF:
             blocks.append(BlockReport("terminated", 1))
             status = "terminated"
         else:
             delta = ch.effective_degree(ch.target, stages[-1])
             if delta > 1:
                 raise ReportError(
-                    "branch %s: stage %s: effective degree %d has not "
-                    "dropped to 1; a deeper run or a limit stage is needed"
-                    % (branch_id, last.index, delta))
+                    "effective degree %d has not dropped to 1; a deeper run "
+                    "or a limit stage is needed" % delta)
             blocks.append(BlockReport("stable", delta))
             status = "stable delta %d" % delta
     e, f = invariants_ef(ch)
     try:
         direct = group_index(ch.base_group, ch.group(ch.depth()))
     except ValueError as exc:
-        raise ReportError("branch %s: group index not directly comparable: "
-                          "%s" % (branch_id, exc)) from None
+        raise ReportError("group index not directly comparable: %s"
+                          % exc) from None
     if direct != e:
-        raise ReportError("branch %s: direct group index %d differs from "
-                          "e = %d" % (branch_id, direct, e))
-    return BranchReport(branch_id, ch, blocks, e, f, status)
+        raise ReportError("direct group index %d differs from e = %d"
+                          % (direct, e))
+    return blocks, e, f, status
 
 
 def defect(branches):
     """One defect per branch: the product of its block factors.  Each must
     be at least 1 and a power of the residue characteristic p, where p = 0
-    admits only 1."""
+    admits only 1.  A refusal names the branch, stage and key."""
     out = []
     for br in branches:
-        d = br.d
-        if d < 1:
-            raise ReportError("branch %d has a block factor below 1: %s"
-                              % (br.branch_id, br.d_blocks))
-        p = br.chain.field.char
+        d, p = br.d, br.chain.field.char
         m = d
-        while p and m % p == 0:
+        while p and m > 1 and m % p == 0:
             m //= p
-        if m != 1 and not p:
-            raise ReportError("defect %d over a base of characteristic zero"
-                              % d)
-        if m != 1:
-            raise ReportError("defect %d of branch %d is not a power "
-                              "of %d" % (d, br.branch_id, p))
-        out.append(d)
+        if m == 1:
+            out.append(d)
+            continue
+        if d < 1:
+            reason = "a block factor is below 1: %s" % br.d_blocks
+        elif not p:
+            reason = "defect %d over a base of characteristic zero" % d
+        else:
+            reason = "defect %d is not a power of %d" % (d, p)
+        raise located(ReportError(reason), br.chain, (br.branch_id,))
     return out
 
 
@@ -187,10 +193,11 @@ class DegreeIdentity:
 
     def line(self):
         rhs = " + ".join("%d*%d*%d" % t for t in self.terms)
-        if self.complete:
-            return "%d %s %s" % (self.lhs, "=" if self.verdict else "!=", rhs)
-        op = ">" if self.lhs > self.total else "!="
-        return "%d %s %s (partial)" % (self.lhs, op, rhs)
+        op = "=" if self.lhs == self.total else "!="
+        if self.lhs > self.total and not self.complete:
+            op = ">"
+        return "%d %s %s%s" % (self.lhs, op, rhs,
+                               "" if self.complete else " (partial)")
 
 
 def degree_identity(target, branches, complete=True):

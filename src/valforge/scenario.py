@@ -461,14 +461,15 @@ def _build_field(kv, precision_override):
         depth_row = _want(kv, "depth", "field")
         depth = _int(depth_row, "depth")
         _reject_extra(kv, "field")
+        where = "line %d: depth" % depth_row[0]
         for var, num in (precision_override or {}).items():
             if var is not None:
                 raise ScenarioError("tower precision is its depth; use a "
                                     "bare number")
-            depth = num
+            depth, where = num, "--precision"
         if depth < 1:
-            raise ScenarioError("line %d: depth: tower depth must be at "
-                                "least 1, got %d" % (depth_row[0], depth))
+            raise ScenarioError("%s: tower depth must be at least 1, got %d"
+                                % (where, depth))
         with _refusing(p_row, "p"):
             PrimeField(p)  # the tower builds its own; this names the line
         with _refusing(gamma_row, "gamma"):

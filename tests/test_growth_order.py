@@ -14,40 +14,46 @@ import pytest
 
 import valforge.keypoly as keypoly
 from inputs import growth_inputs
-from valforge.fields import PrimeField, RationalFunctions, UnsupportedStructure
+from valforge.fields import (PrimeField, RationalFunctions, Refusal,
+                             UnsupportedStructure)
 from valforge.keypoly import Chain
 from valforge.scenario import parse_expression, parse_index
 from valforge.values import INF
 
 
 def _depth_first_grow(ch, depth, root):
-    # the depth-first stack loop that `_grow` replaced; it names no branch
+    # the depth-first stack loop that `_grow` replaced; it names no branch,
+    # and it locates a refusal at the top entry of the chain it was growing
     out = []
     stack = [ch]
-    while stack:
-        cur = stack.pop()
-        while True:
-            if cur.depth() >= depth:
-                out.append(cur)
-                break
-            top = cur.entries[-1]
-            if top.beta is INF:
-                out.append(cur)
-                break
-            keys = cur.derive_keys()
-            moves = []
-            for q in keys:
-                for sigma in cur.candidate_betas(q):
-                    moves.append((q, sigma))
-            if not moves:
-                out.append(cur)
-                break
-            nxt = top.index.successor()
-            for q, sigma in reversed(moves[1:]):
-                alt = cur.clone()
-                alt.append(nxt, q, sigma, "derived")
-                stack.append(alt)
-            cur.append(nxt, moves[0][0], moves[0][1], "derived")
+    try:
+        while stack:
+            cur = stack.pop()
+            while True:
+                if cur.depth() >= depth:
+                    out.append(cur)
+                    break
+                top = cur.entries[-1]
+                if top.beta is INF:
+                    out.append(cur)
+                    break
+                keys = cur.derive_keys()
+                moves = []
+                for q in keys:
+                    for sigma in cur.candidate_betas(q):
+                        moves.append((q, sigma))
+                if not moves:
+                    out.append(cur)
+                    break
+                nxt = top.index.successor()
+                for q, sigma in reversed(moves[1:]):
+                    alt = cur.clone()
+                    alt.append(nxt, q, sigma, "derived")
+                    stack.append(alt)
+                cur.append(nxt, moves[0][0], moves[0][1], "derived")
+    except Refusal as exc:
+        # a clone refused by append has the top entry of cur
+        raise keypoly.located(exc, cur) from None
     return out
 
 

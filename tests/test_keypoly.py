@@ -10,7 +10,8 @@ from valforge.fields import (CoordinateTower, InsufficientPrecision, QQ,
 from valforge.graded import (EtaleRing, graded_add, graded_div,
                              graded_divmod, graded_equal, graded_inverse,
                              graded_is_unit, graded_mul)
-from valforge.keypoly import Chain, ChainError, explore, lower_hull, replay
+from valforge.keypoly import (Chain, ChainError, explore, located, lower_hull,
+                              replay)
 from valforge.polyring import Poly
 from valforge.scenario import load_scenario
 from valforge.values import INF, OrdinalIndex, Value
@@ -329,9 +330,11 @@ def test_second_residue_extension_refusal_names_stage_and_key():
     ch.append(IDX[2], q2, V("5/2"), "scripted")
     with pytest.raises(UnsupportedStructure) as info:
         ch.append(IDX[3], q3, V("21/2"), "scripted")
+    # append states the reason; growth and replay put the place before it
     msg = str(info.value)
-    assert msg.startswith("stage 2, key Q = x^2 + y^2: the incoming key x^8 ")
+    assert msg.startswith("the incoming key x^8 ")
     assert "by T^2 + 1, and a second residue field extension" in msg
+    assert str(located(info.value, ch)) == "stage 2, key Q = x^2 + y^2: " + msg
 
 
 def test_terminal_entry_requires_divisibility():

@@ -3,7 +3,7 @@ import pytest
 from inputs import (V, cubic_setup, growth_inputs, quartic_setup,
                     tower_chain)
 from valforge.fields import Refusal
-from valforge.keypoly import Chain, explore
+from valforge.keypoly import Chain, explore, replay
 from valforge.polyring import Poly
 from valforge.report import (BlockReport, BranchReport, DegreeIdentity,
                              ReportError, classify, completeness_sample,
@@ -48,6 +48,14 @@ def cubic_branches():
                            [classify(ch, 4, i + 1)
                             for i, ch in enumerate(chains)])
     return _CACHE["cubic"]
+
+
+def place(bid, ch):
+    """Where a branch refusal of ch happened: the branch, then the stage and
+    key of the chain's top entry."""
+    top = ch.entries[-1]
+    return "branch %d: stage %s, key Q = %s: " % (bid, top.index,
+                                                   top.poly.format())
 
 
 def check_block_degree_route(br):
@@ -105,8 +113,9 @@ def test_tower_branch_report():
 
 
 def test_classify_rejects_bad_window():
+    # the window is no branch's; its refusal names no place
     P, chains, branches = quartic_branches()
-    with pytest.raises(ReportError):
+    with pytest.raises(ReportError, match="^window must be at least 1$"):
         classify(chains[0], 0)
 
 
@@ -114,17 +123,49 @@ def test_group_index_cross_check_is_a_refusal(monkeypatch):
     import valforge.report as report
     P, chains, branches = quartic_branches()
     monkeypatch.setattr(report, "group_index", lambda base, group: 3)
-    with pytest.raises(ReportError, match="^branch 2: direct group index 3 "
-                                          "differs from e = 2$"):
+    with pytest.raises(ReportError) as info:
         classify(chains[1], 5, 2)
+    assert str(info.value) == (place(2, chains[1]) + "direct group index 3 "
+                               "differs from e = 2")
 
     def incomparable(base, group):
         raise ValueError("groups of different rank")
 
     monkeypatch.setattr(report, "group_index", incomparable)
-    with pytest.raises(ReportError, match="^branch 1: group index not "
-                       "directly comparable: groups of different rank$"):
+    with pytest.raises(ReportError) as info:
         classify(chains[0], 5, 1)
+    assert str(info.value) == (place(1, chains[0]) + "group index not "
+                               "directly comparable: groups of different rank")
+
+
+def test_unsettled_limit_block_is_refused():
+    # closed by the target at a limit stage, the quartic's first block reads
+    # its effective degree 4 at stage 1 and 2 at stage 2
+    F, x, Q, P = quartic_setup()
+    ch = replay(F, "x", P, [(IDX[1], x, V("3/2")), (IDX[2], Q, V("7/2")),
+                            (OrdinalIndex(1, 0), P, INF)])
+    assert classify(ch, 1, 4).d_blocks == [2, 1]
+    with pytest.raises(ReportError) as info:
+        classify(ch, 2, 4)
+    assert str(info.value) == (place(4, ch) + "block 0 has not settled "
+                               "against its closing key over the window")
+
+
+def test_invariant_refusals_name_the_branch():
+    # x - y read with v(x) = 3/2 has effective degree 0, so the only block
+    # passes, and the step spacing 2 cannot divide the key degree 1
+    F, x, Q, P = quartic_setup()
+    lin = x - Poly.const(F, "x", F.canonical_element(V(1)))
+    ch = Chain(F, "x", lin)
+    ch.append(IDX[1], x, V("3/2"), "scripted")
+    with pytest.raises(ReportError) as info:
+        classify(ch, 4, 3)
+    assert str(info.value) == (place(3, ch) + "last key degree 1 does not "
+                               "factor as e*f*jumps = 2*1*1")
+    # an empty chain has no entry to name, only its branch
+    with pytest.raises(ReportError,
+                       match="^branch 3: empty chain has no invariants$"):
+        classify(Chain(F, "x", lin), 4, 3)
 
 
 def _classified(ch, window, bid):
@@ -230,20 +271,35 @@ def test_char_zero_defect_is_refused():
     fake = BranchReport(1, chains[0],
                         [BlockReport("stable", 2)],
                         1, 1, "stable delta 2")
-    with pytest.raises(ReportError,
-                       match="^defect 2 over a base of characteristic zero$"):
+    with pytest.raises(ReportError) as info:
         defect([fake])
+    assert str(info.value) == (place(1, chains[0]) + "defect 2 over a base "
+                               "of characteristic zero")
     with pytest.raises(ReportError):
         degree_identity(P, [fake])
 
 
 def test_defect_must_be_a_power_of_the_characteristic():
     P, chains, branches = cubic_branches()
-    fake = BranchReport(1, chains[0],
+    fake = BranchReport(2, chains[0],
                         [BlockReport("stable", 2)],
                         1, 1, "stable delta 2")
-    with pytest.raises(ReportError):
+    with pytest.raises(ReportError) as info:
         defect([fake])
+    assert str(info.value) == (place(2, chains[0])
+                               + "defect 2 is not a power of 3")
+
+
+@pytest.mark.parametrize("blocks", [[0], [2, 0], [-1]])
+def test_block_factor_below_one_is_refused(blocks):
+    P, chains, branches = cubic_branches()
+    fake = BranchReport(1, chains[1],
+                        [BlockReport("stable", d) for d in blocks],
+                        1, 1, "stable delta 0")
+    with pytest.raises(ReportError) as info:
+        defect([fake])
+    assert str(info.value) == (place(1, chains[1]) + "a block factor is below "
+                               "1: %s" % blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -384,15 +384,18 @@ def test_cli_unknown_atom_names_it_once_with_its_cause(tmp_path, capsys,
 
 
 def test_cli_tower_depth_below_one_is_refused(tmp_path, capsys):
+    # a depth written in the file names its line; one from the command line
+    # names the option, not the line it overrides
     path = tmp_path / "depth_0.scn"
     path.write_text(TOWER.replace("depth = 4", "depth = 0"), encoding="ascii")
-    for args, line in ((["verify", str(path)], 5),
-                       (["chain", "quintic_tower", "--precision", "0"], 9)):
+    for args, where in ((["verify", str(path)], "line 5: depth"),
+                        (["chain", "quintic_tower", "--precision", "0"],
+                         "--precision")):
         rc = main(args)
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
-        assert err == ("error: line %d: depth: tower depth must be at least "
-                       "1, got 0\n" % line)
+        assert err == ("error: %s: tower depth must be at least 1, got 0\n"
+                       % where)
 
 
 def test_cli_huge_tower_power_is_refused_at_once(tmp_path):
@@ -645,14 +648,16 @@ def test_cli_zero_block_factor_is_refused(tmp_path, char):
 
 
 @pytest.mark.parametrize("cmd", ["defect", "verify"])
-@pytest.mark.parametrize("char, poly, delta", [
-    (2, "(x^2 + x + y)^2", 2),
-    (3, "(x^2 + x + y)^3", 3),
-    (3, "(x^2 - y^2 - y^3)^3", 3),
-    (0, "(x^2 - y^2 - y^3)^2", 2),
+@pytest.mark.parametrize("char, poly, delta, key", [
+    (2, "(x^2 + x + y)^2", 2, "x + (y^32 + y^16 + y^8 + y^4 + y^2 + y + 1)"),
+    (3, "(x^2 + x + y)^3", 3, "x + (y^9 + y^5 + y^4 + y^3 + 2*y^2 + 2*y + 1)"),
+    (3, "(x^2 - y^2 - y^3)^3", 3,
+     "x + (y^10 + y^6 + 2*y^5 + y^4 + y^3 + 2*y^2 + y)"),
+    (0, "(x^2 - y^2 - y^3)^2", 2, "x + (21/1024*y^7 - 7/256*y^6 + 5/128*y^5 "
+     "- 1/16*y^4 + 1/8*y^3 - 1/2*y^2 - y)"),
 ], ids=["F2-square", "F3-cube", "F3-cube-nodal", "Q-square-nodal"])
 def test_cli_stable_block_above_one_is_refused(tmp_path, capsys, cmd, char,
-                                               poly, delta):
+                                               poly, delta, key):
     # a repeated factor whose local factors are not defined over k(y) keeps
     # the target's effective degree at its multiplicity forever; that is no
     # defect (k((y)) is separable over k(y)), and nothing proves the degree
@@ -665,9 +670,9 @@ def test_cli_stable_block_above_one_is_refused(tmp_path, capsys, cmd, char,
     rc = main([cmd, str(path)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: branch 1: stage 8: effective degree %d "
-                            "has not dropped to 1; a deeper run or a limit "
-                            "stage is needed\n" % delta)
+    assert captured.err == ("error: branch 1: stage 8, key Q = %s: effective "
+                            "degree %d has not dropped to 1; a deeper run or "
+                            "a limit stage is needed\n" % (key, delta))
 
 
 @pytest.mark.parametrize("cmd, last", [
@@ -688,9 +693,44 @@ def test_cli_shallow_run_above_one_is_refused(capsys, cmd):
     rc = main([cmd, "quartic", "--depth", "2"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: branch 1: stage 2: effective degree 2 "
-                            "has not dropped to 1; a deeper run or a limit "
-                            "stage is needed\n")
+    assert captured.err == ("error: branch 1: stage 2, key Q = x^2 - y^3: "
+                            "effective degree 2 has not dropped to 1; a "
+                            "deeper run or a limit stage is needed\n")
+
+
+@pytest.mark.parametrize("cmd, last", [
+    ("defect", "identity: 2 = 2*1*1 (partial)"),
+    ("verify", "ok: identity 2 = 2*1*1 (partial)"),
+])
+def test_cli_partial_identity_with_equal_sides_prints_equals(tmp_path, capsys,
+                                                             cmd, last):
+    # x^2 - y has one branch, so picking it leaves the sides equal; the line
+    # stays partial and the exit status that of a partial run
+    path = tmp_path / "one_branch.scn"
+    path.write_text(MINIMAL.replace("x^2 - y^3", "x^2 - y")
+                    + "\n[params]\ndepth = 3\n", encoding="ascii")
+    rc = main([cmd, str(path), "--branch", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("rows, err", [
+    # an empty chain has no entry to name: the refusal names its branch only
+    ("2 ; x ; 3/2\n", "branch 1: a chain starts at index 1"),
+    # a replayed chain names the stage and key the entry was appended to
+    ("1 ; x ; 3/2\n2 ; x^2 - y^3 ; 7/2\n3 ; x^3 - y^3 ; 9/2\n",
+     "branch 1: stage 2, key Q = x^2 - y^3: key degree must be a positive "
+     "multiple of its predecessor"),
+], ids=["first-index", "degree-multiple"])
+def test_cli_scripted_chain_axioms_are_refused(tmp_path, capsys, rows, err):
+    text = packaged_text("quartic").replace("branches = all",
+                                            "branches = scripted")
+    path = tmp_path / "axiom.scn"
+    path.write_text(text + "\n[chain]\n" + rows, encoding="ascii")
+    rc = main(["chain", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % err
 
 
 @pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
