@@ -21,7 +21,9 @@ identification of level j (what the class of Q_j^{e_j} divided by its weight
 monomial evaluates to) is forced by the next key, so it is stored on entry
 j+1 when that entry is built, either as a scalar or as a generator of one
 quotient ring k[T]/(m); a second simultaneous extension is refused rather
-than guessed at.  Entries are never changed or replaced once appended.
+than guessed at.  A key that growth lifts from a factor of a residual brings
+that factor as its identification; a scripted or limit key has it read from
+its initial form.  Entries are never changed or replaced once appended.
 """
 
 import functools
@@ -401,7 +403,14 @@ class Chain:
 
     # -- growth: validation, residuals, lifting ------------------------------
 
-    def append(self, index, poly, beta, origin):
+    def append(self, index, poly, beta, origin, rule=None):
+        """Check the key poly with value beta at position index against the
+        chain axioms and put it on top.  rule is the residue relation the key
+        forces on the level below: `derive_keys` gives it with each key it
+        lifts, and a key that comes without one (a scripted or limit entry)
+        has it read from its initial form (`_derive_rule`).  The dominance,
+        spacing, terminal and balance checks run for every key, and so does
+        the refusal of a second residue field extension."""
         field = self.field
         if not poly.is_monic:
             raise ChainError("key polynomials are monic")
@@ -454,9 +463,19 @@ class Chain:
             if not all(field.is_zero_mod_precision(c) for c in c0.coeffs):
                 raise ChainError("terminal key does not divide the tracked "
                                  "polynomial within the working precision")
-        rule = None
-        if prev is not None:
-            rule = self._derive_rule(poly, g)
+        if prev is None:
+            rule = None
+        else:
+            # a key valued below its top term Q_k^alpha has an initial form
+            # that gives no monic relation of degree g on the level's class
+            minv = self.argmin_data(poly, self.depth())[0]
+            top = prev.beta.scale(alpha)
+            if minv < top:
+                raise ChainError("incoming key is not balanced at level %d: "
+                                 "value %s below %s"
+                                 % (self.depth(), minv, top))
+            if rule is None:
+                rule = self._derive_rule(poly, g)
             if rule[0] == "ext" and isinstance(self.ring, EtaleRing):
                 raise UnsupportedStructure(
                     "the incoming key %s relates the residue class by %s, "
@@ -469,18 +488,15 @@ class Chain:
                                        e_order, f_step, group, rule))
 
     def _derive_rule(self, newpoly, g):
-        """Identification of the level-k residue class forced by the incoming
-        key, whose degree jump over Q_k is g*e_k (`append` has checked the
-        spacing): the monic relation of degree g that its initial form
-        imposes on the class of Q_k^{e_k} over the weight monomial."""
+        """Identification of the level-k residue class forced by an incoming
+        key that brings none (a scripted or limit key), whose degree jump
+        over Q_k is g*e_k (`append` has checked the spacing and the
+        balance): the monic relation of degree g that its initial form
+        imposes on the class of Q_k^{e_k} over the weight monomial, cut to
+        its radical (`_relation`)."""
         k = self.depth()
-        ent = self.entries[-1]
-        e = ent.e_step
-        expected = ent.beta.scale(g * e)
-        minv, S = self.argmin_data(newpoly, k)
-        if minv < expected:
-            raise ChainError("incoming key is not balanced at level %d: value "
-                             "%s below %s" % (k, minv, expected))
+        S = self.argmin_data(newpoly, k)[1]
+        e = self.entries[-1].e_step
         wt = self.weight(k)
         ring = self.ring
         parts = self._residual([(m, c) for m, c in S if m < g * e], k, 0,
@@ -489,16 +505,23 @@ class Chain:
         rel = [parts.get(t, ring.zero) for t in range(g)] + [ring.one]
         if all(ring.is_scalar(a) for a in rel):
             domain = self.field.scalars
-            sp = domain.polys
-            factors = factor_scalar_poly(domain, [ring.to_scalar(a) for a in rel])
-            rad = functools.reduce(sp.mul, [fac for fac, _ in factors])
-            if sp.degree(rad) == 1:
-                return ("const", domain.neg(rad[0]))
-            return ("ext", rad)
+            return self._relation(factor_scalar_poly(
+                domain, [ring.to_scalar(a) for a in rel]))
         if g == 1:
             return ("const", ring.neg(rel[0]))
         raise UnsupportedStructure(
             "key relation of degree %d over an extended residue ring" % g)
+
+    def _relation(self, factors):
+        """The residue relation whose roots are those of the factored
+        polynomial: its radical, the product of its distinct monic factors,
+        as ("const", root) when that is linear and ("ext", radical) else."""
+        domain = self.field.scalars
+        sp = domain.polys
+        rad = functools.reduce(sp.mul, [fac for fac, _ in factors])
+        if sp.degree(rad) == 1:
+            return ("const", domain.neg(rad[0]))
+        return ("ext", rad)
 
     def _residual(self, S, k, j1, dv0, dexps):
         """{t: residue} over the (m, coefficient) terms S of a minimum at
@@ -543,9 +566,13 @@ class Chain:
                            for t in range((j2 - j1) // e + 1)], minv
 
     def derive_keys(self):
-        """Monic keys lifted from the irreducible factors of the stage
-        residual, in deterministic order.  With lump_sides a residual that
-        splits is kept whole, so the whole side lifts to a single key."""
+        """(key, relation) pairs in deterministic order: the monic keys lifted
+        from the irreducible factors of the stage residual, each with the
+        residue relation it forces on level k, which is the factor it was
+        lifted from (`_relation`), so `append` need not read it back from
+        the key.  With lump_sides a residual that splits is kept whole, so
+        the whole side lifts to a single key, whose relation is the
+        product of the distinct factors."""
         k = self.depth()
         e, j1, j2, rho, _ = self.side_residual(k)
         if j2 == j1:
@@ -562,10 +589,11 @@ class Chain:
         resid = sp.trim([ring.to_scalar(r) for r in rho])
         factors = factor_scalar_poly(domain, resid)
         if len(factors) > 1 and self.lump_sides:
-            picks = [sp.monic(resid)]
+            picks = [(sp.monic(resid), factors)]
         else:
-            picks = [fac for fac, _ in factors]
-        return [self._lift_key(k, gco) for gco in picks]
+            picks = [(fac, [(fac, 1)]) for fac, _ in factors]
+        return [(self._lift_key(k, gco), self._relation(facs))
+                for gco, facs in picks]
 
     def _lift_key(self, k, gcoeffs):
         ent = self.entry(k)
@@ -688,7 +716,7 @@ def _grow(ch, depth, root):
                 done.append((path, cur))
                 continue
             try:
-                moves = [(q, sigma) for q in cur.derive_keys()
+                moves = [(q, rule, sigma) for q, rule in cur.derive_keys()
                          for sigma in cur.candidate_betas(q)]
             except Refusal as exc:
                 raise located(exc, cur, path) from None
@@ -696,10 +724,10 @@ def _grow(ch, depth, root):
                 done.append((path, cur))
                 continue
             index = top.index.successor()
-            for i, (q, sigma) in enumerate(moves, 1):
+            for i, (q, rule, sigma) in enumerate(moves, 1):
                 child = cur if i == len(moves) else cur.clone()
                 try:
-                    child.append(index, q, sigma, "derived")
+                    child.append(index, q, sigma, "derived", rule)
                 except Refusal as exc:
                     raise located(exc, child, path + (i,)) from None
                 grown.append((path + (i,), child))

@@ -39,18 +39,19 @@ def _depth_first_grow(ch, depth, root):
                     break
                 keys = cur.derive_keys()
                 moves = []
-                for q in keys:
+                for q, rule in keys:
                     for sigma in cur.candidate_betas(q):
-                        moves.append((q, sigma))
+                        moves.append((q, sigma, rule))
                 if not moves:
                     out.append(cur)
                     break
                 nxt = top.index.successor()
-                for q, sigma in reversed(moves[1:]):
+                for q, sigma, rule in reversed(moves[1:]):
                     alt = cur.clone()
-                    alt.append(nxt, q, sigma, "derived")
+                    alt.append(nxt, q, sigma, "derived", rule)
                     stack.append(alt)
-                cur.append(nxt, moves[0][0], moves[0][1], "derived")
+                q, sigma, rule = moves[0]
+                cur.append(nxt, q, sigma, "derived", rule)
     except Refusal as exc:
         # a clone refused by append has the top entry of cur
         raise keypoly.located(exc, cur) from None

@@ -50,7 +50,8 @@ def test_side_residual_is_squared_linear():
     assert rho == [Fraction(1), Fraction(-2), Fraction(1)]
     keys = ch.derive_keys()
     assert len(keys) == 1
-    assert keys[0].eq(Q)
+    assert keys[0][0].eq(Q)
+    assert keys[0][1] == ("const", Fraction(1))   # rho = (T - 1)^2
 
 
 def test_branch_point_candidates():
@@ -80,14 +81,14 @@ def test_lift_on_both_branches():
     e, j1, j2, rho, _ = ch.side_residual()
     assert (e, j1, j2) == (1, 1, 2)
     assert rho == [Fraction(1), Fraction(1)]
-    keys = ch.derive_keys()
+    keys = [q for q, _ in ch.derive_keys()]
     assert len(keys) == 1
     assert keys[0].format() == "x^2 + y^2*x - y^3"
     assert ch.candidate_betas(keys[0]) == [V("9/2")]
 
     hi.append(IDX[2], Q, V("9/2"), "derived")
     assert hi.weight(2).materialize(hi).format() == "y^3*x"
-    keys = hi.derive_keys()
+    keys = [q for q, _ in hi.derive_keys()]
     assert len(keys) == 1
     assert keys[0].format() == "x^2 + y^3*x - y^3"
     assert hi.candidate_betas(keys[0]) == [V("11/2")]
@@ -101,10 +102,10 @@ def test_clone_shares_its_entries_after_appends():
     ch = Chain(F, "x", P)
     ch.append(IDX[1], x, V("3/2"), "derived")
     ch.append(IDX[2], Q, V("7/2"), "derived")
-    key = ch.derive_keys()[0]
+    key, rule = ch.derive_keys()[0]
     child = ch.clone()
-    ch.append(IDX[3], key, V("9/2"), "derived")
-    child.append(IDX[3], key, V(5), "derived")
+    ch.append(IDX[3], key, V("9/2"), "derived", rule)
+    child.append(IDX[3], key, V(5), "derived", rule)
     assert all(a is b for a, b in zip(ch.entries[:2], child.entries[:2]))
     assert ch.entry(3) is not child.entry(3)
     assert ch.entry(1).rule is None
@@ -337,6 +338,38 @@ def test_second_residue_extension_refusal_names_stage_and_key():
     assert str(located(info.value, ch)) == "stage 2, key Q = x^2 + y^2: " + msg
 
 
+@pytest.mark.parametrize("rule", [None, ("const", Fraction(1))],
+                         ids=["derived", "supplied"])
+def test_unbalanced_key_is_refused_with_or_without_its_relation(rule):
+    # x^2 - y has value min(2*3/2, 1) = 1 at stage 1, below the 3 of its top
+    # term; a relation handed to `append` skips no check
+    F, x, Q, P = quartic_setup()
+    ch = Chain(F, "x", P)
+    ch.append(IDX[1], x, V("3/2"), "scripted")
+    key = x * x - Poly.const(F, "x", F.canonical_element(V(1)))
+    with pytest.raises(ChainError) as info:
+        ch.append(IDX[2], key, V(4), "scripted", rule)
+    assert str(info.value) == ("incoming key is not balanced at level 1: "
+                               "value 1 below 3")
+    assert ch.depth() == 1
+
+
+def test_second_residue_extension_is_refused_for_a_supplied_relation():
+    F = RationalFunctions(QQ, "y")
+    x = Poly.variable(F, "x")
+    y = Poly.const(F, "x", F.atom("y"))
+    q2 = x * x + y * y
+    q3 = q2.pow(4) + y.pow(10)
+    ch = Chain(F, "x", q3)
+    ch.append(IDX[1], x, V(1), "scripted")
+    ch.append(IDX[2], q2, V("5/2"), "scripted")
+    with pytest.raises(UnsupportedStructure) as info:
+        ch.append(IDX[3], q3, V("21/2"), "derived", ch.entry(2).rule)
+    msg = str(info.value)
+    assert "by T^2 + 1, and a second residue field extension" in msg
+    assert ch.depth() == 2
+
+
 def test_terminal_entry_requires_divisibility():
     F, x, Q, P = quartic_setup()
     y = lambda n: Poly.const(F, "x", F.canonical_element(V(n)))
@@ -367,7 +400,7 @@ def test_cubic_split_branch_derives_frobenius_ladder():
     ch = Chain(F, "w", P, lump_sides=True)
     ch.append(IDX[1], w, V(3, 3), "derived")
     assert ch.effective_degree(P) == 1
-    keys = ch.derive_keys()
+    keys = [q for q, _ in ch.derive_keys()]
     assert len(keys) == 1
     q2 = keys[0]
     diff = q2 - (w - Poly.const(F, "w", F.mul(F.pow(z, 3), F.pow(y, 3))))
@@ -375,7 +408,7 @@ def test_cubic_split_branch_derives_frobenius_ladder():
     assert ch.candidate_betas(q2) == [V(3, 9)]
     ch.append(IDX[2], q2, V(3, 9), "derived")
     assert ch.effective_degree(P) == 1
-    q3 = ch.derive_keys()[0]
+    q3 = ch.derive_keys()[0][0]
     assert ch.candidate_betas(q3) == [V(3, 27)]
 
 
@@ -389,10 +422,10 @@ def test_cubic_lumped_branch_etale_layer():
     assert rho == [1, 0, 2]
     keys = ch.derive_keys()
     assert len(keys) == 1
-    q2 = keys[0]
+    q2, rule = keys[0]
     assert q2.format() == "w^2 + 2*z^6"  # = w^2 - z^6 over GF(3)
     assert ch.candidate_betas(q2) == [V(6, 3)]
-    ch.append(IDX[2], q2, V(6, 3), "derived")
+    ch.append(IDX[2], q2, V(6, 3), "derived", rule)
     # the lumped quadratic installs the one allowed residue ring extension
     assert ch.entry(2).rule == ("ext", (2, 0, 1))
     assert isinstance(ch.ring, EtaleRing) and ch.ring.modulus == (2, 0, 1)
@@ -417,8 +450,8 @@ def test_cubic_terminal_rejected_at_higher_precision():
     F, w, z, y, P = cubic_setup(precision={"y": 100})
     ch = Chain(F, "w", P, lump_sides=True)
     ch.append(IDX[1], w, V(3, 0), "derived")
-    q2 = ch.derive_keys()[0]
-    ch.append(IDX[2], q2, V(6, 3), "derived")
+    q2, rule = ch.derive_keys()[0]
+    ch.append(IDX[2], q2, V(6, 3), "derived", rule)
     u = F.add(F.add(F.pow(y, 3), F.pow(y, 9)), F.pow(y, 27))
     a = F.mul(F.pow(z, 3), u)
     c = lambda e: Poly.const(F, "w", e)
@@ -493,7 +526,7 @@ def test_tower_deep_block_rederived_by_engine():
     pre = replay(F, "y", P, script[:26])
     assert pre.candidate_betas(qw2) == [V(Fraction(5, 4))]
     pre.append(OrdinalIndex(2, 1), qw2, V(Fraction(5, 4)), "scripted")
-    keys = pre.derive_keys()
+    keys = [q for q, _ in pre.derive_keys()]
     assert len(keys) == 1
     diff = keys[0] + script[27][1]
     assert diff.is_zero
