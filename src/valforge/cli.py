@@ -9,13 +9,20 @@ Options, before or after SCENARIO, as `--opt V` or `--opt=V`; a unique
 prefix names its option (`--dep 3`), and the last of a repeated option
 wins:
 
-    --depth N              override the scenario depth
+    --depth N              override the scenario depth, N >= 0
     --window N             stages over which a limit block's closing key
-                           must keep its degree
-    --precision N|VAR:N    override the field precision
+                           must keep its degree, N >= 1
+    --precision N|VAR:N    override the field precision: over a lex series
+                           VAR:N ... as its `precision` row takes them, or
+                           a bare N for every declared bound; over a tower
+                           a bare N >= 1, its depth; none over k(y)
     --format text|tsv      output format (default text)
     --branch N             restrict to one branch id
     -h, --help             print this help and exit
+
+The scenario parser checks --depth, --window and --precision as it checks
+the file rows they override, for every command, and a refusal names the
+option (`error: --window: must be at least 1, got 0`).
 
 Scenarios are named by file path or by bare name, searched on the
 directories in VALFORGE_SCENARIO_PATH, the working directory, and the
@@ -37,24 +44,9 @@ from .scenario import ScenarioError, load_scenario
 __all__ = ["main"]
 
 
-def _precision_override(text):
-    """{VAR: N} for `VAR:N`, {None: N} for a bare `N`; N is ASCII digits."""
-    if text is None:
-        return None
-    var, colon, num = text.partition(":")
-    if not colon:
-        var, num = None, text
-    if var == "" or not (num.isascii() and num.isdigit()):
-        raise ScenarioError("bad precision %r; use N or VAR:N" % text)
-    return {var: int(num)}
-
-
 def _build(ns):
-    sc = load_scenario(ns.scenario, _precision_override(ns.precision))
-    depth = sc.depth if ns.depth is None else ns.depth
-    if depth < 0:
-        raise ScenarioError("depth must be nonnegative")
-    chains, skipped = explore(sc.field, sc.var, sc.target, depth,
+    sc = load_scenario(ns.scenario, ns.depth, ns.window, ns.precision)
+    chains, skipped = explore(sc.field, sc.var, sc.target, sc.depth,
                               lump_sides=sc.lump_sides,
                               scripted=sc.scripted_map(),
                               scripted_only=sc.branches_mode == "scripted")
@@ -71,9 +63,8 @@ def _pick(pairs, wanted):
     return picked
 
 
-def _classified(sc, ns, pairs):
-    window = sc.window if ns.window is None else ns.window
-    return [classify(ch, window, bid) for bid, ch in pairs]
+def _classified(sc, pairs):
+    return [classify(ch, sc.window, bid) for bid, ch in pairs]
 
 
 def _cmd_chain(ns):
@@ -83,7 +74,7 @@ def _cmd_chain(ns):
 
 def _cmd_defect(ns):
     sc, pairs, skipped = _build(ns)
-    branches = _classified(sc, ns, _pick(pairs, ns.branch))
+    branches = _classified(sc, _pick(pairs, ns.branch))
     complete = not skipped and ns.branch is None
     identity = degree_identity(sc.target, branches, complete)
     out = render_defect(branches, identity, skipped, ns.format)
@@ -98,7 +89,7 @@ def _cmd_newton(ns):
 
 def _cmd_verify(ns):
     sc, pairs, skipped = _build(ns)
-    branches = _classified(sc, ns, _pick(pairs, ns.branch))
+    branches = _classified(sc, _pick(pairs, ns.branch))
     lines, ok = [], True
     for br in branches:
         ch = br.chain

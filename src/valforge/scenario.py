@@ -11,10 +11,19 @@ Sections in square brackets, keys as `name = value`, comments with `#`.
 [chain]      optional script, one entry per line: index ; expr ; value
              index tokens as printed by chain listings: 3, w, w+1, w2+5
 [oracle]     optional samples: expr ; value [; value per branch]
-[params]     depth, window, lump_sides, branches = all | scripted
+[params]     depth (N >= 0, default 8), window (N >= 1, default 4),
+             lump_sides = true | false, branches = all | scripted
 
 Rationals are written a/b, rank 2 values as (a1, a2), infinity as inf.
 A scenario file is ASCII; a byte outside it is refused at its line.
+
+`parse_scenario` and `load_scenario` take the command line's `depth`,
+`window` and `precision` overrides.  Each is read by the reader of the row
+it overrides (`precision` by the lex `precision` row's, which takes a bare N
+from the command line only), and the scenario holds the values that apply.
+Every input refusal names its place in one format, written by `_located`:
+`line N: key: reason` for a file row (`line N: reason` for a row read
+whole, as a [chain] entry), `--option: reason` for an override.
 
 Expressions are read one token at a time and evaluated on coefficient
 tuples of the field's dense core (`field.polys`), with one `Poly` made per
@@ -278,8 +287,6 @@ def parse_index(tok):
 
 _SECTIONS = ("field", "valuation", "target", "chain", "oracle", "params")
 
-_BOOL = {"true": True, "false": False}
-
 
 class Scenario:
     __slots__ = ("name", "field", "rank", "var", "target", "script", "oracle",
@@ -320,6 +327,30 @@ class Scenario:
         return out
 
 
+def _located(exc, row, key=None):
+    """The input refusal exc with its place put before its reason: `line N:
+    key: reason` for a file row (`line N: reason` for a row read whole, with
+    no key), `--key: reason` for a command-line override, which is a row
+    whose line is None.  Every input refusal is located here, and nowhere
+    else; the raisers state only the reason.  A ValueError (a field
+    constructor's or `parse_value`'s) becomes a ScenarioError; a `Refusal`
+    keeps its type."""
+    n = row[0]
+    where = ("--%s" % key if n is None
+             else "line %d" % n + (": %s" % key if key else ""))
+    kind = ScenarioError if isinstance(exc, ValueError) else type(exc)
+    return kind("%s: %s" % (where, exc))
+
+
+@contextmanager
+def _refusing(row, key=None):
+    """Locate what building from a row raises (`_located`)."""
+    try:
+        yield
+    except (ValueError, Refusal) as exc:
+        raise _located(exc, row, key) from None
+
+
 def _split_sections(text):
     sections = {}
     current = None
@@ -328,17 +359,20 @@ def _split_sections(text):
         if not line:
             continue
         if line.startswith("["):
-            if not line.endswith("]"):
-                raise ScenarioError("line %d: unterminated section header" % n)
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ScenarioError("line %d: unknown section %r" % (n, name))
-            if name in sections:
-                raise ScenarioError("line %d: duplicate section %r" % (n, name))
-            current = sections.setdefault(name, [])
-            continue
+            if not line.endswith("]"):
+                reason = "unterminated section header"
+            elif name not in _SECTIONS:
+                reason = "unknown section %r" % name
+            elif name in sections:
+                reason = "duplicate section %r" % name
+            else:
+                current = sections.setdefault(name, [])
+                continue
+            raise _located(ScenarioError(reason), (n, line))
         if current is None:
-            raise ScenarioError("line %d: content before any section" % n)
+            raise _located(ScenarioError("content before any section"),
+                           (n, line))
         current.append((n, line))
     if not sections:
         raise ScenarioError("empty scenario")
@@ -349,12 +383,12 @@ def _keyvals(rows, section):
     out = {}
     for n, line in rows:
         if "=" not in line:
-            raise ScenarioError("line %d: expected key = value in [%s]"
-                                % (n, section))
+            raise _located(ScenarioError("expected key = value in [%s]"
+                                         % section), (n, line))
         key, val = line.split("=", 1)
         key, val = key.strip(), val.strip()
         if key in out:
-            raise ScenarioError("line %d: duplicate key %r" % (n, key))
+            raise _located(ScenarioError("duplicate key %r" % key), (n, line))
         out[key] = (n, val)
     return out
 
@@ -367,51 +401,79 @@ def _want(kv, key, section):
 
 
 def _int(row, key, least=None):
-    """The integer of a (line, text) row, refused below `least` if given."""
-    n, text = row
-    try:
-        value = int(text)
-    except ValueError:
-        raise ScenarioError("line %d: %s must be an integer, got %r"
-                            % (n, key, text)) from None
-    if least is not None and value < least:
-        raise ScenarioError("line %d: %s: %s must be at least %d, got %d"
-                            % (n, key, key, least, value))
+    """The integer of a (line, text) row, refused below `least` if given.
+    A command-line override is read here too, as the row (None, value)."""
+    with _refusing(row, key):
+        try:
+            value = int(row[1])
+        except ValueError:
+            raise ScenarioError("must be an integer, got %r" % row[1]) from None
+        if least is not None and value < least:
+            raise ScenarioError("must be at least %d, got %d" % (least, value))
     return value
 
 
-@contextmanager
-def _refusing(row, key=None):
-    """Refuse what building from a row raises at the row's line, and at its
-    key when given, keeping the reason.  A ValueError (a field constructor's
-    or `parse_value`'s) becomes a ScenarioError; a `Refusal`, a parse error
-    among them, keeps its type."""
-    where = "line %d: " % row[0] + ("%s: " % key if key else "")
-    try:
-        yield
-    except ValueError as exc:
-        raise ScenarioError(where + str(exc)) from None
-    except Refusal as exc:
-        raise type(exc)(where + str(exc)) from None
+def _setting(kv, key, override, default, least):
+    """An integer [params] setting: the file's row when there is one, else
+    the default, and the command line's override when it is given; the row
+    and the override are each read by `_int`."""
+    value = default if key not in kv else _int(kv.pop(key), key, least)
+    return value if override is None else _int((None, override), key, least)
+
+
+def _choice(kv, key, choices, default):
+    """The (line, text) row of a [params] key whose text is one of
+    `choices`, (None, default) when the key is absent."""
+    row = kv.pop(key, (None, default))
+    if row[1] not in choices:
+        raise _located(ScenarioError("must be %s" % " or ".join(choices)),
+                       row, key)
+    return row
+
+
+def _bounds(row, gens):
+    """The {var: N} precision bounds of a `VAR:N ...` row over the generators
+    `gens`.  An override (line None) without a colon is a bare `N`, read as
+    {None: N}: a bound for every declared variable."""
+    n, text = row
+    bare = n is None and ":" not in text
+    bounds = {}
+    with _refusing(row, "precision"):
+        for part in [text] if bare else text.split():
+            var, _, num = (None, "", part) if bare else part.partition(":")
+            if not (num.isascii() and num.isdigit()):
+                raise ScenarioError("bad precision %r" % part)
+            if var is not None and var not in gens:
+                raise ScenarioError("precision bound for unknown variable %r"
+                                    % var)
+            if var in bounds:
+                raise ScenarioError("precision for %r given twice" % var)
+            bounds[var] = int(num)
+    return bounds
 
 
 def _reject_extra(kv, section):
     if kv:
-        n, _ = next(iter(kv.values()))
-        raise ScenarioError("line %d: unknown key %r in [%s]"
-                            % (n, next(iter(kv)), section))
+        key, row = next(iter(kv.items()))
+        raise _located(ScenarioError("unknown key %r in [%s]" % (key, section)),
+                       row)
 
 
-def _build_field(kv, precision_override):
-    kind = _want(kv, "kind", "field")[1]
+def _build_field(kv, precision):
+    """The field of a [field] section, its precision overridden by the
+    command line's `precision` text when that is given."""
+    kind_row = _want(kv, "kind", "field")
+    kind = kind_row[1]
+    over = (None, precision)
     if kind == "rational_functions":
         row = _want(kv, "char", "field")
         char = _int(row, "char")
         gen = _want(kv, "generator", "field")[1]
         _reject_extra(kv, "field")
-        if precision_override:
-            raise ScenarioError("rational function fields are exact; "
-                                "no precision to override")
+        if precision is not None:
+            raise _located(ScenarioError("rational function fields are exact; "
+                                         "no precision to override"),
+                           over, "precision")
         with _refusing(row, "char"):
             scalars = QQ if char == 0 else PrimeField(char)
         return RationalFunctions(scalars, gen)
@@ -420,38 +482,23 @@ def _build_field(kv, precision_override):
         p = _int(p_row, "p")
         gens_row = _want(kv, "generators", "field")
         gens = tuple(gens_row[1].split())
-        precision = {}
-        prec_row = kv.pop("precision", (0, ""))
-        with _refusing(prec_row, "precision"):
-            for part in prec_row[1].split():
-                var, _, num = part.partition(":")
-                if not (num.isascii() and num.isdigit()):
-                    raise ScenarioError("bad precision %r" % part)
-                if var not in gens:
-                    raise ScenarioError("precision bound for unknown "
-                                        "variable %r" % var)
-                if var in precision:
-                    raise ScenarioError("precision for %r given twice" % var)
-                precision[var] = int(num)
+        bounds = _bounds(kv.pop("precision", (0, "")), gens)
         _reject_extra(kv, "field")
-        for var, num in (precision_override or {}).items():
-            if var is None:
-                if not precision:
-                    raise ScenarioError("bare precision override needs a "
-                                        "declared cutoff to replace")
-                for known in list(precision):
-                    precision[known] = num
-            elif var not in gens:
-                raise ScenarioError("precision override for unknown "
-                                    "variable %r" % var)
-            else:
-                precision[var] = num
+        if precision is not None:
+            new = _bounds(over, gens)
+            if None in new:
+                if not bounds:
+                    raise _located(ScenarioError(
+                        "bare precision override needs a declared cutoff to "
+                        "replace"), over, "precision")
+                new = dict.fromkeys(bounds, new[None])
+            bounds.update(new)
         with _refusing(p_row, "p"):
             scalars = PrimeField(p)
         # every precision variable is a generator by now, so the
         # constructor can refuse only the generators
         with _refusing(gens_row, "generators"):
-            return LexMonomialSeries(scalars, gens, precision or None)
+            return LexMonomialSeries(scalars, gens, bounds or None)
     if kind == "coordinate_tower":
         p_row = _want(kv, "p", "field")
         p = _int(p_row, "p")
@@ -461,30 +508,37 @@ def _build_field(kv, precision_override):
         depth_row = _want(kv, "depth", "field")
         depth = _int(depth_row, "depth")
         _reject_extra(kv, "field")
-        where = "line %d: depth" % depth_row[0]
-        for var, num in (precision_override or {}).items():
-            if var is not None:
-                raise ScenarioError("tower precision is its depth; use a "
-                                    "bare number")
-            depth, where = num, "--precision"
+        place = depth_row, "depth"
+        if precision is not None:
+            if ":" in precision:
+                raise _located(ScenarioError("tower precision is its depth; "
+                                             "use a bare number"),
+                               over, "precision")
+            depth, place = _bounds(over, ())[None], (over, "precision")
         if depth < 1:
-            raise ScenarioError("%s: tower depth must be at least 1, got %d"
-                                % (where, depth))
+            raise _located(ScenarioError("tower depth must be at least 1, "
+                                         "got %d" % depth), *place)
         with _refusing(p_row, "p"):
             PrimeField(p)  # the tower builds its own; this names the line
         with _refusing(gamma_row, "gamma"):
             return CoordinateTower(p, gamma, max_depth=depth)
-    raise ScenarioError("unknown field kind %r" % kind)
+    raise _located(ScenarioError("unknown field kind %r" % kind), kind_row,
+                   "kind")
 
 
-def parse_scenario(text, name="scenario", precision_override=None):
+def parse_scenario(text, name="scenario", depth=None, window=None,
+                   precision=None):
+    """The scenario of a file's text.  `depth`, `window` and `precision`
+    override the file's settings as the command line's `--depth`,
+    `--window` and `--precision` do, and each is refused as the row it
+    overrides is, at its option; the returned scenario holds the values that
+    apply."""
     sections = _split_sections(text)
     for needed in ("field", "target"):
         if needed not in sections:
             raise ScenarioError("missing [%s] section" % needed)
 
-    field = _build_field(_keyvals(sections["field"], "field"),
-                         precision_override)
+    field = _build_field(_keyvals(sections["field"], "field"), precision)
 
     rank = field.rank
     if "valuation" in sections:
@@ -493,19 +547,21 @@ def parse_scenario(text, name="scenario", precision_override=None):
         rank = _int(rank_row, "rank")
         _reject_extra(kv, "valuation")
         if rank != field.rank:
-            raise ScenarioError("line %d: rank: declared rank %d but the "
-                                "field has rank %d"
-                                % (rank_row[0], rank, field.rank))
+            raise _located(ScenarioError("declared rank %d but the field has "
+                                         "rank %d" % (rank, field.rank)),
+                           rank_row, "rank")
 
     kv = _keyvals(sections["target"], "target")
-    n, var = _want(kv, "var", "target")
+    var_row = _want(kv, "var", "target")
+    var = var_row[1]
     try:
         field.atom(var)
     except KeyError:
         pass
     else:
-        raise ScenarioError("line %d: chain variable %r already names an "
-                            "element of the field" % (n, var))
+        raise _located(ScenarioError("chain variable %r already names an "
+                                     "element of the field" % var),
+                       var_row, "var")
     poly_row = _want(kv, "poly", "target")
     _reject_extra(kv, "target")
     parse = _ExprParser(field, var).parse
@@ -515,12 +571,11 @@ def parse_scenario(text, name="scenario", precision_override=None):
             raise ScenarioError("target polynomial is not monic")
 
     script = []
-    for n, line in sections.get("chain", []):
-        parts = [p.strip() for p in line.split(";")]
-        if len(parts) != 3:
-            raise ScenarioError("line %d: chain entries are "
-                                "index ; expr ; value" % n)
-        with _refusing((n, line)):
+    for row in sections.get("chain", []):
+        parts = [p.strip() for p in row[1].split(";")]
+        with _refusing(row):
+            if len(parts) != 3:
+                raise ScenarioError("chain entries are index ; expr ; value")
             index = parse_index(parts[0])
             poly = parse(parts[1])
             beta = parse_value(parts[2], rank)
@@ -538,40 +593,27 @@ def parse_scenario(text, name="scenario", precision_override=None):
         script.append((index, poly, beta))
 
     oracle = []
-    for n, line in sections.get("oracle", []):
-        parts = [p.strip() for p in line.split(";")]
-        if len(parts) < 2:
-            raise ScenarioError("line %d: oracle rows are "
-                                "expr ; value [; value ...]" % n)
-        with _refusing((n, line)):
+    for row in sections.get("oracle", []):
+        parts = [p.strip() for p in row[1].split(";")]
+        with _refusing(row):
+            if len(parts) < 2:
+                raise ScenarioError("oracle rows are expr ; value [; value ...]")
             poly = parse(parts[0])
             values = [parse_value(p, rank) for p in parts[1:]]
         oracle.append((poly, values))
 
-    depth, window = 8, 4
-    lump_sides, branches_mode = False, "all"
-    if "params" in sections:
-        kv = _keyvals(sections["params"], "params")
-        if "depth" in kv:
-            depth = _int(kv.pop("depth"), "depth", 0)
-        if "window" in kv:
-            window = _int(kv.pop("window"), "window", 1)
-        if "lump_sides" in kv:
-            n, val = kv.pop("lump_sides")
-            if val not in _BOOL:
-                raise ScenarioError("line %d: lump_sides is true or false" % n)
-            lump_sides = _BOOL[val]
-        if "branches" in kv:
-            n, val = kv.pop("branches")
-            if val not in ("all", "scripted"):
-                raise ScenarioError("line %d: branches is all or scripted" % n)
-            branches_mode = val
-        _reject_extra(kv, "params")
-    if branches_mode == "scripted" and not script:
-        raise ScenarioError("branches = scripted needs a [chain] section")
+    kv = _keyvals(sections.get("params", []), "params")
+    depth = _setting(kv, "depth", depth, 8, 0)
+    window = _setting(kv, "window", window, 4, 1)
+    lump_sides = _choice(kv, "lump_sides", ("true", "false"), "false")[1]
+    branches_row = _choice(kv, "branches", ("all", "scripted"), "all")
+    _reject_extra(kv, "params")
+    if branches_row[1] == "scripted" and not script:
+        raise _located(ScenarioError("scripted needs a [chain] section"),
+                       branches_row, "branches")
 
     return Scenario(name, field, rank, var, target, script, oracle,
-                    depth, window, lump_sides, branches_mode)
+                    depth, window, lump_sides == "true", branches_row[1])
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +685,7 @@ def _decode(data):
     if not data.isascii():
         for n, line in enumerate(text.splitlines(), 1):
             if "\ufffd" in line:
-                raise ScenarioError("line %d: non-ASCII character" % n)
+                raise _located(ScenarioError("non-ASCII character"), (n, line))
     return text
 
 
@@ -655,9 +697,10 @@ def _packaged_text(fname):
     return None
 
 
-def load_scenario(name, precision_override=None):
+def load_scenario(name, depth=None, window=None, precision=None):
     """Scenario text by file path or bare name; bare names search the env
-    path, the working directory, then the packaged scenarios."""
+    path, the working directory, then the packaged scenarios.  The
+    overrides are those of `parse_scenario`."""
     fname = name if name.endswith(".scn") else name + ".scn"
     if os.sep in fname or os.path.isfile(fname):
         candidates = [fname]
@@ -668,8 +711,8 @@ def load_scenario(name, precision_override=None):
             with open(cand, "rb") as fh:
                 text = _decode(fh.read())
             return parse_scenario(text, os.path.basename(fname)[:-4],
-                                  precision_override)
+                                  depth, window, precision)
     text = _packaged_text(fname)
     if text is not None:
-        return parse_scenario(text, fname[:-4], precision_override)
+        return parse_scenario(text, fname[:-4], depth, window, precision)
     raise ScenarioError("no scenario named %r on the search path" % name)

@@ -338,7 +338,7 @@ def test_cli_non_integer_names_line_and_key(tmp_path, capsys, text, line,
     rc = main(["verify", str(path)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == "error: line %d: %s must be an integer, got %r\n" % (line, key, got)
+    assert err == "error: line %d: %s: must be an integer, got %r\n" % (line, key, got)
 
 
 LEX = ("[field]\n" + FIELD_KINDS["lex_series"]
@@ -451,9 +451,9 @@ LEX_TOO_BIG = ("z^3124999998 has an exponent outside [-2^31, 2^31), beyond "
     (MINIMAL + "\n[chain]\n1 ; x ; 3/2\n2 ; x^2 - y^3 ; 1/2\n", ScenarioError,
      "line 12: chain values must increase (3/2 before 1/2)"),
     (MINIMAL + "\n[params]\ndepth = -1\n", ScenarioError,
-     "line 11: depth: depth must be at least 0, got -1"),
+     "line 11: depth: must be at least 0, got -1"),
     (MINIMAL + "\n[params]\nwindow = 0\n", ScenarioError,
-     "line 11: window: window must be at least 1, got 0"),
+     "line 11: window: must be at least 1, got 0"),
     (LEX.replace("generators = z x", "generators = z z"), ScenarioError,
      "line 4: generators: generator 'z' named twice"),
     (LEX.replace("generators = z x", "generators = z x\nprecision = z:10 z:20"),
@@ -597,13 +597,35 @@ def test_cli_precision_override_rejects_stale_terminal(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("text", ["\u00b2", "y:\u00b2", "\u0663", ":5", "y:"])
-def test_cli_precision_takes_ascii_digits_only(capsys, text):
+@pytest.mark.parametrize("text, reason", [
+    ("\u00b2", "bad precision '\u00b2'"),
+    ("y:\u00b2", "bad precision 'y:\u00b2'"),
+    ("\u0663", "bad precision '\u0663'"),
+    (":5", "precision bound for unknown variable ''"),
+    ("y:", "bad precision 'y:'"),
+], ids=["\u00b2", "y:\u00b2", "\u0663", ":5", "y:"])
+def test_cli_precision_takes_ascii_digits_only(capsys, text, reason):
     # str.isdigit accepts a superscript two, which int() then refuses
     rc = main(["chain", "cubic_char3", "--precision", text])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert err == "error: bad precision %r; use N or VAR:N\n" % text
+    assert err == "error: --precision: %s\n" % reason
+
+
+@pytest.mark.parametrize("text", [":5", "y:", "y:\u00b2", "q:5"])
+def test_precision_override_is_refused_as_its_row(capsys, text):
+    # one reader serves the lex `precision` row and `--precision`, so a text
+    # both refuse is refused for the same reason, at its line or its option
+    row = packaged_text("cubic_char3").replace("precision = y:40",
+                                               "precision = " + text)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(row, "precision_row")
+    head, reason = str(exc.value).split(": ", 2)[1:]
+    assert head == "precision"
+    rc = main(["chain", "cubic_char3", "--precision", text])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: --precision: %s\n" % reason
 
 
 def test_precision_row_takes_ascii_digits_only():
@@ -837,19 +859,28 @@ STALE_TERMINAL = ("branch 1: stage 2, key Q = w^2 + 2*z^6: terminal key does "
 
 
 @pytest.mark.parametrize("args, message", [
-    (["quartic", "--precision", "5"],
-     "rational function fields are exact; no precision to override"),
-    (["cubic_char3", "--precision", "q:5"],
-     "precision override for unknown variable 'q'"),
-    (["quintic_tower", "--precision", "y:3"],
-     "tower precision is its depth; use a bare number"),
-    (["cubic_char3", "--precision", "100"], STALE_TERMINAL),
-    (["cubic_char3", "--precision", "y:100"], STALE_TERMINAL),
-    (["quartic", "--depth", "-1"], "depth must be nonnegative"),
+    (["chain", "quartic", "--precision", "5"], "--precision: rational "
+     "function fields are exact; no precision to override"),
+    (["chain", "cubic_char3", "--precision", "q:5"],
+     "--precision: precision bound for unknown variable 'q'"),
+    (["chain", "quintic_tower", "--precision", "y:3"],
+     "--precision: tower precision is its depth; use a bare number"),
+    (["chain", "cubic_char3", "--precision", "100"], STALE_TERMINAL),
+    (["chain", "cubic_char3", "--precision", "y:100"], STALE_TERMINAL),
+    (["chain", "quartic", "--depth", "-1"],
+     "--depth: must be at least 0, got -1"),
+    # each override is checked as its file row is, by every subcommand
+    (["chain", "quartic", "--window", "0"],
+     "--window: must be at least 1, got 0"),
+    (["defect", "quartic", "--window", "0"],
+     "--window: must be at least 1, got 0"),
+    (["newton", "quartic", "--window", "0"],
+     "--window: must be at least 1, got 0"),
 ], ids=["exact-field", "unknown-var", "tower-var", "bare-stale",
-        "var-stale", "negative-depth"])
+        "var-stale", "negative-depth", "chain-window", "defect-window",
+        "newton-window"])
 def test_cli_override_refusals(capsys, args, message):
-    rc = main(["chain"] + args)
+    rc = main(args)
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == "error: %s\n" % message
@@ -861,8 +892,8 @@ def test_cli_bare_precision_needs_a_declared_cutoff(tmp_path, capsys):
     rc = main(["chain", str(path), "--precision", "5"])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert err == ("error: bare precision override needs a declared cutoff "
-                   "to replace\n")
+    assert err == ("error: --precision: bare precision override needs a "
+                   "declared cutoff to replace\n")
 
 
 def test_cli_bare_precision_replaces_the_declared_cutoff(capsys):
@@ -870,6 +901,12 @@ def test_cli_bare_precision_replaces_the_declared_cutoff(capsys):
         encoding="ascii")
     rc = main(["chain", "cubic_char3", "--precision", "40"])
     assert rc == 0 and capsys.readouterr().out == golden
+
+
+def test_overrides_are_the_scenario_settings():
+    sc = load_scenario("cubic_char3", depth=3, window=2, precision="y:50")
+    assert (sc.depth, sc.window, sc.field.precision) == (3, 2, {"y": 50})
+    assert load_scenario("quintic_tower", precision="30").field.max_depth == 30
 
 
 def test_cli_newton_tsv(capsys):
@@ -886,9 +923,15 @@ def test_cli_newton_tsv(capsys):
     ("[field\n", "line 1: unterminated section header"),
     (MINIMAL.replace("[target]", "[params]"), "missing [target] section"),
     (MINIMAL + "\n[params]\nlump_sides = yes\n",
-     "line 11: lump_sides is true or false"),
+     "line 11: lump_sides: must be true or false"),
     (MINIMAL + "\n[params]\nbranches = some\n",
-     "line 11: branches is all or scripted"),
+     "line 11: branches: must be all or scripted"),
+    (MINIMAL.replace("rational_functions", "rational"),
+     "line 2: kind: unknown field kind 'rational'"),
+    (MINIMAL + "\n[params]\ndepth = 4\nbranches = scripted\n",
+     "line 12: branches: scripted needs a [chain] section"),
+    (MINIMAL.replace("var = x", "var = y"),
+     "line 7: var: chain variable 'y' already names an element of the field"),
     (MINIMAL + "\n[field]\n", "line 10: duplicate section 'field'"),
     (MINIMAL.replace("char = 0", "char 0"),
      "line 3: expected key = value in [field]"),
@@ -898,7 +941,8 @@ def test_cli_newton_tsv(capsys):
      "line 11: chain entries are index ; expr ; value"),
     (MINIMAL + "\n[oracle]\nx\n",
      "line 11: oracle rows are expr ; value [; value ...]"),
-], ids=["unterminated", "no-target", "lump-sides", "branches", "dup-section",
+], ids=["unterminated", "no-target", "lump-sides", "branches", "unknown-kind",
+        "scripted-without-chain", "chain-variable-clash", "dup-section",
         "no-equals", "unknown-key", "chain-row", "oracle-row"])
 def test_scenario_structure_refusals(text, message):
     with pytest.raises(ScenarioError) as exc:
