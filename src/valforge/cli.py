@@ -41,55 +41,67 @@ from .report import (classify, completeness_sample, defect, degree_identity,
                      render_chain, render_defect, render_newton)
 from .scenario import ScenarioError, load_scenario
 
-__all__ = ["main"]
+__all__ = ["main", "grow", "pick", "account"]
 
 
-def _build(ns):
-    sc = load_scenario(ns.scenario, ns.depth, ns.window, ns.precision)
-    chains, skipped = explore(sc.field, sc.var, sc.target, sc.depth,
-                              lump_sides=sc.lump_sides,
-                              scripted=sc.scripted_map(),
-                              scripted_only=sc.branches_mode == "scripted")
-    return sc, list(enumerate(chains, 1)), skipped
+def grow(sc):
+    """(chains, skipped) of a scenario: its target grown by `explore` to the
+    scenario's depth, with its [chain] script, `lump_sides` and `branches`
+    mode.  Every command grows a scenario here."""
+    return explore(sc.field, sc.var, sc.target, sc.depth,
+                   lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
+                   scripted_only=sc.branches_mode == "scripted")
 
 
-def _pick(pairs, wanted):
+def pick(chains, skipped, wanted=None):
+    """([(branch id, chain)], complete): the grown chains numbered from 1,
+    only branch `wanted` when one is given, and whether they are every
+    branch of the target (no starting value skipped, no branch left out)."""
+    pairs = list(enumerate(chains, 1))
     if wanted is None:
-        return pairs
-    picked = [(bid, ch) for bid, ch in pairs if bid == wanted]
-    if not picked:
+        return pairs, not skipped
+    if not 1 <= wanted <= len(pairs):
         raise ScenarioError("no branch %d; the scenario grew %d"
                             % (wanted, len(pairs)))
-    return picked
+    return pairs[wanted - 1:wanted], False
 
 
-def _classified(sc, pairs):
-    return [classify(ch, sc.window, bid) for bid, ch in pairs]
+def account(sc, pairs, complete):
+    """(branch reports, degree identity) of picked chains, as `defect` and
+    `verify` read them."""
+    branches = [classify(ch, sc.window, bid) for bid, ch in pairs]
+    return branches, degree_identity(sc.target, branches, complete)
+
+
+def _picked(ns):
+    """The scenario a command line names, its skipped starting values, and
+    its picked chains with their completeness."""
+    sc = load_scenario(ns.scenario, ns.depth, ns.window, ns.precision)
+    chains, skipped = grow(sc)
+    return (sc, skipped) + pick(chains, skipped, ns.branch)
 
 
 def _cmd_chain(ns):
-    sc, pairs, skipped = _build(ns)
-    return render_chain(_pick(pairs, ns.branch), ns.format), 0
+    sc, skipped, pairs, complete = _picked(ns)
+    return render_chain(pairs, ns.format), 0
 
 
 def _cmd_defect(ns):
-    sc, pairs, skipped = _build(ns)
-    branches = _classified(sc, _pick(pairs, ns.branch))
-    complete = not skipped and ns.branch is None
-    identity = degree_identity(sc.target, branches, complete)
+    sc, skipped, pairs, complete = _picked(ns)
+    branches, identity = account(sc, pairs, complete)
     out = render_defect(branches, identity, skipped, ns.format)
     return out, 0 if identity.verdict or not complete else 1
 
 
 def _cmd_newton(ns):
-    sc, pairs, skipped = _build(ns)
-    bid, ch = _pick(pairs, ns.branch)[0]
+    sc, skipped, pairs, complete = _picked(ns)
+    bid, ch = pairs[0]
     return render_newton(ch, sc.target, ch.depth(), ns.format), 0
 
 
 def _cmd_verify(ns):
-    sc, pairs, skipped = _build(ns)
-    branches = _classified(sc, _pick(pairs, ns.branch))
+    sc, skipped, pairs, complete = _picked(ns)
+    branches, identity = account(sc, pairs, complete)
     lines, ok = [], True
     for br in branches:
         ch = br.chain
@@ -110,9 +122,8 @@ def _cmd_verify(ns):
     ds = defect(branches)
     lines.append("ok: defects %s pass the characteristic check"
                  % (ds if ds else "[]"))
-    complete = not skipped and ns.branch is None
-    identity = degree_identity(sc.target, branches, complete)
-    good = identity.verdict if complete else identity.lhs >= identity.total
+    good = (identity.verdict if identity.complete
+            else identity.lhs >= identity.total)
     lines.append("%s: identity %s" % ("ok" if good else "fail", identity.line()))
     ok = ok and good
     return "\n".join(lines) + "\n", 0 if ok else 1

@@ -663,8 +663,7 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     for root, beta1 in enumerate(seed.candidate_betas(x, 0), 1):
         script = scripted.pop(beta1, None)
         if script is not None:
-            chains.append(replay(field, var, target, script, lump_sides,
-                                 root))
+            chains.append(replay(field, var, target, script, root))
         elif scripted_only:
             skipped.append(beta1)
         else:
@@ -672,15 +671,15 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
             ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
             chains.extend(_grow(ch, depth, root))
     for script in scripted.values():
-        chains.append(replay(field, var, target, script, lump_sides))
+        chains.append(replay(field, var, target, script))
     return chains, skipped
 
 
-def replay(field, var, target, entries, lump_sides=False, root=None):
+def replay(field, var, target, entries, root=None):
     """The scripted chain [(index, poly, beta)]; a refusal names the stage
     and key it was appended to, and the branch `root` when given (`explore`
     passes the index of the script's first value among the roots)."""
-    ch = Chain(field, var, target, lump_sides)
+    ch = Chain(field, var, target)
     for index, poly, beta in entries:
         origin = "limit" if index.is_limit else "scripted"
         try:

@@ -121,10 +121,6 @@ def _classify_unlocated(ch, window):
             if len(set(deltas)) != 1:
                 raise ReportError("block %d has not settled against its "
                                   "closing key over the window" % j)
-            if closer.alpha != deltas[-1]:
-                raise ReportError(
-                    "block %d closes with a degree jump of %d but effective "
-                    "degree %d" % (j, closer.alpha, deltas[-1]))
             blocks.append(BlockReport("limit", deltas[-1]))
             continue
         if ch.entry(stages[-1]).beta is INF:

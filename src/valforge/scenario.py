@@ -401,13 +401,16 @@ def _want(kv, key, section):
 
 
 def _int(row, key, least=None):
-    """The integer of a (line, text) row, refused below `least` if given.
-    A command-line override is read here too, as the row (None, value)."""
+    """The integer of a (line, text) row, ASCII digits with a leading minus
+    or not as value literals take them (`parse_integer`), refused below
+    `least` if given.  A command-line override is read here too, as the
+    row (None, value) of the int the command line read."""
     with _refusing(row, key):
-        try:
-            value = int(row[1])
-        except ValueError:
-            raise ScenarioError("must be an integer, got %r" % row[1]) from None
+        value = row[1]
+        if not isinstance(value, int):
+            if not re.fullmatch(r"-?[0-9]+", value):
+                raise ScenarioError("must be an integer, got %r" % value)
+            value = parse_integer(value)
         if least is not None and value < least:
             raise ScenarioError("must be at least %d, got %d" % (least, value))
     return value

@@ -1,7 +1,8 @@
 """The inputs the tests share, in one place.
 
-Every packaged scenario (`PACKAGED`, found in the package), grown the way
-the command line grows it (`run_scenario`); the benchmark's pinned corpus,
+Every packaged scenario (`PACKAGED`, found in the package), grown by the
+command line's own grow step (`run_scenario` is `valforge.cli.grow`, to
+the depth the scenario was loaded with); the benchmark's pinned corpus,
 read from `perfbench/` (only read); the hand-built targets of the running
 examples; and the fields, elements and polynomials that property tests
 draw from.  Test modules take these from here and import no other test
@@ -19,6 +20,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import valforge.keypoly as keypoly
+from valforge.cli import grow as run_scenario
 from valforge.fields import (QQ, CoordinateTower, LexMonomialSeries,
                              PrimeField, RationalFunctions, _IntegersMod)
 from valforge.graded import EtaleRing
@@ -41,16 +43,6 @@ PACKAGED = tuple(sorted(p.name.removesuffix(".scn")
 
 def packaged_text(name):
     return (SCENARIOS / (name + ".scn")).read_text(encoding="ascii")
-
-
-def run_scenario(sc, depth=None):
-    """(chains, skipped) of a scenario grown as `valforge chain` grows it,
-    to the scenario's depth unless one is given."""
-    return keypoly.explore(sc.field, sc.var, sc.target,
-                           sc.depth if depth is None else depth,
-                           lump_sides=sc.lump_sides,
-                           scripted=sc.scripted_map(),
-                           scripted_only=sc.branches_mode == "scripted")
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_key_exponents_are_lowered_by_the_weight_monomial(q1, q2, want):
     # level 2 carries a Q_1 exponent, so each spacing that a term of
     # Q_1^q1 * Q_2^q2 lies above its canonical monomial lowers the Q_1
     # exponent of the monomial one level down by one.
-    ch = run_scenario(load_scenario("quartic"), 3)[0][0]
+    ch = run_scenario(load_scenario("quartic", depth=3))[0][0]
     wt = ch.weight(2)
     assert (wt.v0, wt.exps) == (Value([2]), {1: 1})
     f = ch.entry(1).poly.pow(q1) * ch.entry(2).poly.pow(q2)

@@ -3,7 +3,7 @@ import pytest
 from inputs import (V, cubic_setup, growth_inputs, quartic_setup,
                     tower_chain)
 from valforge.fields import Refusal
-from valforge.keypoly import Chain, ChainEntry, explore, replay
+from valforge.keypoly import Chain, explore, replay
 from valforge.polyring import Poly
 from valforge.report import (BlockReport, BranchReport, DegreeIdentity,
                              ReportError, classify, completeness_sample,
@@ -149,25 +149,6 @@ def test_unsettled_limit_block_is_refused():
         classify(ch, 2, 4)
     assert str(info.value) == (place(4, ch) + "block 0 has not settled "
                                "against its closing key over the window")
-
-
-def test_closing_degree_jump_must_match_the_effective_degree():
-    # `append` keeps a closer's degree jump equal to its effective degree
-    # (a key below its top term is refused as unbalanced), so the check is
-    # met only by a hand-built entry: here the quartic's limit closer P,
-    # whose effective degree at stage 2 is 2, claims a jump of 1
-    F, x, Q, P = quartic_setup()
-    ch = replay(F, "x", P, [(IDX[1], x, V("3/2")), (IDX[2], Q, V("7/2")),
-                            (OrdinalIndex(1, 0), P, INF)])
-    top = ch.entries[-1]
-    ch.entries[-1] = ChainEntry(top.index, top.poly, top.beta, top.origin, 1,
-                                top.e_step, top.f_step, top.group, top.rule)
-    with pytest.raises(ReportError) as info:
-        classify(ch, 1, 4)
-    assert str(info.value) == (
-        "branch 4: stage w, key Q = x^4 + y^2*x^3 + (y^5 - 2*y^3)*x^2 - "
-        "y^5*x + y^6: block 0 closes with a degree jump of 1 but "
-        "effective degree 2")
 
 
 def test_invariant_refusals_name_the_branch():

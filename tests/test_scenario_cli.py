@@ -219,6 +219,15 @@ def test_cli_defect_quartic():
         "identity: 4 = 2*1*1 + 2*1*1\n")
 
 
+@pytest.mark.parametrize("name", PACKAGED)
+def test_cli_module_verify_runs_clean(name):
+    # the cold form the benchmark times: running the module itself warns
+    # on stderr when importing the package has imported it already
+    rc, out, err = run_python("-m", "valforge.cli", "verify", name)
+    assert (rc, err) == (0, "")
+    assert out.startswith("ok: ")
+
+
 def test_cli_defect_tower_reports_d4():
     rc, out, err = run_cli("defect", "quintic_tower")
     assert rc == 0
@@ -314,9 +323,15 @@ def test_cli_errors_exit_two(capsys):
     rc = main(["defect", "no_such_scenario"])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error:")
-    rc = main(["chain", "quartic", "--branch", "7"])
-    err = capsys.readouterr().err
-    assert rc == 2 and "no branch 7" in err
+
+
+@pytest.mark.parametrize("command", ["chain", "defect", "newton", "verify"])
+def test_cli_missing_branch_exits_two(capsys, command):
+    # every command picks its branch in one place
+    rc = main([command, "quartic", "--branch", "7"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: no branch 7; the scenario grew 2\n"
 
 
 TOWER = "[field]\n" + FIELD_KINDS["coordinate_tower"] + "\n[target]\nvar = y\npoly = y^2 + v\n"
@@ -330,7 +345,10 @@ TOWER = "[field]\n" + FIELD_KINDS["coordinate_tower"] + "\n[target]\nvar = y\npo
     (MINIMAL + "\n[valuation]\nrank = one\n", 11, "rank", "one"),
     (MINIMAL + "\n[params]\ndepth = eight\n", 11, "depth", "eight"),
     (MINIMAL + "\n[params]\ndepth = 8\nwindow = 1/2\n", 12, "window", "1/2"),
-], ids=["char", "p", "tower-depth", "gamma", "rank", "params-depth", "window"])
+    (MINIMAL + "\n[params]\ndepth = 1_0\n", 11, "depth", "1_0"),
+    (MINIMAL + "\n[params]\ndepth = 8\nwindow = +3\n", 12, "window", "+3"),
+], ids=["char", "p", "tower-depth", "gamma", "rank", "params-depth", "window",
+        "underscore", "plus-sign"])
 def test_cli_non_integer_names_line_and_key(tmp_path, capsys, text, line,
                                             key, got):
     path = tmp_path / "not_an_integer.scn"

@@ -81,8 +81,8 @@ def _check_chains(F, target, chains, rng, atoms=("y",)):
 
 
 def test_memo_never_changes_an_answer_quartic():
-    sc = load_scenario("quartic")
-    chains, _ = run_scenario(sc, 8)
+    sc = load_scenario("quartic", depth=8)
+    chains, _ = run_scenario(sc)
     _check_chains(sc.field, sc.target, chains, random.Random(6))
 
 
