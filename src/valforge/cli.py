@@ -24,6 +24,11 @@ The scenario parser checks --depth, --window and --precision as it checks
 the file rows they override, for every command, and a refusal names the
 option (`error: --window: must be at least 1, got 0`).
 
+`verify` grows each branch only as far as its answer, the first stage at
+which the target's effective degree is 1, and grows the scenario again to
+its depth when a branch so stopped misses an oracle value; the other
+commands grow to the scenario's depth.
+
 Scenarios are named by file path or by bare name, searched on the
 directories in VALFORGE_SCENARIO_PATH, the working directory, and the
 packaged examples.  Exit status: 0 success, 1 failed verdict, 2 a
@@ -44,13 +49,15 @@ from .scenario import ScenarioError, load_scenario
 __all__ = ["main", "grow", "pick", "account"]
 
 
-def grow(sc):
+def grow(sc, stop_at_answer=False):
     """(chains, skipped) of a scenario: its target grown by `explore` to the
     scenario's depth, with its [chain] script, `lump_sides` and `branches`
-    mode.  Every command grows a scenario here."""
+    mode, and each grown branch stopped at its answer when stop_at_answer
+    is set.  Every command grows a scenario here."""
     return explore(sc.field, sc.var, sc.target, sc.depth,
                    lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
-                   scripted_only=sc.branches_mode == "scripted")
+                   scripted_only=sc.branches_mode == "scripted",
+                   stop_at_answer=stop_at_answer)
 
 
 def pick(chains, skipped, wanted=None):
@@ -73,11 +80,11 @@ def account(sc, pairs, complete):
     return branches, degree_identity(sc.target, branches, complete)
 
 
-def _picked(ns):
+def _picked(ns, stop_at_answer=False):
     """The scenario a command line names, its skipped starting values, and
     its picked chains with their completeness."""
     sc = load_scenario(ns.scenario, ns.depth, ns.window, ns.precision)
-    chains, skipped = grow(sc)
+    chains, skipped = grow(sc, stop_at_answer)
     return (sc, skipped) + pick(chains, skipped, ns.branch)
 
 
@@ -99,15 +106,31 @@ def _cmd_newton(ns):
     return render_newton(ch, sc.target, ch.depth(), ns.format), 0
 
 
-def _cmd_verify(ns):
-    sc, skipped, pairs, complete = _picked(ns)
-    branches, identity = account(sc, pairs, complete)
-    lines, ok = [], True
+def _oracle(sc, branches):
+    """(samples, attained) per branch: its oracle samples, and whether some
+    stage of its chain attains each one (None when it has none)."""
+    out = []
     for br in branches:
-        ch = br.chain
         samples = sc.oracle_samples(br.branch_id - 1) if sc.oracle else []
+        out.append((samples, completeness_sample(br.chain, samples)
+                    if samples else None))
+    return out
+
+
+def _cmd_verify(ns):
+    sc, skipped, pairs, complete = _picked(ns, stop_at_answer=True)
+    branches, identity = account(sc, pairs, complete)
+    oracle = _oracle(sc, branches)
+    if any(good is False for _, good in oracle):
+        # a branch stopped at its answer may miss an oracle value that a
+        # deeper stage attains: grow to full depth, as the other commands do
+        pairs, complete = pick(*grow(sc), ns.branch)
+        branches, identity = account(sc, pairs, complete)
+        oracle = _oracle(sc, branches)
+    lines, ok = [], True
+    for br, (samples, good) in zip(branches, oracle):
+        ch = br.chain
         if samples:
-            good = completeness_sample(ch, samples)
             lines.append("%s: branch %d attains its %d oracle value(s)"
                          % ("ok" if good else "fail", br.branch_id,
                             len(samples)))

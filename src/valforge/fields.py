@@ -38,7 +38,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, count
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 
 from .polyring import Domain, NumberPolys, _power, format_terms
 from .values import INF, Value, ValueGroup, format_rational
@@ -153,9 +153,40 @@ class _IntegersMod(Domain):
         return a % self.m == 0
 
 
+# the primes 2 to 41 as Miller-Rabin bases decide primality exactly for
+# every n below _PRIME_LIMIT (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
-    """Trial division up to the exact integer square root."""
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin over `_PRIME_BASES`; an n at or above
+    `_PRIME_LIMIT`, where those bases do not decide, is refused."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError("%d is too large: a characteristic must be below %d"
+                         % (n, _PRIME_LIMIT))
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True     # a composite below 43^2 has a prime factor up to 41
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField(_IntegersMod):

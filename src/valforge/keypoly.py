@@ -646,16 +646,19 @@ class Chain:
 
 
 def explore(field, var, target, depth, lump_sides=False, scripted=None,
-            scripted_only=False):
+            scripted_only=False, stop_at_answer=False):
     """All chains for the target up to the given depth.  scripted maps a first
     value to a full entry list [(index, poly, beta)] replayed verbatim;
     unscripted starting values grow by peel-and-refine unless scripted_only,
     in which case they are reported as skipped.  Each grown starting value's
     branches grow stage by stage (`_grow`) and come back in depth-first
     order; a refusal raised there is the first met stage by stage, at the
-    shallowest stage that refuses, and names its branch.  A script whose
-    first value is the r-th root names its branch r in a refusal, as a
-    grown branch does; a script for no root names none."""
+    shallowest stage that refuses, and names its branch.  With
+    stop_at_answer a grown branch stops at the first stage where the
+    target's effective degree is 1, where its e, f and d are final (a
+    prefix of the branch grown to full depth).  A script whose first value
+    is the r-th root names its branch r in a refusal, as a grown branch
+    does; a script for no root names none."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
     x = Poly.variable(field, var)
@@ -669,7 +672,7 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
         else:
             ch = seed.clone()
             ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
-            chains.extend(_grow(ch, depth, root))
+            chains.extend(_grow(ch, depth, root, stop_at_answer))
     for script in scripted.values():
         chains.append(replay(field, var, target, script))
     return chains, skipped
@@ -690,13 +693,17 @@ def replay(field, var, target, entries, root=None):
     return ch
 
 
-def _grow(ch, depth, root):
+def _grow(ch, depth, root, stop_at_answer=False):
     """Every chain grown from ch up to the given depth, in depth-first order.
 
     Growth goes stage by stage: each chain of one stage derives its keys and
     their values, and each move (a key with one value) makes a child at the
     next stage, tagged with its parent's path plus the move's index.  A chain
-    stops at the depth cap, at a terminal value, or when it has no move.
+    stops at the depth cap, at a terminal value, or when it has no move;
+    with stop_at_answer also once the target's effective degree at its top
+    stage is 1.  That degree never rises along a block, so the branch's
+    e, f and d are final there, and at degree 1 every later stage has one
+    move, so the chain is a prefix of the one grown without the stop.
     Sorting the finished chains by path gives the depth-first order.  A
     `Refusal` of any type ends the whole growth, so the one reported is
     the first met in the stage-by-stage order: it lies at the shallowest
@@ -711,7 +718,9 @@ def _grow(ch, depth, root):
         grown = []
         for path, cur in frontier:
             top = cur.entries[-1]
-            if cur.depth() >= depth or top.beta is INF:
+            if (cur.depth() >= depth or top.beta is INF
+                    or (stop_at_answer
+                        and cur.effective_degree(cur.target) == 1)):
                 done.append((path, cur))
                 continue
             try:

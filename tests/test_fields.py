@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, reject, settings
@@ -15,6 +16,8 @@ from valforge.fields import (
     PrimeField,
     RationalFunctions,
     UnsupportedStructure,
+    _is_prime,
+    _PRIME_LIMIT,
     factor_scalar_poly,
 )
 from valforge.polyring import DensePolys as ScalarPolys
@@ -34,6 +37,25 @@ class TestScalars:
             PrimeField(9)
         with pytest.raises(ValueError):
             PrimeField(1)
+
+    def test_prime_check_matches_trial_division(self):
+        for n in range(10 ** 5):
+            want = n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+            assert _is_prime(n) == want, n
+
+    def test_prime_check_refuses_strong_pseudoprimes(self):
+        # strong pseudoprimes to the prime bases up to 7 and up to 23, and a
+        # composite beside a prime
+        for n in (3215031751, 3825123056546413051, 10 ** 18 + 1):
+            assert not _is_prime(n)
+        assert _is_prime(10 ** 18 + 3)
+
+    def test_prime_check_refuses_what_its_bases_cannot_decide(self):
+        # the limit is the least composite that passes every base
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(_PRIME_LIMIT)
+        with pytest.raises(ValueError, match="too large"):
+            _is_prime(2 ** 127 - 1)
 
     def test_prime_inverse_randomized(self):
         rng = random.Random(3)

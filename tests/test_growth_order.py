@@ -2,12 +2,14 @@
 
 `keypoly._grow` grows a root's branches one stage at a time and sorts the
 finished chains back into depth-first order.  Here it is checked against the
-depth-first loop it replaced, copied below, on the pinned benchmark corpus
-(`perfbench/corpus.py`, read only) and every packaged scenario: the
-chains must agree entry by entry, and a refusal must have the same type,
-name its branch and name a stage no deeper than the reference's.
+depth-first loop it replaced, copied below with the same stop at a branch's
+answer, on the pinned benchmark corpus (`perfbench/corpus.py`, read only)
+and every packaged scenario, with the stop off and on: the chains must
+agree entry by entry, and a refusal must have the same type, name its
+branch and name a stage no deeper than the reference's.
 """
 
+import functools
 import re
 
 import pytest
@@ -21,9 +23,10 @@ from valforge.scenario import parse_expression, parse_index
 from valforge.values import INF
 
 
-def _depth_first_grow(ch, depth, root):
-    # the depth-first stack loop that `_grow` replaced; it names no branch,
-    # and it locates a refusal at the top entry of the chain it was growing
+def _depth_first_grow(ch, depth, root, stop_at_answer=False):
+    # the depth-first stack loop that `_grow` replaced, given the same stop
+    # at a target effective degree of 1; it names no branch, and it locates
+    # a refusal at the top entry of the chain it was growing
     out = []
     stack = [ch]
     try:
@@ -35,6 +38,10 @@ def _depth_first_grow(ch, depth, root):
                     break
                 top = cur.entries[-1]
                 if top.beta is INF:
+                    out.append(cur)
+                    break
+                if (stop_at_answer
+                        and cur.effective_degree(cur.target) == 1):
                     out.append(cur)
                     break
                 keys = cur.derive_keys()
@@ -82,11 +89,14 @@ def _unbranched(exc):
     return type(exc)(str(exc)[found.end():])
 
 
-def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
+def _compare_with_reference(monkeypatch, stop_at_answer):
     inputs = growth_inputs()
-    grown = [_outcome(grow) for _, grow in inputs]
+    grown = [_outcome(functools.partial(grow, stop_at_answer=stop_at_answer))
+             for _, grow in inputs]
     monkeypatch.setattr(keypoly, "_grow", _depth_first_grow)
-    reference = [_outcome(grow) for _, grow in inputs]
+    reference = [_outcome(functools.partial(grow,
+                                            stop_at_answer=stop_at_answer))
+                 for _, grow in inputs]
     refusals = 0
     for (name, _), got, want in zip(inputs, grown, reference):
         if not isinstance(want, Exception):
@@ -102,6 +112,14 @@ def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
             assert _stage(got) <= _stage(want), name
     # the corpus has refusals, so the comparison above reaches them
     assert refusals > 0
+
+
+def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
+    _compare_with_reference(monkeypatch, False)
+
+
+def test_growth_stopped_at_the_answer_matches_the_reference(monkeypatch):
+    _compare_with_reference(monkeypatch, True)
 
 
 T035 = ("x^8 + (y^2 + 4*y)*x^7 + (y^2 + 3)*x^4 + 4*y^2*x^3 + (y^2 + 4)*x^2"

@@ -12,6 +12,7 @@ from inputs import (PACKAGED, PERFBENCH, V, packaged_text, quartic_setup,
 from valforge.cli import main
 from valforge.fields import (CoordinateTower, InsufficientPrecision,
                              UnsupportedStructure)
+from valforge.keypoly import Chain
 from valforge.scenario import (ScenarioError, format_scenario, load_scenario,
                                parse_expression, parse_index, parse_scenario)
 from valforge.values import OrdinalIndex
@@ -372,7 +373,13 @@ LEX = ("[field]\n" + FIELD_KINDS["lex_series"]
     (LEX.replace("p = 3", "p = 6"), 3, "p", "6 is not prime"),
     (LEX.replace("generators = z x", "generators = z x\nprecision = q:40"), 5,
      "precision", "precision bound for unknown variable 'q'"),
-], ids=["tower-gamma-zero", "tower-gamma-short", "char", "lex-p", "precision"])
+    # a strong pseudoprime to every prime base up to 23
+    (MINIMAL.replace("char = 0", "char = 3825123056546413051"), 3, "char",
+     "3825123056546413051 is not prime"),
+    (LEX.replace("p = 3", "p = %d" % 10 ** 25), 3, "p", "%d is too large: a "
+     "characteristic must be below 3317044064679887385961981" % 10 ** 25),
+], ids=["tower-gamma-zero", "tower-gamma-short", "char", "lex-p", "precision",
+        "char-pseudoprime", "lex-p-too-large"])
 def test_cli_field_constructor_refusal_names_line_and_key(tmp_path, capsys,
                                                           text, line, key,
                                                           reason):
@@ -382,6 +389,18 @@ def test_cli_field_constructor_refusal_names_line_and_key(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == "error: line %d: %s: %s\n" % (line, key, reason)
+
+
+def test_cli_large_prime_characteristic_answers(tmp_path):
+    # the characteristic check took more than 10 s for this p by trial
+    # division
+    path = tmp_path / "large_p.scn"
+    path.write_text(MINIMAL.replace("char = 0", "char = %d" % (10 ** 18 + 3))
+                    .replace("x^2 - y^3", "x^3 + y*x + y^2"), encoding="ascii")
+    rc, out, err = run_python("-m", "valforge.cli", "verify", str(path),
+                              timeout=10)
+    assert (rc, err) == (0, "")
+    assert out.endswith("ok: identity 3 = 2*1*1 + 1*1*1\n")
 
 
 @pytest.mark.parametrize("text, line, reason", [
@@ -736,6 +755,59 @@ def test_cli_shallow_run_above_one_is_refused(capsys, cmd):
     assert captured.err == ("error: branch 1: stage 2, key Q = x^2 - y^3: "
                             "effective degree 2 has not dropped to 1; a "
                             "deeper run or a limit stage is needed\n")
+
+
+def test_cli_verify_grows_each_branch_only_to_its_answer(capsys, monkeypatch):
+    # branch 1 reaches effective degree 1 at stage 3 and branch 2 at stage 2;
+    # grown to depth 12, as `chain` and `defect` grow it, there are 23 appends
+    appends = []
+    plain = Chain.append
+
+    def counted(self, *args):
+        appends.append(args)
+        return plain(self, *args)
+
+    monkeypatch.setattr(Chain, "append", counted)
+    rc = main(["verify", "quartic"])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.endswith("ok: identity 4 = 2*1*1 + 2*1*1\n")
+    assert len(appends) == 4
+
+
+def test_cli_verify_grows_on_for_an_oracle_value_past_the_answer(tmp_path,
+                                                                 capsys):
+    # stage 5's key is valued 13/2 only from stage 5 on in branch 1, which
+    # has its answer at stage 3; verify grows to full depth and passes
+    text = packaged_text("quartic").replace(
+        "x^2 - y^3 ; 7/2 ; 9/2\n", "x^2 - y^3 ; 7/2 ; 9/2\n"
+        "x^2 + (-y^4 - y^3 + y^2)*x - y^3 ; 13/2 ; 7/2\n")
+    path = tmp_path / "deep_oracle.scn"
+    path.write_text(text, encoding="ascii")
+    rc = main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    key = "x^2 + (-y^4 - y^3 + y^2)*x - y^3"
+    assert out == "".join(
+        "ok: branch %d attains its 3 oracle value(s)\n"
+        "ok: branch %d truncations of x are monotone\n"
+        "ok: branch %d truncations of x^2 - y^3 are monotone\n"
+        "ok: branch %d truncations of %s are monotone\n" % (b, b, b, b, key)
+        for b in (1, 2)) + (
+        "ok: defects [1, 1] pass the characteristic check\n"
+        "ok: identity 4 = 2*1*1 + 2*1*1\n")
+
+
+def test_cli_verify_of_a_degree_184_quartic_stops_at_its_answers(tmp_path):
+    # grown to depth 12, the first branch's keys reach degree 184, which
+    # took more than 20 s; its answer is at stage 2
+    text = packaged_text("quartic").replace("(x^2 - y^3)^2", "(x^92 - y^3)^2")
+    text = text[:text.index("[oracle]")] + text[text.index("[params]"):]
+    path = tmp_path / "quartic_184.scn"
+    path.write_text(text, encoding="ascii")
+    rc, out, err = run_python("-m", "valforge.cli", "verify", str(path),
+                              timeout=10)
+    assert (rc, err) == (0, "")
+    assert out.endswith("ok: identity 184 = 181*1*1 + 3*1*1\n")
 
 
 @pytest.mark.parametrize("cmd, last", [
