@@ -25,9 +25,10 @@ the file rows they override, for every command, and a refusal names the
 option (`error: --window: must be at least 1, got 0`).
 
 `verify` grows each branch only as far as its answer, the first stage at
-which the target's effective degree is 1, and grows the scenario again to
-its depth when a branch so stopped misses an oracle value; the other
-commands grow to the scenario's depth.
+which the target's effective degree is 1, and grows a branch so stopped on
+to the scenario's depth when it misses one of its oracle values; a
+[chain] script is never extended.  The other commands grow to the
+scenario's depth.
 
 Scenarios are named by file path or by bare name, searched on the
 directories in VALFORGE_SCENARIO_PATH, the working directory, and the
@@ -40,6 +41,7 @@ import re
 import sys
 from types import SimpleNamespace
 
+from . import keypoly
 from .fields import Refusal
 from .keypoly import explore
 from .report import (classify, completeness_sample, defect, degree_identity,
@@ -81,52 +83,53 @@ def account(sc, pairs, complete):
 
 
 def _picked(ns, stop_at_answer=False):
-    """The scenario a command line names, its skipped starting values, and
-    its picked chains with their completeness."""
+    """The scenario a command line names, its grown chains and skipped
+    starting values, and its picked chains with their completeness."""
     sc = load_scenario(ns.scenario, ns.depth, ns.window, ns.precision)
     chains, skipped = grow(sc, stop_at_answer)
-    return (sc, skipped) + pick(chains, skipped, ns.branch)
+    return (sc, chains, skipped) + pick(chains, skipped, ns.branch)
 
 
 def _cmd_chain(ns):
-    sc, skipped, pairs, complete = _picked(ns)
+    sc, chains, skipped, pairs, complete = _picked(ns)
     return render_chain(pairs, ns.format), 0
 
 
 def _cmd_defect(ns):
-    sc, skipped, pairs, complete = _picked(ns)
+    sc, chains, skipped, pairs, complete = _picked(ns)
     branches, identity = account(sc, pairs, complete)
     out = render_defect(branches, identity, skipped, ns.format)
     return out, 0 if identity.verdict or not complete else 1
 
 
 def _cmd_newton(ns):
-    sc, skipped, pairs, complete = _picked(ns)
+    sc, chains, skipped, pairs, complete = _picked(ns)
     bid, ch = pairs[0]
     return render_newton(ch, sc.target, ch.depth(), ns.format), 0
 
 
-def _oracle(sc, branches):
-    """(samples, attained) per branch: its oracle samples, and whether some
-    stage of its chain attains each one (None when it has none)."""
-    out = []
-    for br in branches:
-        samples = sc.oracle_samples(br.branch_id - 1) if sc.oracle else []
-        out.append((samples, completeness_sample(br.chain, samples)
-                    if samples else None))
-    return out
-
-
 def _cmd_verify(ns):
-    sc, skipped, pairs, complete = _picked(ns, stop_at_answer=True)
+    sc, chains, skipped, pairs, complete = _picked(ns, stop_at_answer=True)
+    oracle = []
+    for i, (bid, ch) in enumerate(pairs):
+        samples = sc.oracle_samples(bid - 1) if sc.oracle else []
+        good = completeness_sample(ch, samples) if samples else None
+        if good is False and ch.entries[-1].origin == "derived":
+            # a branch stopped at its answer may miss an oracle value that a
+            # deeper stage attains; at effective degree 1 each later stage
+            # has one move, so it grows on to its full-depth chain.  A
+            # replayed script ends where it ends and is never grown on.
+            [ch] = keypoly._grow(ch, sc.depth, bid)
+            pairs[i] = bid, ch
+            good = completeness_sample(ch, samples)
+        oracle.append((samples, good))
     branches, identity = account(sc, pairs, complete)
-    oracle = _oracle(sc, branches)
-    if any(good is False for _, good in oracle):
-        # a branch stopped at its answer may miss an oracle value that a
-        # deeper stage attains: grow to full depth, as the other commands do
-        pairs, complete = pick(*grow(sc), ns.branch)
-        branches, identity = account(sc, pairs, complete)
-        oracle = _oracle(sc, branches)
+    # after `account`, so a scenario that `defect` refuses is refused alike
+    for _, values in sc.oracle:
+        if len(values) > max(len(chains), 1):
+            raise ScenarioError("oracle row with %d values names branch %d; "
+                                "the scenario grew %d"
+                                % (len(values), len(values), len(chains)))
     lines, ok = [], True
     for br, (samples, good) in zip(branches, oracle):
         ch = br.chain

@@ -709,9 +709,10 @@ def _grow(ch, depth, root, stop_at_answer=False):
     the first met in the stage-by-stage order: it lies at the shallowest
     stage that refuses, and no branch has grown past that stage.  It keeps
     its type and names the path of its branch, `branch r.i.j`, and the stage
-    and key of the branch's top entry (`located`), where r is the root's
-    index among the first values (`explore`) and i, j, ... are the 1-based
-    move indices below it."""
+    and key of the branch's top entry (`located`), where r is `root`: the
+    root's index among the first values (`explore`), or the branch id of a
+    stopped chain that `verify` grows on; i, j, ... are the 1-based move
+    indices below it."""
     done = []
     frontier = [((root,), ch)]
     while frontier:

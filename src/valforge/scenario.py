@@ -227,7 +227,10 @@ class _ExprParser:
 
     def power(self, base, n):
         """base^n, refused before it is built when its degree in the chain
-        variable or in the generator of k(y) would pass DEGREE_CAP."""
+        variable or in the generator of k(y), or over k(y) the product of
+        the two, would pass DEGREE_CAP.  The product bounds the work: each
+        coefficient of a power over k(y) is a polynomial in y, and squaring
+        costs one field product per pair of them."""
         F = self.field
         degrees = [(len(base) - 1, self.var)]
         if isinstance(F, RationalFunctions):
@@ -238,6 +241,12 @@ class _ExprParser:
                 raise ScenarioError("a power of degree %d in %s passes the "
                                     "degree cap %d" % (degree * n, var,
                                                        DEGREE_CAP))
+        if len(degrees) == 2:
+            (dx, x), (dy, y) = [(degree * n, var) for degree, var in degrees]
+            if dx * dy > DEGREE_CAP:
+                raise ScenarioError("a power of degree %d in %s and %d in %s "
+                                    "passes the degree cap %d in their "
+                                    "product" % (dx, x, dy, y, DEGREE_CAP))
         return self.polys.pow(base, n)
 
     def atom(self):

@@ -9,6 +9,7 @@ import pytest
 import valforge
 from inputs import (PACKAGED, PERFBENCH, V, packaged_text, quartic_setup,
                     tower_script, tower_setup)
+from valforge import cli
 from valforge.cli import main
 from valforge.fields import (CoordinateTower, InsufficientPrecision,
                              UnsupportedStructure)
@@ -546,6 +547,33 @@ def test_power_past_the_degree_cap_is_refused(poly, degree, var):
                               "passes the degree cap 65536" % (degree, var))
 
 
+@pytest.mark.parametrize("char", [0, 3])
+def test_power_past_the_degree_cap_in_its_product_is_refused(char):
+    # over k(y) a power's work grows with its degree in x times its degree
+    # in y, one product in k(y) per pair of coefficients: (x + y)^256, with
+    # product exactly the cap, parses, and (x + y)^257 is refused
+    text = MINIMAL.replace("char = 0", "char = %d" % char)
+    sc = parse_scenario(text.replace("x^2 - y^3", "(x + y)^256"))
+    assert sc.target.degree == 256
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text.replace("x^2 - y^3", "(x + y)^257"))
+    assert str(exc.value) == ("line 8: poly: a power of degree 257 in x and "
+                              "257 in y passes the degree cap 65536 in their "
+                              "product")
+
+
+def test_cli_power_with_a_large_product_is_refused_at_once(tmp_path):
+    # (x + y)^1000 took 9.5 s to build over Q(y) before its product was
+    # bounded, though each of its degrees is far below the cap
+    path = tmp_path / "product_power.scn"
+    path.write_text(MINIMAL.replace("x^2 - y^3", "(x + y)^1000"),
+                    encoding="ascii")
+    rc, out, err = run_cli("verify", str(path), timeout=10)
+    assert rc == 2 and out == ""
+    assert err == ("error: line 8: poly: a power of degree 1000 in x and 1000 "
+                   "in y passes the degree cap 65536 in their product\n")
+
+
 def test_powers_up_to_the_degree_cap_parse():
     # the cap bounds degrees only: a number's power is a constant
     for poly, degree in (("x^65536 + y^65536", 65536),
@@ -774,18 +802,37 @@ def test_cli_verify_grows_each_branch_only_to_its_answer(capsys, monkeypatch):
     assert len(appends) == 4
 
 
-def test_cli_verify_grows_on_for_an_oracle_value_past_the_answer(tmp_path,
-                                                                 capsys):
-    # stage 5's key is valued 13/2 only from stage 5 on in branch 1, which
-    # has its answer at stage 3; verify grows to full depth and passes
-    text = packaged_text("quartic").replace(
-        "x^2 - y^3 ; 7/2 ; 9/2\n", "x^2 - y^3 ; 7/2 ; 9/2\n"
-        "x^2 + (-y^4 - y^3 + y^2)*x - y^3 ; 13/2 ; 7/2\n")
+# stage 5's key is valued 13/2 only from stage 5 on in quartic's branch 1,
+# which has its answer at stage 3; branch 2 attains its 7/2 at stage 2
+DEEP_ORACLE = packaged_text("quartic").replace(
+    "x^2 - y^3 ; 7/2 ; 9/2\n", "x^2 - y^3 ; 7/2 ; 9/2\n"
+    "x^2 + (-y^4 - y^3 + y^2)*x - y^3 ; 13/2 ; 7/2\n")
+
+
+def test_cli_verify_grows_on_for_an_oracle_value_past_the_answer(
+        tmp_path, capsys, monkeypatch):
+    # verify grows branch 1 on from its answer to full depth, and only it:
+    # 4 appends to the answers and 9 more for branch 1's stages 4 to 12,
+    # where growing the scenario again from stage 1 made 23 more
+    appends, depths = [], []
+    plain, account = Chain.append, cli.account
+
+    def counted(self, *args):
+        appends.append(args)
+        return plain(self, *args)
+
+    def accounted(sc, pairs, complete):
+        depths.append([ch.depth() for _, ch in pairs])
+        return account(sc, pairs, complete)
+
+    monkeypatch.setattr(Chain, "append", counted)
+    monkeypatch.setattr(cli, "account", accounted)
     path = tmp_path / "deep_oracle.scn"
-    path.write_text(text, encoding="ascii")
+    path.write_text(DEEP_ORACLE, encoding="ascii")
     rc = main(["verify", str(path)])
     out = capsys.readouterr().out
     assert rc == 0
+    assert len(appends) <= 13 and depths == [[12, 2]]
     key = "x^2 + (-y^4 - y^3 + y^2)*x - y^3"
     assert out == "".join(
         "ok: branch %d attains its 3 oracle value(s)\n"
@@ -795,6 +842,37 @@ def test_cli_verify_grows_on_for_an_oracle_value_past_the_answer(tmp_path,
         for b in (1, 2)) + (
         "ok: defects [1, 1] pass the characteristic check\n"
         "ok: identity 4 = 2*1*1 + 2*1*1\n")
+
+
+def test_cli_verify_never_extends_a_script(tmp_path, capsys):
+    # the script stops at stage 2, where the degree is still 2: its oracle
+    # value past the script is no reason to grow it on, and the script is
+    # refused as `defect` refuses it
+    path = tmp_path / "scripted_deep_oracle.scn"
+    path.write_text(DEEP_ORACLE.replace(
+        "[params]", "[chain]\n1 ; x ; 3/2\n2 ; x^2 - y^3 ; 7/2\n\n[params]"),
+        encoding="ascii")
+    rc = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: branch 1: stage 2, key Q = x^2 - y^3: "
+                            "effective degree 2 has not dropped to 1; a "
+                            "deeper run or a limit stage is needed\n")
+
+
+@pytest.mark.parametrize("branch", [[], ["--branch", "2"]])
+def test_cli_oracle_row_past_the_grown_branches_is_refused(tmp_path, capsys,
+                                                           branch):
+    # quartic grows 2 branches, so a third value would never be checked
+    path = tmp_path / "extra_value.scn"
+    path.write_text(packaged_text("quartic").replace(
+        "x^2 - y^3 ; 7/2 ; 9/2\n", "x^2 - y^3 ; 7/2 ; 9/2 ; 100\n"),
+        encoding="ascii")
+    rc = main(["verify", str(path)] + branch)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: oracle row with 3 values names branch 3; "
+                            "the scenario grew 2\n")
 
 
 def test_cli_verify_of_a_degree_184_quartic_stops_at_its_answers(tmp_path):

@@ -16,9 +16,11 @@ from collections import Counter
 import pytest
 
 from inputs import CORPUS, PACKAGED, corpus_targets
+from valforge import cli, keypoly
 from valforge.cli import account, grow, main, pick
 from valforge.fields import Refusal
-from valforge.scenario import load_scenario, parse_scenario
+from valforge.report import completeness_sample
+from valforge.scenario import format_scenario, load_scenario, parse_scenario
 
 
 def _scenarios():
@@ -83,3 +85,67 @@ def test_verify_of_a_repeated_target_fails_its_identity(tmp_path, capsys,
     assert rc == 1
     assert out.splitlines()[-1].startswith("fail: identity %d != "
                                            % t.degree)
+
+
+def test_verify_grows_on_only_a_branch_that_misses_an_oracle_value(
+        tmp_path, capsys, monkeypatch):
+    # each scenario that answers at full depth gets one more oracle row per
+    # branch: that branch's deepest key, with each branch's value for it.
+    # A stopped branch that misses one grows on to its full-depth chain;
+    # every other branch stays a prefix of it and attains its samples.
+    grown_on, picked = [], []
+    plain_grow, plain_account = keypoly._grow, cli.account
+
+    def growing(ch, depth, root, stop_at_answer=False):
+        if not stop_at_answer:
+            grown_on.append(root)
+        return plain_grow(ch, depth, root, stop_at_answer)
+
+    def accounted(sc, pairs, complete):
+        picked.append(list(pairs))
+        return plain_account(sc, pairs, complete)
+
+    monkeypatch.setattr(keypoly, "_grow", growing)
+    monkeypatch.setattr(cli, "account", accounted)
+    scenarios = grew = 0
+    for name, sc, _ in _scenarios():
+        full = _answer(sc, False)
+        if isinstance(full, Exception):
+            continue
+        chains = full[0]
+        for ch in chains:
+            key = ch.entries[-1].poly
+            sc.oracle.append((key, [o.cval(key, o.depth()) for o in chains]))
+        path = tmp_path / (name + ".scn")
+        path.write_text(format_scenario(sc), encoding="ascii")
+        grown_on.clear()
+        picked.clear()
+        main(["verify", str(path)])
+        capsys.readouterr()
+        [pairs] = picked
+        assert [bid for bid, _ in pairs] == list(range(1, len(chains) + 1))
+        for bid, ch in pairs:
+            whole = _entries(chains[bid - 1])
+            if bid in grown_on:
+                assert _entries(ch) == whole, (name, bid)
+            else:
+                assert _entries(ch) == whole[:ch.depth()], (name, bid)
+                assert completeness_sample(ch, sc.oracle_samples(bid - 1))
+        scenarios += 1
+        grew += len(grown_on)
+    assert (scenarios, grew) == (81, 32)
+
+
+def test_a_refusal_met_growing_a_branch_on_names_its_branch(tmp_path, capsys):
+    # no branch of corpus target 0 attains x's value 1000, so each grows on
+    # from its answer; branch 2 is refused at stage 2 and is named by its
+    # id, as --branch names it (growing the whole scenario named it 1.2)
+    path = tmp_path / "t000.scn"
+    path.write_text(CORPUS.scenario_text(corpus_targets()[0])
+                    + "\n[oracle]\nx ; 1000\n", encoding="ascii")
+    rc = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "error: branch 2: stage 2, key Q = x^3 + x^2 + 2: residual "
+        "coefficients leave the scalar residue field: ")
