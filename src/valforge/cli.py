@@ -37,7 +37,6 @@ refusal (any `Refusal`), an unreadable file or a malformed command line;
 a traceback is a bug.
 """
 
-import re
 import sys
 from types import SimpleNamespace
 
@@ -124,12 +123,16 @@ def _cmd_verify(ns):
             good = completeness_sample(ch, samples)
         oracle.append((samples, good))
     branches, identity = account(sc, pairs, complete)
-    # after `account`, so a scenario that `defect` refuses is refused alike
+    # after `account`, so a scenario that `defect` refuses is refused alike;
+    # a row of several values has one for each grown branch, picked or not
     for _, values in sc.oracle:
-        if len(values) > max(len(chains), 1):
+        n = len(values)
+        if 1 < n < len(chains):
+            raise ScenarioError("oracle row with %d values cannot cover "
+                                "branch %d" % (n, n + 1))
+        if n > max(len(chains), 1):
             raise ScenarioError("oracle row with %d values names branch %d; "
-                                "the scenario grew %d"
-                                % (len(values), len(values), len(chains)))
+                                "the scenario grew %d" % (n, n, len(chains)))
     lines, ok = [], True
     for br, (samples, good) in zip(branches, oracle):
         ch = br.chain
@@ -164,13 +167,9 @@ _USAGE = ("usage: valforge {chain,defect,newton,verify} SCENARIO "
           "[--format {text,tsv}] [--branch N]")
 
 # the options every command takes, each with the values it admits: an int,
-# any text, or one of a tuple of choices
+# any text, or one of a tuple of choices, the first of which is the default
 _OPTIONS = {"--depth": int, "--window": int, "--precision": str,
             "--format": ("text", "tsv"), "--branch": int}
-
-# an argument that starts with '-' but is a negative number is a value; the
-# pattern is compiled on first use, which a usual command line never needs
-_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
 class _Malformed(Exception):
@@ -178,122 +177,59 @@ class _Malformed(Exception):
     value that none of them takes."""
 
 
-def _option(arg, names):
-    """How one argument reads among the long option `names`: None for a
-    positional or a value, else (option, explicit value or None), with
-    option None when it is unknown.  `--opt=V` carries its value, a unique
-    prefix names its option, and `-h` followed only by more h's is help.
-    These are argparse's rules, and tests/test_cli_argv.py holds the
-    reader to them."""
-    if not arg.startswith("-") or arg in ("-", "--"):
+def _plain(argv):
+    """The command, scenario and default options of a plain line, `COMMAND
+    SCENARIO` with a scenario that does not start with '-'; None for any
+    other line, which argparse reads."""
+    if len(argv) != 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
         return None
-    if arg.startswith("--"):
-        head, eq, tail = arg.partition("=")
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            raise _Malformed("ambiguous option: %s could match %s"
-                             % (head, ", ".join(found)))
-        if found:
-            return found[0], tail if eq else None
-    elif arg.startswith("-h"):
-        rest = arg[2:]
-        return "--help", rest if rest.strip("h") else None
-    if re.match(_NEGATIVE, arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _value(name, text):
-    kind = _OPTIONS[name]
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise _Malformed("argument %s: invalid int value: %r"
-                             % (name, text)) from None
-    if kind is str or text in kind:
-        return text
-    raise _Malformed("argument %s: invalid choice: %r (choose from %s)"
-                     % (name, text, ", ".join(map(repr, kind))))
-
-
-def _no_value(text):
-    """Refuse a value given to help, as `--help=x`."""
-    if text is not None:
-        raise _Malformed("argument -h/--help: ignored explicit argument %r"
-                         % text)
+    ns = SimpleNamespace(command=argv[0], scenario=argv[1])
+    for name, kind in _OPTIONS.items():
+        setattr(ns, name[2:], kind[0] if isinstance(kind, tuple) else None)
+    return ns
 
 
 def _read_argv(argv):
     """The command, scenario and options of a command line; None when it
-    asks for help.  Before the command only help is an option; after it, an
-    argument `--` makes every later one positional.  Help, a bad or missing
-    value and an ambiguous prefix take effect where they stand; an unknown
-    option, an extra positional and a missing scenario are refused once the
-    whole line is read."""
-    unknown = []
-    for pos, arg in enumerate(argv):
-        opt = _option(arg, ("--help",))
-        if opt is None:
-            break
-        if opt[0] is None:
-            unknown.append(arg)
-        else:
-            _no_value(opt[1])
-            return None
-    else:
-        raise _Malformed("the following arguments are required: command")
-    if arg not in _COMMANDS:
-        raise _Malformed("argument command: invalid choice: %r (choose from "
-                         "%s)" % (arg, ", ".join(map(repr, _COMMANDS))))
-    ns = SimpleNamespace(command=arg, scenario=None, format="text",
-                         depth=None, window=None, precision=None,
-                         branch=None)
-    args = argv[pos + 1:]
-    names = ("--help",) + tuple(_OPTIONS)
-    kinds, rest = [], False
-    for arg in args:
-        if rest:
-            kinds.append(None)
-        elif arg == "--":
-            rest = True
-            kinds.append("--")
-        else:
-            kinds.append(_option(arg, names))
-    i = at = 0
-    while i < len(args):
-        arg, kind = args[i], kinds[i]
-        i += 1
-        if kind is None:
-            if ns.scenario is None:
-                ns.scenario, at = arg, i
+    asks for help.  A plain line is read by `_plain`, and every other by an
+    argparse parser built from `_OPTIONS`, imported only then, so that a
+    cold `COMMAND SCENARIO` process does not pay for its import."""
+    ns = _plain(argv)
+    if ns is not None:
+        return ns
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _Malformed(message)
+
+        def print_help(self, file=None):
+            """`main` prints the help."""
+
+        def _check_value(self, action, value):
+            # the text of Python 3.10 to 3.13, on every Python: 3.14's
+            # argparse writes the choices without quotes
+            if action.choices is not None and value not in action.choices:
+                raise argparse.ArgumentError(
+                    action, "invalid choice: %r (choose from %s)"
+                    % (value, ", ".join(map(repr, action.choices))))
+
+    parser = Parser(prog="valforge")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        sub = commands.add_parser(command)
+        sub.add_argument("scenario")
+        for name, kind in _OPTIONS.items():
+            if isinstance(kind, tuple):
+                sub.add_argument(name, choices=kind, default=kind[0])
             else:
-                unknown.append(arg)
-            continue
-        if kind == "--":
-            # a `--` that follows the scenario is taken only right after it
-            if ns.scenario is not None and at != i - 1:
-                unknown.append(arg)
-            continue
-        name, text = kind
-        if name is None:
-            unknown.append(arg)
-        elif name == "--help":
-            _no_value(text)
-            return None
-        else:
-            if text is None:
-                if i == len(args) or kinds[i] is not None:
-                    raise _Malformed("argument %s: expected one argument"
-                                     % name)
-                text = args[i]
-                i += 1
-            setattr(ns, name[2:], _value(name, text))
-    if ns.scenario is None:
-        raise _Malformed("the following arguments are required: scenario")
-    if unknown:
-        raise _Malformed("unrecognized arguments: %s" % " ".join(unknown))
-    return ns
+                sub.add_argument(name, type=kind)
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:
+        # the help action prints nothing, by `print_help`, and then exits:
+        # the line asks for help
+        return None
 
 
 def main(argv=None):

@@ -671,7 +671,10 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
             skipped.append(beta1)
         else:
             ch = seed.clone()
-            ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
+            try:
+                ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
+            except Refusal as exc:
+                raise located(exc, ch, (root,)) from None
             chains.extend(_grow(ch, depth, root, stop_at_answer))
     for script in scripted.values():
         chains.append(replay(field, var, target, script))

@@ -58,9 +58,9 @@ class ScenarioError(Refusal):
 # ---------------------------------------------------------------------------
 # expressions
 
-# the highest degree a power may have in the chain variable, or in the
-# generator of k(y): `x^1000000000` would otherwise ask for a dense list of
-# 10^9 coefficients before anything refuses it
+# the highest degree a power or product may have in the chain variable, or
+# in the generator of k(y): `x^1000000000` would otherwise ask for a dense
+# list of 10^9 coefficients before anything refuses it
 DEGREE_CAP = 1 << 16
 
 # a token after optional whitespace; a stray character is refused up front
@@ -199,7 +199,7 @@ class _ExprParser:
         if out is None:
             out = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.polys.mul if self.take()[1] == "*" else self.divide
+            op = self.multiply if self.take()[1] == "*" else self.divide
             rhs = self.factor()
             out = self.remember(start, op, out, rhs)
         return out
@@ -225,29 +225,44 @@ class _ExprParser:
             out = self.remember(start, self.power, out, int(text))
         return out
 
-    def power(self, base, n):
-        """base^n, refused before it is built when its degree in the chain
-        variable or in the generator of k(y), or over k(y) the product of
-        the two, would pass DEGREE_CAP.  The product bounds the work: each
-        coefficient of a power over k(y) is a polynomial in y, and squaring
-        costs one field product per pair of them."""
+    def degrees(self, value):
+        """[(degree, variable)] of a value: its degree in the chain
+        variable, and over k(y) its degree in y, the highest of any
+        coefficient's numerator or denominator."""
         F = self.field
-        degrees = [(len(base) - 1, self.var)]
+        out = [(len(value) - 1, self.var)]
         if isinstance(F, RationalFunctions):
-            degrees.append((max((len(part) - 1 for c in base for part in c),
-                                default=0), F.var))
+            out.append((max((len(part) - 1 for c in value for part in c),
+                            default=0), F.var))
+        return out
+
+    def capped(self, what, degrees):
+        """Refuse a power or product, `what`, before it is built when one of
+        its `degrees` or, over k(y), their product would pass DEGREE_CAP.
+        The product bounds the work: each coefficient over k(y) is a
+        polynomial in y, and multiplying costs one field product per pair
+        of them."""
         for degree, var in degrees:
-            if degree * n > DEGREE_CAP:
-                raise ScenarioError("a power of degree %d in %s passes the "
-                                    "degree cap %d" % (degree * n, var,
+            if degree > DEGREE_CAP:
+                raise ScenarioError("a %s of degree %d in %s passes the "
+                                    "degree cap %d" % (what, degree, var,
                                                        DEGREE_CAP))
         if len(degrees) == 2:
-            (dx, x), (dy, y) = [(degree * n, var) for degree, var in degrees]
+            (dx, x), (dy, y) = degrees
             if dx * dy > DEGREE_CAP:
-                raise ScenarioError("a power of degree %d in %s and %d in %s "
+                raise ScenarioError("a %s of degree %d in %s and %d in %s "
                                     "passes the degree cap %d in their "
-                                    "product" % (dx, x, dy, y, DEGREE_CAP))
+                                    "product" % (what, dx, x, dy, y,
+                                                 DEGREE_CAP))
+
+    def power(self, base, n):
+        self.capped("power", [(d * n, var) for d, var in self.degrees(base)])
         return self.polys.pow(base, n)
+
+    def multiply(self, a, b):
+        self.capped("product", [(da + db, var) for (da, var), (db, _)
+                                in zip(self.degrees(a), self.degrees(b))])
+        return self.polys.mul(a, b)
 
     def atom(self):
         kind, text = self.take()[:2]

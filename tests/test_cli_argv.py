@@ -1,11 +1,13 @@
 """The command line reader against argparse.
 
-`valforge.cli` reads its argv with a table of five options, not with
-argparse, which would cost a cold process some 3 ms to import and build.
-The reference here is an argparse parser with the same commands and
-options; for every argv in the table both must give the same command,
-scenario and option values, or both must refuse it (exit 2) or both ask
-for help.
+`valforge.cli` reads a plain `COMMAND SCENARIO` line without argparse,
+so that a cold process does not pay for its import, and hands every other
+line to an argparse parser built from its table of five options.  The
+reference here is an argparse parser written out on its own, with the
+same commands and options; for every argv in the table both must give the
+same command, scenario and option values, or both must refuse it (exit 2)
+or both ask for help.  The plain reader must read the lines of `PLAIN` and
+hand over every other.
 """
 
 import argparse
@@ -113,12 +115,45 @@ ARGVS = [[cmd, "quartic"] for cmd in COMMANDS] + [
     ["chain", "--help=x"],
 ]
 
+# values that `int()` takes with padding, a non-ASCII digit or an
+# underscore, an empty text value, an explicit default, a scenario between
+# options, a repeated option, a bad value, a final option with no value and
+# a prefix
+ARGVS += [
+    ["chain", "quartic", "--precision", ""],
+    ["chain", "quartic", "--depth", " 3"],
+    ["chain", "quartic", "--depth", "\u0663"],
+    ["chain", "quartic", "--depth", "0_1"],
+    ["defect", "quartic", "--format", "text"],
+    ["verify", "--depth", "3", "quartic", "--branch", "1"],
+    ["chain", "quartic", "--depth", "3", "--depth", "5"],
+    ["chain", "quartic", "--depth", "verify"],
+    ["chain", "quartic", "--branch"],
+    ["chain", "quartic", "--dep", "3"],
+]
+
+# the lines the plain reader reads: a command and a scenario that does not
+# start with '-', an empty one included
+PLAIN = [[cmd, "quartic"] for cmd in COMMANDS] + [["chain", ""],
+                                                  ["chain", "a -b"]]
+
+ARGVS += PLAIN[len(COMMANDS):]
+
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_reader_agrees_with_argparse(argv, capsys):
     want = by_reference(argv)
     capsys.readouterr()
     assert by_reader(argv) == want
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_plain_reader_reads_only_plain_lines(argv):
+    ns = cli._plain(argv)
+    if argv in PLAIN:
+        assert vars(ns) == by_reference(argv)
+    else:
+        assert ns is None
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["defect", "-h"]])
@@ -147,3 +182,22 @@ def test_malformed_argv_writes_usage_and_exits_two(argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "%s\nvalforge: error: %s\n" % (cli._USAGE, message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chain", "quartic", "--format", "csv"],
+     "argument --format: invalid choice: 'csv' (choose from 'text', 'tsv')"),
+    (["bogus", "quartic"],
+     "argument command: invalid choice: 'bogus' (choose from 'chain', "
+     "'defect', 'newton', 'verify')"),
+], ids=["format", "command"])
+def test_invalid_choice_text_is_the_same_on_every_python(argv, message,
+                                                         monkeypatch, capsys):
+    # Python 3.14's argparse writes the choices without quotes; the reader
+    # writes this text itself, whatever the running argparse would write
+    def unquoted(self, action, value):
+        raise argparse.ArgumentError(action, "choose from text, tsv")
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", unquoted)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("%s\nvalforge: error: %s\n"
+                                       % (cli._USAGE, message))

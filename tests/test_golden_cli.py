@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from inputs import CORPUS, PERFBENCH, corpus_targets
+from inputs import CORPUS, PERFBENCH, corpus_targets, perfbench
+from valforge import cli
 from valforge.cli import main
 
 GOLDEN = PERFBENCH / "golden"
@@ -37,3 +38,11 @@ def test_cli_output_matches_golden(scenario, cmd, capsys, monkeypatch,
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / ("%s.%s.out" % (scenario, cmd))).read_bytes()
     assert code == MANIFEST["exit_codes"][scenario][cmd]
+
+
+def test_benchmark_command_lines_are_plain():
+    # the benchmark runs `COMMAND SCENARIO` lines only; the plain reader
+    # reads each of them, so no benchmark process imports argparse
+    for cmd in perfbench("workloads").COMMANDS:
+        for scenario in MANIFEST["exit_codes"]:
+            assert cli._plain([cmd, scenario]) is not None, (cmd, scenario)

@@ -283,8 +283,8 @@ def test_cli_verify_all_packaged(capsys):
 def test_cold_verify_never_imports_sympy(name):
     # valforge factors over Q and over F_p with its own code; sympy is only a
     # test reference, and an import of it would put its import time back into
-    # every cold verify.  The command line is read without argparse, whose
-    # import and parser would cost every cold process some 3 ms.
+    # every cold verify.  A plain `COMMAND SCENARIO` line is read without
+    # argparse, whose import would cost every cold process its time.
     rc, out, err = run_python("-c", (
         "import contextlib, io, sys\n"
         "from valforge.cli import main\n"
@@ -294,6 +294,24 @@ def test_cold_verify_never_imports_sympy(name):
         % name)
     assert err == ""
     assert out == "0 False False\n"
+
+
+@pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
+def test_cli_refusal_at_a_roots_first_key_names_its_branch(tmp_path, capsys,
+                                                            cmd):
+    # the first key y has value 1/16, which a tower of depth 2 cannot hold;
+    # the refusal names its branch as a refusal at a later stage does
+    path = tmp_path / "shallow_tower.scn"
+    path.write_text("[field]\n%s\n[target]\nvar = y\npoly = y^8 + v\n\n"
+                    "[params]\ndepth = 4\n"
+                    % FIELD_KINDS["coordinate_tower"].replace("depth = 4",
+                                                              "depth = 2"),
+                    encoding="ascii")
+    rc = main([cmd, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: branch 1: incoming key y at stage 1: "
+                            "value 1/16 needs tower depth 4, beyond depth 2\n")
 
 
 def test_cli_tsv_and_branch_filter(capsys):
@@ -560,6 +578,31 @@ def test_power_past_the_degree_cap_in_its_product_is_refused(char):
     assert str(exc.value) == ("line 8: poly: a power of degree 257 in x and "
                               "257 in y passes the degree cap 65536 in their "
                               "product")
+
+
+@pytest.mark.parametrize("poly, message", [
+    ("x^40000 * x^30000", "a product of degree 70000 in x passes the degree "
+                          "cap 65536"),
+    ("(x + y)^128 * (x - y)^129", "a product of degree 257 in x and 257 in y "
+                                  "passes the degree cap 65536 in their "
+                                  "product"),
+    # the bound counts a dense result, not its terms, so a single term is
+    # refused as (x*y)^300 is refused as a power
+    ("y^300 * x^300", "a product of degree 300 in x and 300 in y passes the "
+                      "degree cap 65536 in their product"),
+    ("x^2 * y^40000", "a product of degree 2 in x and 40000 in y passes the "
+                      "degree cap 65536 in their product"),
+], ids=["chain-variable", "product", "monomial", "monomial-y"])
+def test_product_past_the_degree_cap_is_refused(poly, message):
+    # a product is bounded as a power is: (x + y)^256 * (x - y)^256 took
+    # 2.7 s to build over Q(y), where each factor alone takes 0.3 s;
+    # (x + y)^128 * (x - y)^128, with product exactly the cap, parses
+    sc = parse_scenario(MINIMAL.replace("x^2 - y^3",
+                                        "(x + y)^128 * (x - y)^128"))
+    assert sc.target.degree == 256
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(MINIMAL.replace("x^2 - y^3", poly))
+    assert str(exc.value) == "line 8: poly: " + message
 
 
 def test_cli_power_with_a_large_product_is_refused_at_once(tmp_path):
@@ -873,6 +916,23 @@ def test_cli_oracle_row_past_the_grown_branches_is_refused(tmp_path, capsys,
     assert rc == 2 and captured.out == ""
     assert captured.err == ("error: oracle row with 3 values names branch 3; "
                             "the scenario grew 2\n")
+
+
+@pytest.mark.parametrize("branch", [[], ["--branch", "1"]])
+def test_cli_oracle_row_short_of_the_grown_branches_is_refused(tmp_path,
+                                                               capsys,
+                                                               branch):
+    # three branches and two values: the third branch has none, whichever
+    # branch is picked
+    path = tmp_path / "short_row.scn"
+    path.write_text(MINIMAL.replace("x^2 - y^3", "(x - y)*(x - y^2)*(x - y^3)")
+                    + "\n[oracle]\nx ; 3 ; 2\n\n[params]\ndepth = 4\n",
+                    encoding="ascii")
+    rc = main(["verify", str(path)] + branch)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: oracle row with 2 values cannot cover "
+                            "branch 3\n")
 
 
 def test_cli_verify_of_a_degree_184_quartic_stops_at_its_answers(tmp_path):
