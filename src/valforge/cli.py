@@ -27,7 +27,9 @@ option (`error: --window: must be at least 1, got 0`).
 `verify` grows each branch only as far as its answer, the first stage at
 which the target's effective degree is 1, and grows a branch so stopped on
 to the scenario's depth when it misses one of its oracle values; a
-[chain] script is never extended.  The other commands grow to the
+[chain] script is never extended.  `newton` grows to the scenario's depth
+only the branches up to the one it draws, so a refusal in a later branch
+does not stop it.  `chain` and `defect` grow every branch to the
 scenario's depth.
 
 Scenarios are named by file path or by bare name, searched on the
@@ -50,15 +52,16 @@ from .scenario import ScenarioError, load_scenario
 __all__ = ["main", "grow", "pick", "account"]
 
 
-def grow(sc, stop_at_answer=False):
+def grow(sc, stop_at_answer=False, first=None):
     """(chains, skipped) of a scenario: its target grown by `explore` to the
     scenario's depth, with its [chain] script, `lump_sides` and `branches`
-    mode, and each grown branch stopped at its answer when stop_at_answer
-    is set.  Every command grows a scenario here."""
+    mode, each grown branch stopped at its answer when stop_at_answer is
+    set, and only the first `first` chains made when it is given.  Every
+    command grows a scenario here."""
     return explore(sc.field, sc.var, sc.target, sc.depth,
                    lump_sides=sc.lump_sides, scripted=sc.scripted_map(),
                    scripted_only=sc.branches_mode == "scripted",
-                   stop_at_answer=stop_at_answer)
+                   stop_at_answer=stop_at_answer, first=first)
 
 
 def pick(chains, skipped, wanted=None):
@@ -81,11 +84,11 @@ def account(sc, pairs, complete):
     return branches, degree_identity(sc.target, branches, complete)
 
 
-def _picked(ns, stop_at_answer=False):
+def _picked(ns, stop_at_answer=False, first=None):
     """The scenario a command line names, its grown chains and skipped
     starting values, and its picked chains with their completeness."""
     sc = load_scenario(ns.scenario, ns.depth, ns.window, ns.precision)
-    chains, skipped = grow(sc, stop_at_answer)
+    chains, skipped = grow(sc, stop_at_answer, first)
     return (sc, chains, skipped) + pick(chains, skipped, ns.branch)
 
 
@@ -102,7 +105,11 @@ def _cmd_defect(ns):
 
 
 def _cmd_newton(ns):
-    sc, chains, skipped, pairs, complete = _picked(ns)
+    # the chains up to the drawn one are grown, and no others; a --branch
+    # below 1 names none, and its refusal counts every chain
+    wanted = 1 if ns.branch is None else ns.branch
+    sc, chains, skipped, pairs, complete = _picked(
+        ns, first=wanted if wanted >= 1 else None)
     bid, ch = pairs[0]
     return render_newton(ch, sc.target, ch.depth(), ns.format), 0
 

@@ -646,7 +646,7 @@ class Chain:
 
 
 def explore(field, var, target, depth, lump_sides=False, scripted=None,
-            scripted_only=False, stop_at_answer=False):
+            scripted_only=False, stop_at_answer=False, first=None):
     """All chains for the target up to the given depth.  scripted maps a first
     value to a full entry list [(index, poly, beta)] replayed verbatim;
     unscripted starting values grow by peel-and-refine unless scripted_only,
@@ -656,27 +656,35 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     shallowest stage that refuses, and names its branch.  With
     stop_at_answer a grown branch stops at the first stage where the
     target's effective degree is 1, where its e, f and d are final (a
-    prefix of the branch grown to full depth).  A script whose first value
-    is the r-th root names its branch r in a refusal, as a grown branch
-    does; a script for no root names none."""
+    prefix of the branch grown to full depth).  With first = N only the
+    first N chains of that order are made (all of them when there are
+    fewer): a root or script past the N-th chain is neither grown nor
+    replayed, though `skipped` still lists every skipped root.  A script
+    whose first value is the r-th root names its branch r in a refusal, as
+    a grown branch does; a script for no root names none."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
     x = Poly.variable(field, var)
     chains, skipped = [], []
     for root, beta1 in enumerate(seed.candidate_betas(x, 0), 1):
         script = scripted.pop(beta1, None)
-        if script is not None:
-            chains.append(replay(field, var, target, script, root))
-        elif scripted_only:
+        room = None if first is None else first - len(chains)
+        if script is None and scripted_only:
             skipped.append(beta1)
+        elif room is not None and room < 1:
+            continue
+        elif script is not None:
+            chains.append(replay(field, var, target, script, root))
         else:
             ch = seed.clone()
             try:
                 ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
             except Refusal as exc:
                 raise located(exc, ch, (root,)) from None
-            chains.extend(_grow(ch, depth, root, stop_at_answer))
+            chains.extend(_grow(ch, depth, root, stop_at_answer, room))
     for script in scripted.values():
+        if first is not None and len(chains) >= first:
+            break
         chains.append(replay(field, var, target, script))
     return chains, skipped
 
@@ -696,7 +704,7 @@ def replay(field, var, target, entries, root=None):
     return ch
 
 
-def _grow(ch, depth, root, stop_at_answer=False):
+def _grow(ch, depth, root, stop_at_answer=False, first=None):
     """Every chain grown from ch up to the given depth, in depth-first order.
 
     Growth goes stage by stage: each chain of one stage derives its keys and
@@ -707,8 +715,17 @@ def _grow(ch, depth, root, stop_at_answer=False):
     stage is 1.  That degree never rises along a block, so the branch's
     e, f and d are final there, and at degree 1 every later stage has one
     move, so the chain is a prefix of the one grown without the stop.
-    Sorting the finished chains by path gives the depth-first order.  A
-    `Refusal` of any type ends the whole growth, so the one reported is
+    Sorting the finished chains by path gives the depth-first order.
+
+    With first = N, each stage keeps only the N smallest paths among the
+    finished chains and the frontier, and a chain makes children of its
+    first N moves only.  Every chain of the frontier yields at least one
+    finished chain, and the descendants of two paths of which neither is
+    a prefix of the other keep their order, so the result is the first N
+    chains of unpruned growth, or all of them when there are fewer.  A
+    pruned path grows no further, so it can refuse no more.
+
+    A `Refusal` of any type ends the whole growth, so the one reported is
     the first met in the stage-by-stage order: it lies at the shallowest
     stage that refuses, and no branch has grown past that stage.  It keeps
     its type and names the path of its branch, `branch r.i.j`, and the stage
@@ -729,7 +746,7 @@ def _grow(ch, depth, root, stop_at_answer=False):
                 continue
             try:
                 moves = [(q, rule, sigma) for q, rule in cur.derive_keys()
-                         for sigma in cur.candidate_betas(q)]
+                         for sigma in cur.candidate_betas(q)][:first]
             except Refusal as exc:
                 raise located(exc, cur, path) from None
             if not moves:
@@ -744,6 +761,10 @@ def _grow(ch, depth, root, stop_at_answer=False):
                     raise located(exc, child, path + (i,)) from None
                 grown.append((path + (i,), child))
         frontier = grown
+        if first is not None and len(done) + len(frontier) > first:
+            last = sorted(path for path, _ in done + frontier)[first - 1]
+            done = [item for item in done if item[0] <= last]
+            frontier = [item for item in frontier if item[0] <= last]
     done.sort(key=lambda item: item[0])
     return [chain for _, chain in done]
 

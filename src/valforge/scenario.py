@@ -34,6 +34,7 @@ repeated text's value from the memo at the start of a sum or a product, so
 it reads only the new tokens of each row and computes every product once.
 """
 
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -62,6 +63,11 @@ class ScenarioError(Refusal):
 # in the generator of k(y): `x^1000000000` would otherwise ask for a dense
 # list of 10^9 coefficients before anything refuses it
 DEGREE_CAP = 1 << 16
+
+# the most dense terms that the powers and products of one row may make in
+# all, each counted as (1 + degree in x), times (1 + degree in y) over k(y):
+# a sum of products each under the cap would otherwise take minutes
+WORK_BUDGET = 4 * DEGREE_CAP
 
 # a token after optional whitespace; a stray character is refused up front
 _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -96,7 +102,9 @@ class _ExprParser:
     product is its left operand there, with the same value.  Tokens are
     read one at a time from the current offset, so a text taken from the
     memo is never tokenized; a stray character is refused by one search of
-    the row before any token is read."""
+    the row before any token is read.  Each power or product made for a row
+    counts its dense terms towards the row's `WORK_BUDGET`; one taken from
+    the memo was counted when it was made."""
 
     def __init__(self, field, var):
         self.field = field
@@ -109,6 +117,7 @@ class _ExprParser:
         if bad is not None:
             raise ScenarioError("stray character %r" % bad.group())
         self.text = text
+        self.work = 0
         self.read(0)
         try:
             out = self.expr(len(text))
@@ -238,8 +247,9 @@ class _ExprParser:
 
     def capped(self, what, degrees):
         """Refuse a power or product, `what`, before it is built when one of
-        its `degrees` or, over k(y), their product would pass DEGREE_CAP.
-        The product bounds the work: each coefficient over k(y) is a
+        its `degrees` or, over k(y), their product would pass DEGREE_CAP,
+        or when its dense terms would take the row past WORK_BUDGET.  The
+        product bounds the work: each coefficient over k(y) is a
         polynomial in y, and multiplying costs one field product per pair
         of them."""
         for degree, var in degrees:
@@ -254,6 +264,10 @@ class _ExprParser:
                                     "passes the degree cap %d in their "
                                     "product" % (what, dx, x, dy, y,
                                                  DEGREE_CAP))
+        self.work += math.prod(degree + 1 for degree, _ in degrees)
+        if self.work > WORK_BUDGET:
+            raise ScenarioError("the powers and products of the row pass its "
+                                "work budget of %d dense terms" % WORK_BUDGET)
 
     def power(self, base, n):
         self.capped("power", [(d * n, var) for d, var in self.degrees(base)])

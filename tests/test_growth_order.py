@@ -4,9 +4,12 @@
 finished chains back into depth-first order.  Here it is checked against the
 depth-first loop it replaced, copied below with the same stop at a branch's
 answer, on the pinned benchmark corpus (`perfbench/corpus.py`, read only)
-and every packaged scenario, with the stop off and on: the chains must
-agree entry by entry, and a refusal must have the same type, name its
-branch and name a stage no deeper than the reference's.
+and every packaged scenario, with the stop off and on, and with growth cut
+to the first 1, 2 or 3 chains: the chains must agree entry by entry, and a
+refusal must have the same type, name its branch and name a stage no
+deeper than the reference's.  Cut growth drops the branches past its
+first chains before they grow, so it may answer where the reference,
+which grows them all, refuses.
 """
 
 import functools
@@ -23,9 +26,10 @@ from valforge.scenario import parse_expression, parse_index
 from valforge.values import INF
 
 
-def _depth_first_grow(ch, depth, root, stop_at_answer=False):
+def _depth_first_grow(ch, depth, root, stop_at_answer=False, first=None):
     # the depth-first stack loop that `_grow` replaced, given the same stop
-    # at a target effective degree of 1; it names no branch, and it locates
+    # at a target effective degree of 1 and the same `first` rule, as a cut
+    # of its leaves in depth-first order; it names no branch, and it locates
     # a refusal at the top entry of the chain it was growing
     out = []
     stack = [ch]
@@ -62,7 +66,7 @@ def _depth_first_grow(ch, depth, root, stop_at_answer=False):
     except Refusal as exc:
         # a clone refused by append has the top entry of cur
         raise keypoly.located(exc, cur) from None
-    return out
+    return out[:first]
 
 
 def _outcome(grow):
@@ -89,20 +93,28 @@ def _unbranched(exc):
     return type(exc)(str(exc)[found.end():])
 
 
-def _compare_with_reference(monkeypatch, stop_at_answer):
+def _compare_with_reference(monkeypatch, stop_at_answer, first=None):
     inputs = growth_inputs()
-    grown = [_outcome(functools.partial(grow, stop_at_answer=stop_at_answer))
+    grown = [_outcome(functools.partial(grow, stop_at_answer=stop_at_answer,
+                                        first=first))
              for _, grow in inputs]
     monkeypatch.setattr(keypoly, "_grow", _depth_first_grow)
     reference = [_outcome(functools.partial(grow,
-                                            stop_at_answer=stop_at_answer))
+                                            stop_at_answer=stop_at_answer,
+                                            first=first))
                  for _, grow in inputs]
-    refusals = 0
+    refusals = answered = 0
     for (name, _), got, want in zip(inputs, grown, reference):
         if not isinstance(want, Exception):
             assert got == want, name
             continue
         refusals += 1
+        if not isinstance(got, Exception):
+            # the reference grows every branch before it cuts its leaves,
+            # so it meets refusals in branches that pruned growth drops
+            assert first is not None, name
+            answered += 1
+            continue
         assert type(got) is type(want), name
         got = _unbranched(got)
         if _stage(want) is None:
@@ -111,11 +123,20 @@ def _compare_with_reference(monkeypatch, stop_at_answer):
             assert _stage(got) is not None, name
             assert _stage(got) <= _stage(want), name
     # the corpus has refusals, so the comparison above reaches them
-    assert refusals > 0
+    assert refusals > answered
+    return answered
 
 
 def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
     _compare_with_reference(monkeypatch, False)
+
+
+@pytest.mark.parametrize("first, answered", [(1, 20), (2, 5), (3, 1)])
+def test_pruned_growth_matches_the_depth_first_reference(monkeypatch, first,
+                                                         answered):
+    # the reference cuts its leaves to the first ones, as `first` does;
+    # pruned growth answers on this many inputs that the reference refuses
+    assert _compare_with_reference(monkeypatch, False, first) == answered
 
 
 def test_growth_stopped_at_the_answer_matches_the_reference(monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -228,6 +229,9 @@ def test_cli_module_verify_runs_clean(name):
     rc, out, err = run_python("-m", "valforge.cli", "verify", name)
     assert (rc, err) == (0, "")
     assert out.startswith("ok: ")
+    # and `newton`, which grows only the chains up to the one it draws
+    rc, out, err = run_python("-m", "valforge.cli", "newton", name)
+    assert (rc, err) == (0, "") and out
 
 
 def test_cli_defect_tower_reports_d4():
@@ -592,7 +596,14 @@ def test_power_past_the_degree_cap_in_its_product_is_refused(char):
                       "degree cap 65536 in their product"),
     ("x^2 * y^40000", "a product of degree 2 in x and 40000 in y passes the "
                       "degree cap 65536 in their product"),
-], ids=["chain-variable", "product", "monomial", "monomial-y"])
+    # every product is under the cap, but the row is not: its eight terms
+    # took 2.8 s to build before a row's work was bounded, and the third
+    # term's product takes it past the budget
+    ("x^256 + " + " + ".join("(x + %d*y)^128 * (x - %d*y)^127" % (k, k)
+                             for k in range(1, 9)),
+     "the powers and products of the row pass its work budget of 262144 "
+     "dense terms"),
+], ids=["chain-variable", "product", "monomial", "monomial-y", "row"])
 def test_product_past_the_degree_cap_is_refused(poly, message):
     # a product is bounded as a power is: (x + y)^256 * (x - y)^256 took
     # 2.7 s to build over Q(y), where each factor alone takes 0.3 s;
@@ -600,9 +611,24 @@ def test_product_past_the_degree_cap_is_refused(poly, message):
     sc = parse_scenario(MINIMAL.replace("x^2 - y^3",
                                         "(x + y)^128 * (x - y)^128"))
     assert sc.target.degree == 256
+    start = time.perf_counter()
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(MINIMAL.replace("x^2 - y^3", poly))
     assert str(exc.value) == "line 8: poly: " + message
+    assert time.perf_counter() - start < 2
+
+
+def test_row_work_counts_a_remembered_value_once():
+    # two terms fit in a row's budget, and a third would not; a term that
+    # comes again is taken from the parser's memo and not counted again,
+    # and the budget starts again on every row
+    term = "(x + %d*y)^128 * (x - %d*y)^127"
+    poly = "x^256 + %s + %s + %s - %s" % ((term % (1, 1), term % (2, 2))
+                                         + (term % (1, 1),) * 2)
+    oracle = "%s + %s ; 0" % (term % (3, 3), term % (4, 4))
+    sc = parse_scenario(MINIMAL.replace("x^2 - y^3", poly)
+                        + "\n[oracle]\n" + oracle + "\n")
+    assert sc.target.degree == 256 and len(sc.oracle) == 1
 
 
 def test_cli_power_with_a_large_product_is_refused_at_once(tmp_path):

@@ -96,10 +96,10 @@ def test_verify_grows_on_only_a_branch_that_misses_an_oracle_value(
     grown_on, picked = [], []
     plain_grow, plain_account = keypoly._grow, cli.account
 
-    def growing(ch, depth, root, stop_at_answer=False):
+    def growing(ch, depth, root, stop_at_answer=False, first=None):
         if not stop_at_answer:
             grown_on.append(root)
-        return plain_grow(ch, depth, root, stop_at_answer)
+        return plain_grow(ch, depth, root, stop_at_answer, first)
 
     def accounted(sc, pairs, complete):
         picked.append(list(pairs))
