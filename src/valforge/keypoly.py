@@ -19,11 +19,17 @@ the spacing e_j of level j and v0 in the base group; the canonical monomial
 multiplies the base element of v0 with the matching key powers.  The residue
 identification of level j (what the class of Q_j^{e_j} divided by its weight
 monomial evaluates to) is forced by the next key, so it is stored on entry
-j+1 when that entry is built, either as a scalar or as a generator of one
-quotient ring k[T]/(m); a second simultaneous extension is refused rather
-than guessed at.  A key that growth lifts from a factor of a residual brings
-that factor as its identification; a scripted or limit key has it read from
-its initial form.  Entries are never changed or replaced once appended.
+j+1, either as a scalar or as a generator of one quotient ring k[T]/(m); a
+second simultaneous extension is refused rather than guessed at.  A key
+that growth lifts from a factor of a residual brings that factor as its
+identification; a scripted or limit key has it read from its initial form.
+For a degree jump g > 1 over the spacing that is done when the key is
+appended, since whether the relation adjoins a root decides the residue
+ring and the refusal.  For g = 1 the relation is a root, which decides
+neither, so it is read when a residue first needs it (`Chain.rule`) and
+kept on the entry: it depends only on the levels up to its own, which never
+change, and most scripted relations are never read.  Entries are never
+replaced once appended.
 """
 
 import functools
@@ -74,14 +80,17 @@ class CanonMono:
 
 class ChainEntry:
     """One key of a chain.  `rule` is the residue identification of the level
-    below, which this key forces (None on the first entry).  `memo` maps each
-    polynomial (by identity: a `Poly` is never changed) to its record at this
-    level, the pair (`term_values`, `argmin_data`): the term list and its
-    minimum, both made once, when the polynomial is first valued here.
-    `weight` is the level's weight monomial once `Chain.weight` has made it.
-    Both depend only on the keys and values of levels up to this one, which
-    never change, so every chain that shares the entry (each clone shares all
-    of them) shares them too."""
+    below, which this key forces (None on the first entry), read through
+    `Chain.rule`: a scripted or limit key of degree jump g = 1 holds None
+    until that first reads it, and the relation made then is kept here.
+    `memo` maps each polynomial (by identity: a `Poly` is never changed) to
+    its record at this level, the pair (`term_values`, `argmin_data`): the
+    term list and its minimum, both made once, when the polynomial is first
+    valued here.  `weight` is the level's weight monomial once
+    `Chain.weight` has made it.  All three depend only on the keys and
+    values of levels up to this one, which never change, so every chain
+    that shares the entry (each clone shares all of them) shares them
+    too."""
 
     __slots__ = ("index", "poly", "beta", "origin", "alpha",
                  "e_step", "f_step", "group", "rule", "memo", "weight")
@@ -318,13 +327,29 @@ class Chain:
                                                  k - 1)
         return ent.weight
 
+    def rule(self, k):
+        """The residue relation that the key of entry k forces on level k-1
+        (None for k = 1).  A scripted or limit key of degree jump g = 1 is
+        appended without one; it is read from the key's initial form here,
+        on the first call, from the levels below k, and kept on the entry,
+        which every clone shares.  The chain's residue ring may have been
+        extended above those levels since; their residues then lie in the
+        scalars it embeds, so the same root is read.  A refusal raised here
+        keeps its type and is placed by the caller, as any refusal of a
+        residue is."""
+        ent = self.entry(k)
+        if ent.rule is None and k > 1:
+            g = ent.alpha // self.entries[k - 2].e_step
+            ent.rule = self._derive_rule(ent.poly, g, k - 1)
+        return ent.rule
+
     def _rule_power(self, k, q):
         ring = self.ring
         if q == 0:
             return ring.one
         if k >= self.depth():
             raise ChainError("level %d has no residue identification yet" % k)
-        rule = self.entries[k].rule     # forced by the key of level k + 1
+        rule = self.rule(k + 1)         # forced by the key of level k + 1
         if rule[0] == "const":
             return ring.pow(ring.embed(rule[1]), q)
         return ring.pow(ring.gen, q)
@@ -408,9 +433,12 @@ class Chain:
         chain axioms and put it on top.  rule is the residue relation the key
         forces on the level below: `derive_keys` gives it with each key it
         lifts, and a key that comes without one (a scripted or limit entry)
-        has it read from its initial form (`_derive_rule`).  The dominance,
-        spacing, terminal and balance checks run for every key, and so does
-        the refusal of a second residue field extension."""
+        has it read from its initial form (`_derive_rule`).  For a degree
+        jump g > 1 that is done here: the relation is a root or a quotient
+        ring, which decides `self.ring` and the refusal of a second residue
+        field extension.  For g = 1 it is a root, so neither depends on it,
+        and it is read on its first use (`rule`).  The dominance, spacing,
+        terminal and balance checks run for every key."""
         field = self.field
         if not poly.is_monic:
             raise ChainError("key polynomials are monic")
@@ -474,29 +502,33 @@ class Chain:
                 raise ChainError("incoming key is not balanced at level %d: "
                                  "value %s below %s"
                                  % (self.depth(), minv, top))
-            if rule is None:
+            if rule is None and g > 1:
                 rule = self._derive_rule(poly, g)
-            if rule[0] == "ext" and isinstance(self.ring, EtaleRing):
+            ext = rule is not None and rule[0] == "ext"
+            if ext and isinstance(self.ring, EtaleRing):
                 raise UnsupportedStructure(
                     "the incoming key %s relates the residue class by %s, "
                     "and a second residue field extension is not supported"
                     % (poly.format(),
                        field.scalars.polys.format(rule[1], "T")))
-            if rule[0] == "ext":
+            if ext:
                 self.ring = EtaleRing(field.scalars, rule[1])
         self.entries.append(ChainEntry(index, poly, beta, origin, alpha,
                                        e_order, f_step, group, rule))
 
-    def _derive_rule(self, newpoly, g):
-        """Identification of the level-k residue class forced by an incoming
-        key that brings none (a scripted or limit key), whose degree jump
-        over Q_k is g*e_k (`append` has checked the spacing and the
-        balance): the monic relation of degree g that its initial form
-        imposes on the class of Q_k^{e_k} over the weight monomial, cut to
-        its radical (`_relation`)."""
-        k = self.depth()
+    def _derive_rule(self, newpoly, g, k=None):
+        """Identification of the level-k residue class (k the depth unless
+        given) forced by a key above it that brings none (a scripted or
+        limit key), whose degree jump over Q_k is g*e_k (`append` has
+        checked the spacing and the balance): the monic relation of degree
+        g that its initial form imposes on the class of Q_k^{e_k} over the
+        weight monomial, cut to its radical (`_relation`).  `append` calls
+        it for g > 1 and `rule` on the first read for g = 1; it reads only
+        levels up to k, so both give what it gives on the chain just
+        before the key."""
+        k = self.depth() if k is None else k
         S = self.argmin_data(newpoly, k)[1]
-        e = self.entries[-1].e_step
+        e = self.entries[k - 1].e_step
         wt = self.weight(k)
         ring = self.ring
         parts = self._residual([(m, c) for m, c in S if m < g * e], k, 0,
@@ -691,8 +723,9 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
 
 def replay(field, var, target, entries, root=None):
     """The scripted chain [(index, poly, beta)]; a refusal names the stage
-    and key it was appended to, and the branch `root` when given (`explore`
-    passes the index of the script's first value among the roots)."""
+    and key it was appended to, or the refused row's own when that is the
+    first, and the branch `root` when given (`explore` passes the index of
+    the script's first value among the roots)."""
     ch = Chain(field, var, target)
     for index, poly, beta in entries:
         origin = "limit" if index.is_limit else "scripted"
@@ -700,7 +733,7 @@ def replay(field, var, target, entries, root=None):
             ch.append(index, poly, beta, origin)
         except Refusal as exc:
             path = None if root is None else (root,)
-            raise located(exc, ch, path) from None
+            raise located(exc, ch, path, (index, poly)) from None
     return ch
 
 
@@ -769,14 +802,16 @@ def _grow(ch, depth, root, stop_at_answer=False, first=None):
     return [chain for _, chain in done]
 
 
-def located(exc, ch, path=None):
+def located(exc, ch, path=None, row=None):
     """The refusal exc, of the same type, with its place put before its
     reason: `branch P: stage S, key Q = K: reason`, the branch path when
-    there is one and the stage and key of ch's top entry when ch has one.
+    there is one, and the stage and key of ch's top entry when ch has one,
+    or else of row, the (index, key) that ch refused as its first entry.
     Growth, replay and classification locate their refusals here, and
     nowhere else; the raisers state only the reason."""
     where = [] if path is None else ["branch " + ".".join(map(str, path))]
     if ch.entries:
-        top = ch.entries[-1]
-        where.append("stage %s, key Q = %s" % (top.index, top.poly.format()))
+        row = ch.entries[-1].index, ch.entries[-1].poly
+    if row is not None:
+        where.append("stage %s, key Q = %s" % (row[0], row[1].format()))
     return type(exc)(": ".join(where + [str(exc)]))

@@ -255,8 +255,9 @@ def render_chain(chains, fmt="text"):
 
 
 def render_defect(branches, identity, skipped=(), fmt="text"):
-    """Branch reports and the identity line; each branch's defect is read
-    from its term of the identity, which `degree_identity` computed."""
+    """Branch reports, a line per skipped first value and the identity
+    line, in text or tsv; each branch's defect is read from its term of
+    the identity, which `degree_identity` computed."""
     lines = []
     ds = [d for _, _, d in identity.terms]
     if fmt == "tsv":
@@ -264,6 +265,7 @@ def render_defect(branches, identity, skipped=(), fmt="text"):
             lines.append("\t".join(
                 [str(br.branch_id), str(br.e), str(br.f),
                  ",".join(str(x) for x in br.d_blocks), str(d), br.status]))
+        lines += ["skipped\t%s" % format_value(beta1) for beta1 in skipped]
         lines.append("identity\t%s" % identity.line())
         return "\n".join(lines) + "\n"
     for br, d in zip(branches, ds):

@@ -66,7 +66,7 @@ def test_rule_derivation_and_weights():
     ch = Chain(F, "x", P)
     ch.append(IDX[1], x, V("3/2"), "derived")
     ch.append(IDX[2], Q, V("7/2"), "derived")
-    assert ch.entry(2).rule == ("const", Fraction(1))
+    assert ch.rule(2) == ("const", Fraction(1))
     w2 = ch.weight(2)
     assert w2.v0 == V(2) and w2.exps == {1: 1}
     assert w2.materialize(ch).format() == "y^2*x"
@@ -440,7 +440,7 @@ def test_cubic_lumped_branch_etale_layer():
     c = lambda e: Poly.const(F, "w", e)
     q3 = q2 + c(a) * Poly.variable(F, "w") + c(F.mul(a, a))
     ch.append(IDX[3], q3, INF, "scripted")
-    assert ch.entry(3).rule == ("const", (0, 2))  # minus the adjoined class
+    assert ch.rule(3) == ("const", (0, 2))  # minus the adjoined class
     assert [ent.f_step for ent in ch.entries] == [1, 2, 1]
     assert [ent.e_step for ent in ch.entries] == [1, 1, 1]
 
@@ -515,7 +515,7 @@ def test_tower_limit_appends_balance_on_even_support():
 
 def test_tower_rules_frozen():
     F, P, qw, qw2, script, ch = tower_chain()
-    rules = [ch.entry(k + 1).rule for k in range(1, 38)]
+    rules = [ch.rule(k + 1) for k in range(1, 38)]
     bump = [("const", 0)]
     assert rules == [("const", 1)] * 12 + bump + [("const", 1)] * 12 + bump \
         + [("const", 1)] * 11

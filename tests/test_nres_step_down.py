@@ -188,7 +188,7 @@ def test_a_term_a_spacing_below_the_key_exponent_takes_the_inverse_rule():
     ch = Chain(F, "x", target)
     ch.append(OrdinalIndex(0, 1), x, Value([Fraction(2, 3)]), "scripted")
     ch.append(OrdinalIndex(0, 2), target, INF, "scripted")
-    assert ch.entry(2).rule == ("const", -2)
+    assert ch.rule(2) == ("const", -2)
     want = (True, Fraction(-1, 2))
     assert _outcome(ch.nres, x, Value([-2]), {1: 4}, 1) == want
     assert _outcome(_level_by_level_nres, ch, x, Value([-2]), {1: 4},

@@ -991,8 +991,9 @@ def test_cli_partial_identity_with_equal_sides_prints_equals(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("rows, err", [
-    # an empty chain has no entry to name: the refusal names its branch only
-    ("2 ; x ; 3/2\n", "branch 1: a chain starts at index 1"),
+    # an empty chain has no entry to name: the refusal names the refused row
+    ("2 ; x ; 3/2\n", "branch 1: stage 2, key Q = x: a chain starts at "
+     "index 1"),
     # a replayed chain names the stage and key the entry was appended to
     ("1 ; x ; 3/2\n2 ; x^2 - y^3 ; 7/2\n3 ; x^3 - y^3 ; 9/2\n",
      "branch 1: stage 2, key Q = x^2 - y^3: key degree must be a positive "
@@ -1007,6 +1008,33 @@ def test_cli_scripted_chain_axioms_are_refused(tmp_path, capsys, rows, err):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == "error: %s\n" % err
+
+
+@pytest.mark.parametrize("cmd, rc, err", [
+    (cmd, 2, "error: stage 1, key Q = x: terminal key does not divide the "
+     "tracked polynomial within the working precision\n")
+    for cmd in ("chain", "defect", "verify")] + [("newton", 0, "")])
+def test_cli_script_for_no_root_refused_at_its_first_row_names_the_row(
+        tmp_path, capsys, cmd, rc, err):
+    # x @ inf is no root's first value, so its script names no branch; the
+    # refusal names the refused row.  newton grows only the first chain,
+    # which is branch 1, grown from the root x @ 3/2
+    path = tmp_path / "no_root.scn"
+    path.write_text(packaged_text("quartic") + "\n[chain]\n1 ; x ; inf\n",
+                    encoding="ascii")
+    got = main([cmd, str(path)])
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (rc, err)
+
+
+def test_cli_defect_tsv_lists_the_skipped_first_values(capsys):
+    rc = main(["defect", "quintic_tower", "--format", "tsv"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == ("1\t1\t1\t2,2,1\t4\tstable delta 1\n"
+                   "skipped\t0\n"
+                   "skipped\t5/16\n"
+                   "identity\t5 > 1*1*4 (partial)\n")
 
 
 @pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
@@ -1205,7 +1233,8 @@ def test_scenario_structure_refusals(text, message):
 
 
 def test_cli_value_order_above_the_cap_is_refused(tmp_path, capsys):
-    # canonical monomials try every multiple below a level's spacing
+    # canonical monomials try every multiple below a level's spacing; the
+    # script's first value is no root's, so the refusal names no branch
     path = tmp_path / "order_cap.scn"
     path.write_text((SCRIPTED_X_TO_5 % 0).replace("1 ; x ; 5",
                                                   "1 ; x ; 1/10000001"),
@@ -1213,7 +1242,8 @@ def test_cli_value_order_above_the_cap_is_refused(tmp_path, capsys):
     rc = main(["chain", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert err == "error: order of 1/10000001 exceeds cap 1000000\n"
+    assert err == ("error: stage 1, key Q = x: order of 1/10000001 exceeds "
+                   "cap 1000000\n")
 
 
 def test_cli_value_order_above_the_cap_names_stage_and_key(tmp_path, capsys):

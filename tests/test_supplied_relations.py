@@ -7,7 +7,8 @@ relation growth supplies is checked against the one `_derive_rule` reads
 from the key's initial form on the same chain, and the pins below hold the
 cost: no grown key derives its relation, and each `derive_keys` call
 factors once.  Keys that come without a relation (scripted and limit
-entries) still have it derived.
+entries) still have it derived: at append when the degree jump g > 1, and
+on the first read (`Chain.rule`) when g = 1.
 """
 
 import re
@@ -125,10 +126,15 @@ def test_grown_keys_derive_no_relation(monkeypatch):
 
 
 def test_replayed_keys_still_derive_their_relation(monkeypatch):
-    # quintic_tower is all script: each of its 38 entries but the first
-    # reads its relation from its initial form
+    # quintic_tower is all script: its two limit keys w and w2 (g = 2) read
+    # their relation from their initial form at replay, and nothing reads
+    # the 35 others (g = 1), which are read from theirs when asked for
     counts = _counted(monkeypatch)
     chains, _ = run_scenario(load_scenario("quintic_tower"))
     assert [ch.depth() for ch in chains] == [38]
+    assert counts == {"_derive_rule": 2, "derive_keys": 0,
+                      "factor_scalar_poly": 2}
+    (ch,) = chains
+    assert all(ch.rule(k) is not None for k in range(2, 39))
     assert counts == {"_derive_rule": 37, "derive_keys": 0,
                       "factor_scalar_poly": 37}
