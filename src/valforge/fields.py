@@ -829,12 +829,14 @@ class CoordinateTower(ValuedFieldBase):
     face (exponent over p^level, summed), so nothing is rewritten until a value
     computation actually ties.  A tie substitutes the shallowest atom involved
     one step deeper, v_i -> v_{i+1}^p (v_{i+2} + gamma_{i+2}), and only inside
-    the tied terms; the unit power expands through base-p digits of the
-    exponent using the Frobenius, which keeps structured inputs sparse.  Either
-    the tie cancels and the minimum climbs, or a lone leading term survives and
-    certifies the value.  The same reduction drives unit residues: numerator
-    and denominator leads are pushed deeper until their monomials literally
-    match, the unit evaluations accumulating into the scalars in front.
+    the tied terms, in one working copy of the polynomial; the unit power
+    expands through base-p digits of the exponent using the Frobenius, which
+    keeps structured inputs sparse.  Either the tie cancels and the minimum
+    climbs, or a lone leading term survives and certifies the value.  The
+    same rewrite drives unit residues: only the numerator and denominator
+    leads are pushed deeper, each to the lowest term of its rewrite, until
+    their monomials literally match, the unit evaluations gamma^e
+    accumulating into the scalars in front.
 
     A monomial is one int.  With D the depth, the exponent of v_l sits in a
     bit field of width 32 + (p^l).bit_length(), level 1 lowest, and the scaled
@@ -846,8 +848,9 @@ class CoordinateTower(ValuedFieldBase):
     they make and refuse with `InsufficientPrecision` where it fails (an
     atom's multiples are p at most).  A polynomial is
     the dict {monomial: coefficient in [1, p)}; an element is a (num, den)
-    pair of those.  Elements are never changed in place, so `zero`, `one` and
-    the polynomial 1 are shared objects.  Note
+    pair of those.  Elements are never changed in place (certification
+    rewrites its own copy), so `zero`, `one` and the polynomial 1 are shared
+    objects.  Note
     that distinct polynomials can name the same field element when a scenario
     spells one atom through the relation of a deeper pair; values and residues
     still come out right, but `is_zero` and `eq` answer for the spelling, and a
@@ -970,35 +973,50 @@ class CoordinateTower(ValuedFieldBase):
             block_exp *= self.p
         return out
 
-    def _subst_term(self, m, coeff, i):
-        """One term with its v_i^e replaced by v_{i+1}^(p e) (v_{i+2} + g)^e;
-        a term without v_i comes back as it is."""
-        p, atoms = self.p, self._atoms
-        e = (m >> self._off[i]) & self._mask[i]
-        base = m - e * atoms[i] + p * e * atoms[i + 1]
-        step = atoms[i + 2]
-        if base + e * step >= self._limit:
-            raise self._overflow("%s rewritten one level deeper"
-                                 % self._spell(self._pairs(e * atoms[i])))
-        return {base + ve * step: coeff * uc % p
-                for ve, uc in self._unit_block(e, self.gamma(i + 2)).items()}
-
-    def _reduce_group(self, f, group, i):
-        """Substitute atom i inside the given terms; other terms, and given
-        ones without atom i, stay as they are.  This is the one place that
-        refuses a rewrite past the tower's depth."""
+    def _deeper(self, m, i):
+        """(e, base) for moving the v_i^e of the monomial m one level down,
+        v_i^e -> v_{i+1}^(p e) (v_{i+2} + g)^e: base is m with v_i^e
+        replaced by v_{i+1}^(p e), the rewrite's monomial of lowest value,
+        and its other monomials are base times positive powers of v_{i+2},
+        all strictly above it (e = 0 leaves m as it is).  This is the one
+        place that refuses a rewrite past the tower's depth, and it refuses
+        one whose top monomial would overflow the exponent fields."""
         if i + 2 > self.max_depth:
             raise InsufficientPrecision("tower depth %d exhausted" % self.max_depth)
+        atoms = self._atoms
+        e = (m >> self._off[i]) & self._mask[i]
+        base = m - e * atoms[i] + self.p * e * atoms[i + 1]
+        if base + e * atoms[i + 2] >= self._limit:
+            raise self._overflow("%s rewritten one level deeper"
+                                 % self._spell(self._pairs(e * atoms[i])))
+        return e, base
+
+    def _reduce_group(self, f, group, i):
+        """Move atom i one level down inside the given terms of f, in place:
+        pop them and merge each one's rewrite, its coefficient times the
+        `_unit_block` on base (`_deeper`), into f.  Other terms keep their
+        coefficients, and a given term without atom i comes back as it is.
+        f must be a working copy that no element shares."""
         p = self.p
-        out = {e: c for e, c in f.items() if e not in group}
-        for e in group:
-            for e2, c2 in self._subst_term(e, f[e], i).items():
-                s = (out.get(e2, 0) + c2) % p
+        terms = [(m, f.pop(m)) for m in group]
+        for m, c in terms:
+            e, base = self._deeper(m, i)  # refuses i + 2 > depth first
+            step = self._atoms[i + 2]
+            for ve, uc in self._unit_block(e, self.gamma(i + 2)).items():
+                m2 = base + ve * step
+                s = (f.get(m2, 0) + c * uc) % p
                 if s:
-                    out[e2] = s
+                    f[m2] = s
                 else:
-                    del out[e2]
-        return out
+                    del f[m2]
+
+    def _lead_down(self, m, coeff, i):
+        """The lowest term of the rewrite of the term coeff*m at level i:
+        the base monomial (`_deeper`), with coeff times g^e, the exponent-0
+        term of `_unit_block(e, g)` (g^(p^j) = g, so it is g to the base-p
+        digit sum of e)."""
+        e, base = self._deeper(m, i)
+        return base, coeff * pow(self.gamma(i + 2), e, self.p) % self.p
 
     def _split_level(self, monos):
         """Smallest level at which the given monomials of one value disagree:
@@ -1014,8 +1032,10 @@ class CoordinateTower(ValuedFieldBase):
 
     def _certify(self, f):
         """Reduce until one monomial owns the minimal value; returns the
-        scaled value (numerator over p^depth), its coefficient, the monomial,
-        and the reduced polynomial."""
+        scaled value (numerator over p^depth), its coefficient and the
+        monomial.  The first tie copies f once; every later rewrite
+        substitutes the tied terms into that working copy in place
+        (`_reduce_group`), so f itself is never changed."""
         shift = self._shift
         steps = 0
         while True:
@@ -1028,8 +1048,10 @@ class CoordinateTower(ValuedFieldBase):
             above = (minv + 1) << shift
             group = [e for e in f if e < above]
             if len(group) == 1:
-                return minv, f[low], low, f
-            f = self._reduce_group(f, set(group), self._split_level(group))
+                return minv, f[low], low
+            if not steps:
+                f = dict(f)
+            self._reduce_group(f, set(group), self._split_level(group))
             steps += 1
             if steps > 64 * self.max_depth:
                 raise InsufficientPrecision(
@@ -1072,29 +1094,32 @@ class CoordinateTower(ValuedFieldBase):
         return Value.over((vn - vd,), self._pD)
 
     def unit_residue(self, x, d):
+        """Residue of the unit x/d: certify the numerator and denominator of
+        x/d once, then, while their leading monomials differ, move both
+        down at their split level (`_lead_down`) until they match.  A lone
+        leading term's rewrite keeps its value, every other term of that
+        rewrite lies strictly above it, and the old lead was the only
+        monomial of that value, so the moved lead is again the lone lead of
+        the rewritten polynomial, which is never built."""
         if self.is_zero(x) or self.is_zero(d):
             raise ValueError("unit_residue of zero")
-        num = self._pmul(x[0], d[1])
-        den = self._pmul(x[1], d[0])
-        sc = self.scalars
+        vn, cn, en = self._certify(self._pmul(x[0], d[1]))
+        vd, cd, ed = self._certify(self._pmul(x[1], d[0]))
+        if vn != vd:
+            raise ValueError(
+                "unit_residue needs equal values, got %s and %s"
+                % (Fraction(vn, self._pD), Fraction(vd, self._pD)))
         steps = 0
-        while True:
-            vn, cn, en, num = self._certify(num)
-            vd, cd, ed, den = self._certify(den)
-            if vn != vd:
-                raise ValueError(
-                    "unit_residue needs equal values, got %s and %s"
-                    % (Fraction(vn, self._pD), Fraction(vd, self._pD)))
-            if en == ed:
-                return sc.div(cn, cd)
+        while en != ed:
             i = self._split_level([en, ed])
-            num = self._reduce_group(num, {en}, i)
-            den = self._reduce_group(den, {ed}, i)
+            en, cn = self._lead_down(en, cn, i)
+            ed, cd = self._lead_down(ed, cd, i)
             steps += 1
             if steps > 64 * self.max_depth:
                 raise InsufficientPrecision(
                     "residue computation did not settle within depth %d"
                     % self.max_depth)
+        return self.scalars.div(cn, cd)
 
     def canonical_element(self, v):
         q, r = divmod(self._pD, v.den)

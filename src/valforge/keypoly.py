@@ -438,7 +438,10 @@ class Chain:
         ring, which decides `self.ring` and the refusal of a second residue
         field extension.  For g = 1 it is a root, so neither depends on it,
         and it is read on its first use (`rule`).  The dominance, spacing,
-        terminal and balance checks run for every key."""
+        terminal and balance checks run for every key.  A value the field
+        cannot hold is refused with the incoming key and stage put before
+        the reason when the chain has a top entry, which is the place
+        `located` gives; a refused first key is placed by its caller."""
         field = self.field
         if not poly.is_monic:
             raise ChainError("key polynomials are monic")
@@ -469,6 +472,8 @@ class Chain:
             try:
                 field.admit_value(beta)
             except InsufficientPrecision as exc:
+                if prev is None:
+                    raise
                 raise InsufficientPrecision(
                     "incoming key %s at stage %s: %s"
                     % (poly.format(), index, exc)) from None
@@ -693,10 +698,11 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
     fewer): a root or script past the N-th chain is neither grown nor
     replayed, though `skipped` still lists every skipped root.  A script
     whose first value is the r-th root names its branch r in a refusal, as
-    a grown branch does; a script for no root names none."""
+    a grown branch does; a script for no root names none.  A refused first
+    key names its stage and key as a refused first row of a script does."""
     scripted = dict(scripted or {})
     seed = Chain(field, var, target, lump_sides)
-    x = Poly.variable(field, var)
+    x, first_index = Poly.variable(field, var), OrdinalIndex(0, 1)
     chains, skipped = [], []
     for root, beta1 in enumerate(seed.candidate_betas(x, 0), 1):
         script = scripted.pop(beta1, None)
@@ -710,9 +716,9 @@ def explore(field, var, target, depth, lump_sides=False, scripted=None,
         else:
             ch = seed.clone()
             try:
-                ch.append(OrdinalIndex(0, 1), x, beta1, "derived")
+                ch.append(first_index, x, beta1, "derived")
             except Refusal as exc:
-                raise located(exc, ch, (root,)) from None
+                raise located(exc, ch, (root,), (first_index, x)) from None
             chains.extend(_grow(ch, depth, root, stop_at_answer, room))
     for script in scripted.values():
         if first is not None and len(chains) >= first:

@@ -702,17 +702,40 @@ def _random_lex(rng):
 
 def _random_tower(rng):
     F = CoordinateTower(2, 1, 8)
-    atoms = [F.atom(n) for n in ("u", "v", "v2", "u2", "v3")]
+    names = ("u", "v", "v2", "u2", "v3")
+    # a second spelling of each atom's value: u = v^2 v2 + v^2 and
+    # v_l = v_{l+1}^2 v_{l+2} + v_{l+1}^2 (and u2 = v)
+    respelt = {"u": ("v", "u2"), "v": ("v2", "v2"), "v2": ("v3", "v3"),
+               "u2": ("v2", "v2")}
+
+    def product(spec):
+        term = F.one
+        for name in spec:
+            term = F.mul(term, F.atom(name))
+        return term
+
+    def tied():
+        # a sum of squares of atom products, each respelling one atom of the
+        # one before, so their terms tie and certification rewrites them
+        spec = [rng.choice(names) for _ in range(rng.randint(1, 2))]
+        x = F.mul(product(spec), product(spec))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.choice([i for i, n in enumerate(spec) if n in respelt]
+                           or [None])
+            if i is not None:
+                spec = spec[:i] + list(respelt[spec[i]]) + spec[i + 1:]
+            x = F.add(x, F.mul(product(spec), product(spec)))
+        return x
 
     def elem(monomial=False):
         acc = F.zero
         for _ in range(1 if monomial else rng.randint(1, 3)):
-            term = F.from_int(1)
-            for _ in range(rng.randint(0, 2)):
-                term = F.mul(term, rng.choice(atoms))
-            acc = F.add(acc, term)
+            acc = F.add(acc, product(rng.choice(names)
+                                     for _ in range(rng.randint(0, 2))))
         if not monomial and rng.randrange(2):
-            acc = F.div(acc, F.add(rng.choice(atoms), F.one))
+            acc = F.mul(acc, tied())
+        if not monomial and rng.randrange(2):
+            acc = F.div(acc, F.add(F.atom(rng.choice(names)), F.one))
         return acc
 
     return F, elem

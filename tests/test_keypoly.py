@@ -599,6 +599,5 @@ def test_tower_refuses_a_value_beyond_its_depth():
     ch = Chain(F, "y", target)
     with pytest.raises(InsufficientPrecision) as info:
         ch.append(first, y, Value([Fraction(1, 16)]), "derived")
-    assert str(info.value) == ("incoming key y at stage 1: value 1/16 needs "
-                               "tower depth 4, beyond depth 3")
+    assert str(info.value) == "value 1/16 needs tower depth 4, beyond depth 3"
     assert ch.depth() == 0

@@ -300,22 +300,39 @@ def test_cold_verify_never_imports_sympy(name):
     assert out == "0 False False\n"
 
 
+SHALLOW_TOWER = ("[field]\n%s\n[target]\nvar = y\npoly = y^8 + v\n\n"
+                 % FIELD_KINDS["coordinate_tower"].replace("depth = 4",
+                                                           "depth = 2"))
+SHALLOW_TOWER_REFUSAL = ("error: branch 1: stage 1, key Q = y: value 1/16 "
+                         "needs tower depth 4, beyond depth 2\n")
+
+
 @pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
 def test_cli_refusal_at_a_roots_first_key_names_its_branch(tmp_path, capsys,
                                                             cmd):
     # the first key y has value 1/16, which a tower of depth 2 cannot hold;
-    # the refusal names its branch as a refusal at a later stage does
+    # the refusal names its branch, stage and key as a refusal at a later
+    # stage does, and names the key once
     path = tmp_path / "shallow_tower.scn"
-    path.write_text("[field]\n%s\n[target]\nvar = y\npoly = y^8 + v\n\n"
-                    "[params]\ndepth = 4\n"
-                    % FIELD_KINDS["coordinate_tower"].replace("depth = 4",
-                                                              "depth = 2"),
+    path.write_text(SHALLOW_TOWER + "[params]\ndepth = 4\n", encoding="ascii")
+    rc = main([cmd, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == SHALLOW_TOWER_REFUSAL
+
+
+@pytest.mark.parametrize("cmd", ["chain", "defect", "newton", "verify"])
+def test_cli_refusal_at_a_scripted_first_key_names_it_once(tmp_path, capsys,
+                                                           cmd):
+    # the same first key as a script's first row: the same text as grown
+    path = tmp_path / "shallow_tower_scripted.scn"
+    path.write_text(SHALLOW_TOWER + "[chain]\n1 ; y ; 1/16\n\n"
+                    "[params]\ndepth = 4\nbranches = scripted\n",
                     encoding="ascii")
     rc = main([cmd, str(path)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: branch 1: incoming key y at stage 1: "
-                            "value 1/16 needs tower depth 4, beyond depth 2\n")
+    assert captured.err == SHALLOW_TOWER_REFUSAL
 
 
 def test_cli_tsv_and_branch_filter(capsys):
@@ -1133,6 +1150,35 @@ def test_cli_tower_truncation_artifact_is_refused(tmp_path, capsys):
     assert err.count("incoming key y + ") == 1
     assert err.endswith(" at stage 9: value 89478485/268435456 needs tower "
                         "depth 28, beyond depth 26\n")
+
+
+def test_cli_unscripted_tower_runs_to_its_depth_refusals(tmp_path, capsys):
+    # the packaged quintic with its script dropped, at the scenario's own
+    # depth and window: branch 2's ladder reaches the depth-26 tower's
+    # truncation at stage 9, and with two more levels its certification
+    # runs out at the same stage.  The deeper run is timed: a rewrite
+    # substitutes only the tied terms of one working copy
+    path = tmp_path / "quintic_unscripted.scn"
+    head, tail = QUINTIC.split("[chain]\n")
+    path.write_text(head + tail[tail.index("[oracle]"):].replace(
+        "branches = scripted", "branches = all"), encoding="ascii")
+    rc = main(["defect", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: branch 2.1.1.1.1.1.1.1.1: stage 8, key "
+                          "Q = y + ")
+    assert err.endswith(" at stage 9: value 89478485/268435456 needs tower "
+                        "depth 28, beyond depth 26\n")
+    t0 = time.perf_counter()
+    rc = main(["defect", str(path), "--precision", "28"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: branch 2.1.1.1.1.1.1.1.1: stage 9, key "
+                          "Q = y + ")
+    assert err.endswith(": tower depth 28 exhausted\n")
+    assert err.count("stage ") == 1
+    assert elapsed < 4.0
 
 
 STALE_TERMINAL = ("branch 1: stage 2, key Q = w^2 + 2*z^6: terminal key does "
