@@ -111,18 +111,6 @@ def brute_lower_hull(points):
     return vertices
 
 
-def brute_truncated_value(coeff_values, beta):
-    """min over j of j*beta + value(c_j), the defining formula, computed directly."""
-    best = INF
-    for j, cv in enumerate(coeff_values):
-        if cv.is_infinite:
-            continue
-        term = cv if j == 0 else beta.scale(j) + cv
-        if term < best:
-            best = term
-    return best
-
-
 def brute_flat_value(chain_polys, betas, field, f):
     """Stage value of f by full flat expansion: expand f in the top key, every
     coefficient in the next key down, and so on to the base, reconstruct the

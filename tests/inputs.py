@@ -3,10 +3,10 @@
 Every packaged scenario (`PACKAGED`, found in the package), grown by the
 command line's own grow step (`run_scenario` is `valforge.cli.grow`, to
 the depth the scenario was loaded with); the benchmark's pinned corpus,
-read from `perfbench/` (only read); the hand-built targets of the running
-examples; and the fields, elements and polynomials that property tests
-draw from.  Test modules take these from here and import no other test
-module.
+read from `perfbench/` (only read); the outcome ledger of both, read by
+`read_ledger`; the hand-built targets of the running examples; and the
+fields, elements and polynomials that property tests draw from.  Test
+modules take these from here and import no other test module.
 """
 
 import functools
@@ -20,12 +20,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import valforge.keypoly as keypoly
+from valforge.cli import account, pick
 from valforge.cli import grow as run_scenario
 from valforge.fields import (QQ, CoordinateTower, LexMonomialSeries,
-                             PrimeField, RationalFunctions, _IntegersMod)
+                             PrimeField, RationalFunctions, Refusal,
+                             _IntegersMod)
 from valforge.graded import EtaleRing
 from valforge.polyring import Poly
-from valforge.scenario import load_scenario
+from valforge.scenario import load_scenario, parse_scenario
 from valforge.values import OrdinalIndex, Value
 
 
@@ -73,18 +75,80 @@ def corpus_targets():
     return CORPUS.draw_targets(CORPUS_SEED, CORPUS_SIZE)
 
 
-def growth_inputs(count=CORPUS_SIZE):
-    """(name, grow) for the first `count` corpus targets and every packaged
-    scenario, where grow() returns what `explore` returns for the input."""
-    out = []
-    for t in corpus_targets()[:count]:
-        target = CORPUS.build_poly(t)
-        out.append(("t%03d" % t.index, functools.partial(
-            keypoly.explore, target.field, "x", target, CORPUS.DEPTH)))
-    for name in PACKAGED:
-        out.append((name, functools.partial(run_scenario,
-                                            load_scenario(name))))
+def scenarios(count=CORPUS_SIZE):
+    """(name, scenario) for the first `count` corpus targets, `t%03d`, read
+    from the benchmark's own scenario text, then every packaged scenario."""
+    return ([("t%03d" % t.index, parse_scenario(CORPUS.scenario_text(t)))
+             for t in corpus_targets()[:count]]
+            + [(name, load_scenario(name)) for name in PACKAGED])
+
+
+# ---------------------------------------------------------------------------
+# the outcome ledger, tests/corpus_outcomes.txt: each input's outcome under
+# the growth of `chain`, `defect` and the benchmark's engine step (full), of
+# `verify` (answer) and of `newton --branch N` (firstN)
+
+MODES = {"full": {}, "answer": {"stop_at_answer": True},
+         **{"first%d" % n: {"first": n} for n in (1, 2, 3)}}
+LEDGER = Path(__file__).resolve().parent / "corpus_outcomes.txt"
+
+
+def entries(ch):
+    """A chain's entries as text: (index, key, value, origin) each."""
+    return [(str(e.index), e.poly.format(), str(e.beta), e.origin)
+            for e in ch.entries]
+
+
+def grown(sc, mode):
+    """(chains, skipped) of a scenario grown in a ledger mode, or the
+    refusal met."""
+    try:
+        return run_scenario(sc, **MODES[mode])
+    except Refusal as exc:
+        return exc
+
+
+def grown_chains(count=CORPUS_SIZE):
+    """(name, branch id, scenario, chain) for each chain grown to full depth
+    from `scenarios(count)`; an input that refuses has none."""
+    for name, sc in scenarios(count):
+        result = grown(sc, "full")
+        if not isinstance(result, Refusal):
+            for bid, ch in enumerate(result[0], 1):
+                yield name, bid, sc, ch
+
+
+def outcome(sc, mode):
+    """(chains, branch reports, identity) of a scenario grown in a ledger
+    mode, picked and accounted as `defect` does, or the refusal met; the
+    identity of growth cut to its first chains is partial."""
+    try:
+        chains, skipped = run_scenario(sc, **MODES[mode])
+        pairs, complete = pick(chains, skipped)
+        return (chains,) + account(sc, pairs, complete
+                                   and "first" not in MODES[mode])
+    except Refusal as exc:
+        return exc
+
+
+def read_ledger(text=None):
+    """{mode: {input name: its record lines}} of ledger text, by default the
+    recorded ledger's: a `[mode]` line heads each mode's records, and each
+    record line starts with its input's name."""
+    out = {}
+    text = LEDGER.read_text(encoding="ascii") if text is None else text
+    for line in text.splitlines():
+        if line.startswith("["):
+            records = out[line[1:-1]] = {}
+        else:
+            records.setdefault(line.split(" ", 1)[0], []).append(line)
     return out
+
+
+def refusal(record):
+    """(type name, reason) of a refused record, or None for an answer."""
+    name, word, rest = record[0].split(" ", 2)
+    return tuple(rest.split(": ", 1)) if word == "refused" else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,33 +9,16 @@ extends the value group of the level below once, so it builds at most one
 """
 
 from bruteforce import brute_lower_hull
-from inputs import CORPUS, PACKAGED, corpus_targets, run_scenario
-from valforge.fields import InsufficientPrecision, UnsupportedStructure
-from valforge.keypoly import Chain, ChainError, explore
-from valforge.scenario import load_scenario
+from inputs import grown_chains
+from valforge.keypoly import Chain
 from valforge.values import ValueGroup
 
 CORPUS_SLICE = 24
 
 
-def _packaged_chains():
-    for name in PACKAGED:
-        yield from run_scenario(load_scenario(name))[0]
-
-
-def _corpus_chains():
-    for t in corpus_targets()[:CORPUS_SLICE]:
-        target = CORPUS.build_poly(t)
-        try:
-            chains, _ = explore(target.field, "x", target, CORPUS.DEPTH)
-        except (ChainError, UnsupportedStructure, InsufficientPrecision):
-            continue
-        yield from chains
-
-
 def test_polygon_is_the_points_hull_and_sides_at_every_stage():
     stages = 0
-    for ch in list(_packaged_chains()) + list(_corpus_chains()):
+    for *_, ch in grown_chains(CORPUS_SLICE):
         for k in range(1, ch.depth() + 1):
             points, hull, sides = ch.polygon(ch.target, ch.entry(k).poly, k - 1)
             assert points == ch.newton_points(ch.target, k)
@@ -64,6 +47,6 @@ def test_append_builds_at_most_one_value_group(monkeypatch):
 
     monkeypatch.setattr(ValueGroup, "__init__", counted_init)
     monkeypatch.setattr(Chain, "append", measured_append)
-    list(_packaged_chains())
+    list(grown_chains(CORPUS_SLICE))
     assert len(per_call) > 50
     assert max(per_call) <= 1

@@ -15,12 +15,10 @@ while reading it keeps its type and the place its caller gives it.
 
 import pytest
 
-from inputs import CORPUS, V, corpus_targets, quartic_setup
+from inputs import V, grown_chains, quartic_setup
 from valforge import keypoly
-from valforge.cli import grow
-from valforge.fields import InsufficientPrecision, Refusal
+from valforge.fields import InsufficientPrecision
 from valforge.keypoly import Chain, replay
-from valforge.scenario import load_scenario
 from valforge.values import OrdinalIndex
 
 
@@ -45,30 +43,10 @@ def _eager(field, var, target, script):
     return out
 
 
-def _packaged(name):
-    sc = load_scenario(name)
-    return [(name, sc.field, sc.var, sc.target, _script(ch))
-            for ch in grow(sc)[0]]
-
-
-def _corpus_chains():
-    out = []
-    for t in corpus_targets():
-        target = CORPUS.build_poly(t)
-        try:
-            chains, _ = keypoly.explore(target.field, "x", target,
-                                        CORPUS.DEPTH)
-        except Refusal:
-            continue
-        out += [("t%03d.%d" % (t.index, i), target.field, "x", target,
-                 _script(ch)) for i, ch in enumerate(chains, 1)]
-    return out
-
-
 @pytest.fixture(scope="module")
 def replays():
-    return (_packaged("quintic_tower") + _packaged("cubic_char3")
-            + _corpus_chains())
+    return [("%s.%d" % (name, bid), sc.field, sc.var, sc.target, _script(ch))
+            for name, bid, sc, ch in grown_chains()]
 
 
 def _counting(monkeypatch):
@@ -125,18 +103,25 @@ def test_relation_read_from_a_clone_is_kept_for_the_chain(monkeypatch):
 
 def test_refusal_in_a_deferred_relation_is_placed_by_its_reader(monkeypatch):
     # x @ 3/2 has spacing 2, so x^2 - y^3 has g = 1 and no relation until
-    # growth first reads it: the stage-2 residual of the target needs no
-    # power of the level-1 class, and the stage-3 residual on the branch
-    # that grew the key x^2 + y^2*x - y^3 does
+    # it is first read.  Growth reads it first at stage 3, where each branch
+    # has its answer; here derive_keys reads it at stage 2, where the
+    # target's effective degree is still 2
     F, x, Q, P = quartic_setup()
     ch = replay(F, "x", P, [(OrdinalIndex(0, 1), x, V("3/2")),
                             (OrdinalIndex(0, 2), Q, V("7/2"))])
+    assert ch.effective_degree(P) == 2
+    plain = Chain.derive_keys
+
+    def reading(self):
+        self.rule(self.depth())
+        return plain(self)
 
     def refuse(self, newpoly, g, k=None):
         raise InsufficientPrecision("no room for the relation")
 
+    monkeypatch.setattr(Chain, "derive_keys", reading)
     monkeypatch.setattr(Chain, "_derive_rule", refuse)
     with pytest.raises(InsufficientPrecision) as info:
         keypoly._grow(ch, 4, 1)
-    assert str(info.value) == ("branch 1.1: stage 3, key Q = x^2 + y^2*x - "
-                               "y^3: no room for the relation")
+    assert str(info.value) == ("branch 1: stage 2, key Q = x^2 - y^3: no room "
+                               "for the relation")

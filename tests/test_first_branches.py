@@ -6,39 +6,38 @@ only) and every packaged scenario, they must be the first N chains of
 unpruned growth, entry by entry, wherever unpruned growth answers.
 `newton` grows the chains up to the one it draws and no others: it draws
 the same polygon as from unpruned growth, and a refusal in a branch past
-the drawn one no longer stops it; the outcomes on the corpus are pinned.
+the drawn one no longer stops it; the outcomes are those of the ledger
+(`tests/corpus_outcomes.txt`).
 """
 
-from collections import Counter
+import re
 
 import pytest
 
-from inputs import CORPUS, PACKAGED, corpus_targets, growth_inputs
+from inputs import (PACKAGED, entries, grown, read_ledger, refusal,
+                    scenarios)
 from valforge.cli import grow, main
 from valforge.fields import Refusal
 from valforge.keypoly import Chain
 from valforge.report import render_newton
-from valforge.scenario import load_scenario, parse_scenario
-
-
-def _entries(chains):
-    return [[(str(e.index), e.poly.format(), str(e.beta), e.origin)
-             for e in ch.entries] for ch in chains]
+from valforge.scenario import format_scenario, load_scenario
 
 
 @pytest.mark.parametrize("first", [1, 2, 3])
 def test_first_chains_are_those_of_unpruned_growth(first):
-    answered = 0
-    for name, grown in growth_inputs():
-        try:
-            chains, skipped = grown()
-        except Refusal:
+    got = []
+    for name, sc in scenarios():
+        full = grown(sc, "full")
+        if isinstance(full, Refusal):
             continue
-        cut, cut_skipped = grown(first=first)
-        assert _entries(cut) == _entries(chains)[:first], name
+        chains, skipped = full
+        cut, cut_skipped = grown(sc, "first%d" % first)
+        assert ([entries(ch) for ch in cut]
+                == [entries(ch) for ch in chains][:first]), name
         assert cut_skipped == skipped, name
-        answered += 1
-    assert answered == 78 + len(PACKAGED)
+        got.append(name)
+    assert got == [name for name, record in read_ledger()["full"].items()
+                   if not refusal(record)]
 
 
 def _newton(argv, capsys):
@@ -78,13 +77,16 @@ def test_newton_grows_only_the_branch_it_draws(capsys, monkeypatch):
     assert len(appends) <= 12
 
 
+# a refusal on the branch `newton` draws: the first chain, path 1.1...1
+ON_BRANCH_1 = re.compile(r"(error: )?branch 1(\.1)*: ")
+
+
 def test_newton_meets_no_refusal_past_the_branch_it_draws(tmp_path, capsys):
-    outcomes = Counter()
-    changed = {}
-    for t in corpus_targets():
-        name = "t%03d" % t.index
-        text = CORPUS.scenario_text(t)
-        sc = parse_scenario(text)
+    # newton's outcome is the ledger's, and a refusal it meets is on the
+    # drawn branch; an answer is kept, and a refusal is not turned into
+    # another, nor into an answer, unless it is met past that branch
+    recorded = read_ledger()["first1"]
+    for name, sc in scenarios():
         try:
             chains, _ = grow(sc)
             ch = chains[0]
@@ -92,20 +94,15 @@ def test_newton_meets_no_refusal_past_the_branch_it_draws(tmp_path, capsys):
         except Refusal as exc:
             full = (2, "", "error: %s\n" % exc)
         path = tmp_path / (name + ".scn")
-        path.write_text(text, encoding="ascii")
+        path.write_text(format_scenario(sc), encoding="ascii")
         got = _newton([str(path)], capsys)
-        outcomes[full[0], got[0]] += 1
-        if full[0] == 0 or got[0] == 2:
-            # an answer is kept, and a refusal is not turned into another
-            # unless it is met in a branch past branch 1
-            if got != full:
-                changed[name] = got[2]
-    # 21 targets whose unpruned growth refuses in a later branch now answer
-    assert outcomes == {(0, 0): 78, (2, 0): 21, (2, 2): 21}
-    # two refused in branch 1.2 at stage 2, and now branch 1's own deeper
-    # refusal is the first met
-    assert sorted(changed) == ["t007", "t022"]
-    assert changed["t007"].startswith(
-        "error: branch 1.1.1: stage 3, key Q = x^2 + 3*x + (2*y + 4): "
-        "residual coefficients leave the scalar residue field: ")
-    assert changed["t022"].startswith("error: branch 1.1.1: stage 3, ")
+        cut = refusal(recorded[name])
+        if cut is None:
+            assert (got[0], got[2]) == (0, ""), name
+        else:
+            assert got == (2, "", "error: %s\n" % cut[1]), name
+            assert ON_BRANCH_1.match(cut[1]), name
+        if full[0] == 0:
+            assert got == full, name
+        elif got != full:
+            assert not ON_BRANCH_1.match(full[2]), name

@@ -12,13 +12,12 @@ first chains before they grow, so it may answer where the reference,
 which grows them all, refuses.
 """
 
-import functools
 import re
 
 import pytest
 
 import valforge.keypoly as keypoly
-from inputs import growth_inputs
+from inputs import entries, grown, read_ledger, refusal, scenarios
 from valforge.fields import (PrimeField, RationalFunctions, Refusal,
                              UnsupportedStructure)
 from valforge.keypoly import Chain
@@ -69,17 +68,6 @@ def _depth_first_grow(ch, depth, root, stop_at_answer=False, first=None):
     return out[:first]
 
 
-def _outcome(grow):
-    """(chains as (index, key, value) text per entry, skipped), or the
-    refusal."""
-    try:
-        chains, skipped = grow()
-    except Exception as exc:
-        return exc
-    return ([[(str(e.index), e.poly.format(), str(e.beta))
-              for e in ch.entries] for ch in chains], skipped)
-
-
 def _stage(exc):
     found = re.match(r"stage (\S+), key ", str(exc))
     return parse_index(found.group(1)) if found else None
@@ -93,26 +81,29 @@ def _unbranched(exc):
     return type(exc)(str(exc)[found.end():])
 
 
-def _compare_with_reference(monkeypatch, stop_at_answer, first=None):
-    inputs = growth_inputs()
-    grown = [_outcome(functools.partial(grow, stop_at_answer=stop_at_answer,
-                                        first=first))
-             for _, grow in inputs]
+def _compare_with_reference(monkeypatch, mode):
+    inputs, recorded = scenarios(), read_ledger()
+    outcomes = [grown(sc, mode) for _, sc in inputs]
     monkeypatch.setattr(keypoly, "_grow", _depth_first_grow)
-    reference = [_outcome(functools.partial(grow,
-                                            stop_at_answer=stop_at_answer,
-                                            first=first))
-                 for _, grow in inputs]
     refusals = answered = 0
-    for (name, _), got, want in zip(inputs, grown, reference):
-        if not isinstance(want, Exception):
-            assert got == want, name
+    for (name, sc), got in zip(inputs, outcomes):
+        want = grown(sc, mode)
+        # growth meets the ledger's refusal, or answers where it answers;
+        # the reference refuses only where full growth does
+        assert refusal(recorded[mode][name]) == (
+            (type(got).__name__, str(got)) if isinstance(got, Refusal)
+            else None), name
+        if not isinstance(want, Refusal):
+            assert not isinstance(got, Refusal), name
+            assert ([entries(ch) for ch in got[0]], got[1]) == (
+                [entries(ch) for ch in want[0]], want[1]), name
             continue
         refusals += 1
-        if not isinstance(got, Exception):
+        assert refusal(recorded["full"][name]), name
+        if not isinstance(got, Refusal):
             # the reference grows every branch before it cuts its leaves,
             # so it meets refusals in branches that pruned growth drops
-            assert first is not None, name
+            assert mode.startswith("first"), name
             answered += 1
             continue
         assert type(got) is type(want), name
@@ -124,34 +115,32 @@ def _compare_with_reference(monkeypatch, stop_at_answer, first=None):
             assert _stage(got) <= _stage(want), name
     # the corpus has refusals, so the comparison above reaches them
     assert refusals > answered
-    return answered
 
 
 def test_stage_by_stage_growth_matches_the_depth_first_reference(monkeypatch):
-    _compare_with_reference(monkeypatch, False)
+    _compare_with_reference(monkeypatch, "full")
 
 
-@pytest.mark.parametrize("first, answered", [(1, 20), (2, 5), (3, 1)])
-def test_pruned_growth_matches_the_depth_first_reference(monkeypatch, first,
-                                                         answered):
-    # the reference cuts its leaves to the first ones, as `first` does;
-    # pruned growth answers on this many inputs that the reference refuses
-    assert _compare_with_reference(monkeypatch, False, first) == answered
+@pytest.mark.parametrize("mode", ["first1", "first2", "first3"])
+def test_pruned_growth_matches_the_depth_first_reference(monkeypatch, mode):
+    # the reference cuts its leaves to the first ones, as `first` does
+    _compare_with_reference(monkeypatch, mode)
 
 
 def test_growth_stopped_at_the_answer_matches_the_reference(monkeypatch):
-    _compare_with_reference(monkeypatch, True)
+    _compare_with_reference(monkeypatch, "answer")
 
 
-T035 = ("x^8 + (y^2 + 4*y)*x^7 + (y^2 + 3)*x^4 + 4*y^2*x^3 + (y^2 + 4)*x^2"
-        " + 2")
+# over F_5(y): branches 1.1 and 1.2 grow to depth 8, and branch 1.3 is
+# refused at stage 2, where the target's effective degree is still above 1
+REFUSED = "x^8 + 4*y*x^7 + 3*y*x^6 + 3*x^4 + (2*y^2 + 1)*x^2 + y*x"
 
 
 def test_refusal_stops_growth_at_its_stage(monkeypatch):
     # the depth-first loop grew every sibling of the refusing key to depth 8
     # first: 16 appends before the stage-2 refusal
     F = RationalFunctions(PrimeField(5), "y")
-    target = parse_expression(F, "x", T035)
+    target = parse_expression(F, "x", REFUSED)
     appends = []
     plain = Chain.append
 
@@ -160,8 +149,11 @@ def test_refusal_stops_growth_at_its_stage(monkeypatch):
         return plain(self, *args)
 
     monkeypatch.setattr(Chain, "append", counted)
-    with pytest.raises(UnsupportedStructure, match=r"^branch 1\.3: stage 2, "
-                       r"key Q = x\^6 \+ x\^4 \+ 4\*x\^2 \+ 3: residual "
-                       r"coefficients"):
-        keypoly.explore(F, "x", target, 8)
-    assert len(appends) <= 6
+    # the refusal comes before the branch's answer: a stop there meets it
+    for stop_at_answer in (False, True):
+        del appends[:]
+        with pytest.raises(UnsupportedStructure, match=r"^branch 1\.3: "
+                           r"stage 2, key Q = x\^2 \+ 3: residual "
+                           r"coefficients"):
+            keypoly.explore(F, "x", target, 8, stop_at_answer=stop_at_answer)
+        assert len(appends) <= 6

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-import valforge.keypoly as keypoly
-from inputs import growth_inputs, run_scenario
+from inputs import grown_chains, run_scenario
 from valforge.fields import QQ, RationalFunctions
 from valforge.keypoly import Chain, ChainError
 from valforge.polyring import Poly
@@ -85,13 +84,7 @@ def _outcome(fn, *args):
 def _chains():
     """The chains `explore` grows for every input (the engine's only caller
     of `nres`; `classify` makes none); a typed refusal ends an input."""
-    out = []
-    for _, grow in growth_inputs(CORPUS_SLICE):
-        try:
-            out += grow()[0]
-        except (ChainError, keypoly.UnsupportedStructure):
-            pass
-    return out
+    return [ch for *_, ch in grown_chains(CORPUS_SLICE)]
 
 
 def _passed_by_step_down(ch, f, dexps, k):

@@ -28,9 +28,11 @@ def test_every_refusal_is_a_refusal():
 
 def test_growth_locates_a_refusal_of_any_type(monkeypatch):
     # growth names the branch, stage and key of every `Refusal`, not only of
-    # the types it raises today
-    sc = parse_scenario(MINIMAL.replace("x^2 - y^3", "x^2 - y^2 - y^3"),
-                        "located")
+    # the types it raises today; the quartic's target has effective degree
+    # 2 at stage 2, before its branches have their answers
+    sc = parse_scenario(MINIMAL.replace(
+        "x^2 - y^3", "(x^2 - y^3)^2 + (y^2*x + y^5)*(x^2 - y^3) + y^8"),
+        "located")
     plain = Chain.derive_keys
 
     def refusing(self):
@@ -42,7 +44,7 @@ def test_growth_locates_a_refusal_of_any_type(monkeypatch):
     with pytest.raises(ReportError) as exc:
         keypoly.explore(sc.field, sc.var, sc.target, 6)
     assert type(exc.value) is ReportError
-    assert str(exc.value) == ("branch 1.1: stage 2, key Q = x - y: "
+    assert str(exc.value) == ("branch 1.1: stage 2, key Q = x^2 - y^3: "
                               "no report here")
 
 

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,8 @@ import pytest
 
 import valforge
 from inputs import (PACKAGED, PERFBENCH, V, packaged_text, quartic_setup,
-                    tower_script, tower_setup)
+                    read_ledger, refusal, scenarios, tower_script,
+                    tower_setup)
 from valforge import cli
 from valforge.cli import main
 from valforge.fields import (CoordinateTower, InsufficientPrecision,
@@ -1067,19 +1069,24 @@ def test_cli_constant_target_is_refused(tmp_path, capsys, cmd):
 
 
 def test_cli_refusal_names_stage_key_and_residual(tmp_path, capsys):
-    # the stage-2 residual has a coefficient in Q[T]/(T^2 + 2), off the
-    # scalar residue field
-    text = (SCRIPTED_X_TO_5.replace("x^2 + y", "x^4 + 2*y^2*x^2 + 2*y^2")
-            .replace("[chain]\n1 ; x ; 5\n", "").replace("scripted", "all"))
-    path = tmp_path / "second_extension.scn"
-    path.write_text(text % 0, encoding="ascii")
-    rc = main(["defect", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert captured.err.startswith(
-        "error: branch 1.1: stage 2, key Q = x^4 + 2*y^2: ")
-    assert "leave the scalar residue field" in captured.err
-    assert "(1, -1/4*T), constant term first, over k[T]/(T^2 + 2)" in captured.err
+    # the inputs that `verify` refuses are refused before a branch has its
+    # answer, at a stage whose residual has a coefficient off the scalar
+    # residue field; `defect` prints the ledger's refusal
+    inputs, recorded = dict(scenarios()), read_ledger()
+    refused = [name for name, record in recorded["answer"].items()
+               if refusal(record)]
+    assert refused
+    for name in refused:
+        path = tmp_path / (name + ".scn")
+        path.write_text(format_scenario(inputs[name]), encoding="ascii")
+        rc = main(["defect", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "error: %s\n" % refusal(recorded["full"][name])[1]
+        assert re.fullmatch(
+            r"error: branch [0-9.]+: stage [0-9]+, key Q = [^:]+: residual "
+            r"coefficients leave the scalar residue field: \(.+\), constant "
+            r"term first, over k\[T\]/\(T\^.+\)\n", err), name
 
 
 def test_cli_verify_failure_exits_one(tmp_path, capsys, monkeypatch):

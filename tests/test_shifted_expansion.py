@@ -20,11 +20,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import valforge.keypoly as keypoly
-from inputs import (CORPUS, DOMAINS, PACKAGED, SETTINGS, TERMS,
-                    corpus_targets, element)
+from inputs import DOMAINS, PACKAGED, SETTINGS, TERMS, element, grown_chains
 from valforge.cli import main
-from valforge.fields import CoordinateTower, Refusal
-from valforge.keypoly import Chain, explore
+from valforge.fields import CoordinateTower
+from valforge.keypoly import Chain
 from valforge.polyring import Poly, shifted_expansion, standard_expansion
 from valforge.report import ReportError, classify, render_chain
 from valforge.scenario import load_scenario
@@ -83,18 +82,12 @@ def test_packaged_commands_expand_as_division(target_expansions):
 
 def test_corpus_expands_as_division(target_expansions):
     met, shifted = target_expansions
-    for t in corpus_targets():
-        target = CORPUS.build_poly(t)
+    for _, bid, sc, ch in grown_chains():
         try:
-            chains, _ = explore(target.field, "x", target, CORPUS.DEPTH)
-        except Refusal:
-            continue
-        for i, ch in enumerate(chains, 1):
-            try:
-                classify(ch, CORPUS.WINDOW, i)
-            except ReportError:     # a refused verdict still expanded
-                pass
-        render_chain(list(enumerate(chains, 1)))
+            classify(ch, sc.window, bid)
+        except ReportError:     # a refused verdict still expanded
+            pass
+        render_chain([(bid, ch)])
     assert shifted and _check(met) > 400
 
 

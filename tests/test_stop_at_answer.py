@@ -7,84 +7,70 @@ the command line's own pipeline with the stop and without it: each stopped
 chain must be an entry-by-entry prefix of its full-depth chain, and where
 full growth answers, the stopped growth gives the same identity line and
 the same (e, f, d) per branch.  Where full growth refuses, a refusal past a
-branch's answer no longer stops the stopped growth; the outcomes there are
-pinned.
+branch's answer no longer stops the stopped growth; the outcomes are those
+of the ledger (`tests/corpus_outcomes.txt`).
 """
-
-from collections import Counter
 
 import pytest
 
-from inputs import CORPUS, PACKAGED, corpus_targets
+from inputs import (CORPUS, corpus_targets, entries, outcome, read_ledger,
+                    refusal, scenarios)
 from valforge import cli, keypoly
-from valforge.cli import account, grow, main, pick
+from valforge.cli import main
 from valforge.fields import Refusal
 from valforge.report import completeness_sample
-from valforge.scenario import format_scenario, load_scenario, parse_scenario
-
-
-def _scenarios():
-    out = [("t%03d" % t.index, parse_scenario(CORPUS.scenario_text(t)), t)
-           for t in corpus_targets()]
-    return out + [(name, load_scenario(name), None) for name in PACKAGED]
-
-
-def _answer(sc, stop_at_answer):
-    """(chains, branch reports, identity) of a scenario, or its refusal."""
-    try:
-        chains, skipped = grow(sc, stop_at_answer)
-        pairs, complete = pick(chains, skipped)
-        return (chains,) + account(sc, pairs, complete)
-    except Refusal as exc:
-        return exc
-
-
-def _entries(ch):
-    return [(str(e.index), e.poly.format(), str(e.beta)) for e in ch.entries]
+from valforge.scenario import format_scenario
+from valforge.values import INF
 
 
 def test_growth_stopped_at_the_answer_keeps_every_answer():
-    after_refusal = Counter()
+    recorded = read_ledger()["answer"]
     refused = []
-    for name, sc, t in _scenarios():
-        full, stopped = _answer(sc, False), _answer(sc, True)
-        assert not isinstance(stopped, Exception) or \
-            isinstance(full, Exception), name
-        if isinstance(full, Exception):
-            if isinstance(stopped, Exception):
+    for name, sc in scenarios():
+        full, stopped = outcome(sc, "full"), outcome(sc, "answer")
+        assert not isinstance(stopped, Refusal) or \
+            isinstance(full, Refusal), name
+        if isinstance(full, Refusal):
+            if isinstance(stopped, Refusal):
                 refused.append(name)
-            else:
-                verdict = "holds" if stopped[2].verdict else "fails"
-                after_refusal[verdict, CORPUS.label(t)] += 1
+                continue
+            # a corpus target refused at full depth: its identity is the
+            # ledger's, and fails only for a repeated-factor target (the
+            # degree identity counts no multiplicity yet)
+            identity = stopped[2]
+            assert recorded[name][-1] == "%s identity %s" % (name,
+                                                             identity.line())
+            assert CORPUS.label(corpus_targets()[int(name[1:])]) == (
+                "squarefree" if identity.verdict else "repeated"), name
             continue
         chains, branches, identity = stopped
         assert len(chains) == len(full[0]), name
         for ch, whole in zip(chains, full[0]):
-            assert _entries(ch) == _entries(whole)[:ch.depth()], name
+            assert entries(ch) == entries(whole)[:ch.depth()], name
         assert identity.line() == full[2].line(), name
         assert ([(br.e, br.f, br.d) for br in branches]
                 == [(br.e, br.f, br.d) for br in full[1]]), name
-    # 42 corpus targets refuse at full depth: 37 identities now hold, the 3
-    # that fail are repeated-factor targets (the degree identity counts no
-    # multiplicity yet), and 2 refuse before any branch has its answer
-    assert after_refusal == {("holds", "squarefree"): 37,
-                             ("fails", "repeated"): 3}
-    assert refused == ["t024", "t095"]
+    # the rest refuse before a branch has its answer
+    assert refused == [name for name, record in recorded.items()
+                       if refusal(record)]
 
 
 @pytest.mark.parametrize("index", [32, 76, 78])
 def test_verify_of_a_repeated_target_fails_its_identity(tmp_path, capsys,
                                                         index):
-    # full growth refuses these past their answers; stopped, they reach the
-    # identity, which fails until it counts multiplicities
+    # repeated-factor targets that full growth refuses past their answers;
+    # stopped, they reach the identity, which `verify` prints as the ledger
+    # has it, and fails until it counts multiplicities
     t = corpus_targets()[index]
     path = tmp_path / ("t%03d.scn" % index)
     path.write_text(CORPUS.scenario_text(t), encoding="ascii")
     rc = main(["verify", str(path)])
     out = capsys.readouterr().out
-    assert rc == 1
-    assert out.splitlines()[-1].startswith("fail: identity %d != "
-                                           % t.degree)
+    line = read_ledger()["answer"]["t%03d" % index][-1].split(" identity ")[1]
+    fails = " != " in line
+    assert CORPUS.label(t) == "repeated"
+    assert (rc, out.splitlines()[-1]) == (
+        int(fails), "%s: identity %s" % ("fail" if fails else "ok", line))
 
 
 def test_verify_grows_on_only_a_branch_that_misses_an_oracle_value(
@@ -107,10 +93,10 @@ def test_verify_grows_on_only_a_branch_that_misses_an_oracle_value(
 
     monkeypatch.setattr(keypoly, "_grow", growing)
     monkeypatch.setattr(cli, "account", accounted)
-    scenarios = grew = 0
-    for name, sc, _ in _scenarios():
-        full = _answer(sc, False)
-        if isinstance(full, Exception):
+    names, recorded = [], read_ledger()
+    for name, sc in scenarios():
+        full = outcome(sc, "full")
+        if isinstance(full, Refusal):
             continue
         chains = full[0]
         for ch in chains:
@@ -125,15 +111,22 @@ def test_verify_grows_on_only_a_branch_that_misses_an_oracle_value(
         [pairs] = picked
         assert [bid for bid, _ in pairs] == list(range(1, len(chains) + 1))
         for bid, ch in pairs:
-            whole = _entries(chains[bid - 1])
+            whole = entries(chains[bid - 1])
             if bid in grown_on:
-                assert _entries(ch) == whole, (name, bid)
+                assert entries(ch) == whole, (name, bid)
             else:
-                assert _entries(ch) == whole[:ch.depth()], (name, bid)
+                assert entries(ch) == whole[:ch.depth()], (name, bid)
                 assert completeness_sample(ch, sc.oracle_samples(bid - 1))
-        scenarios += 1
-        grew += len(grown_on)
-    assert (scenarios, grew) == (81, 32)
+        # a branch grows on when the ledger stops it short of its full depth
+        # and its deepest value is finite (an infinite one is not sampled)
+        stopped = [int(line.split()[4])
+                   for line in recorded["answer"][name][:-1]]
+        assert grown_on == [
+            bid for bid, (depth, ch) in enumerate(zip(stopped, chains), 1)
+            if depth < ch.depth() and ch.entries[-1].beta is not INF], name
+        names.append(name)
+    assert names == [name for name, record in recorded["full"].items()
+                     if not refusal(record)]
 
 
 def test_a_refusal_met_growing_a_branch_on_names_its_branch(tmp_path, capsys):

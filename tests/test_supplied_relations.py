@@ -14,8 +14,7 @@ on the first read (`Chain.rule`) when g = 1.
 import re
 
 import valforge.keypoly as keypoly
-from inputs import growth_inputs, packaged_text, run_scenario
-from valforge.fields import Refusal
+from inputs import grown, packaged_text, run_scenario, scenarios
 from valforge.keypoly import Chain
 from valforge.scenario import load_scenario, parse_scenario
 
@@ -55,15 +54,13 @@ lump_sides = true
 """
 
 GROWN_ONLY = [
-    ("lumped repeated factor",
-     lambda: run_scenario(parse_scenario(LUMPED_REPEATED, "lumped"))),
+    ("lumped repeated factor", parse_scenario(LUMPED_REPEATED, "lumped")),
     ("cubic_char3 grown, lumped",
-     lambda: run_scenario(grown_only("cubic_char3", lump_sides="true"))),
+     grown_only("cubic_char3", lump_sides="true")),
     ("cubic_char3 grown, unlumped",
-     lambda: run_scenario(grown_only("cubic_char3", lump_sides="false"))),
+     grown_only("cubic_char3", lump_sides="false")),
     ("quintic_tower grown",
-     lambda: run_scenario(grown_only("quintic_tower", branches="all",
-                                     depth=6))),
+     grown_only("quintic_tower", branches="all", depth=6)),
 ]
 
 
@@ -84,11 +81,9 @@ def test_supplied_relation_is_the_derived_one(monkeypatch):
             checked.append(rule)
 
     monkeypatch.setattr(Chain, "append", append)
-    for name, grow in growth_inputs() + GROWN_ONLY:
-        try:
-            grow()
-        except Refusal:
-            pass    # every key appended before the refusal was checked
+    # every key appended before a refusal is checked
+    for name, sc in scenarios() + GROWN_ONLY:
+        grown(sc, "full")
     assert len(checked) > 300
     assert {rule[0] for rule in checked} == {"const", "ext"}
     # the lumped quadratic of cubic_char3 is the product of two factors,
